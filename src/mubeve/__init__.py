@@ -5,6 +5,7 @@ bounds and their numerical verification."""
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    EigensolverError,
     InvalidPovmError,
     InvalidStateError,
     MubeveError,

@@ -50,7 +50,7 @@ def _cmd_audit(args) -> int:
     report = run_scenario(cfg)
     _emit(write_report([(attack_label(cfg), report)], args.format), args.out)
     if "sigma_spectrum" in cfg.analyses:
-        detail = sigma_spectrum_detail(cfg)
+        detail = sigma_spectrum_detail(cfg, report)
         print("sigma_spectrum " + json.dumps(detail), file=sys.stderr)
     return 0
 

@@ -29,6 +29,10 @@ class OutOfRangeError(MubeveError):
     """Scalar argument outside its admissible range."""
 
 
+class EigensolverError(MubeveError):
+    """Eigensolver input has non-finite entries, or LAPACK failed."""
+
+
 class InvalidStateError(MubeveError):
     """Density matrix violates its type invariants."""
 

@@ -86,6 +86,15 @@ class CampaignSummary:
     worst_seed: int | None
 
 
+def _finite_float(text):
+    """Parse a JSON number; NaN, Infinity and overflowing literals like
+    1e999 would pass every later range check, so they are rejected here."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {text} is not allowed")
+    return value
+
+
 def _load_json(text) -> dict:
     if isinstance(text, bytes):
         try:
@@ -93,7 +102,9 @@ def _load_json(text) -> dict:
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(
+            text, parse_constant=_finite_float, parse_float=_finite_float
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -114,6 +125,17 @@ def _require_int(doc, field, minimum=None, maximum=None) -> int:
     return value
 
 
+def _float_list(raw, field) -> tuple[float, ...]:
+    if not isinstance(raw, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) for t in raw
+    ):
+        raise ValidationError(field, "must be a list of numbers")
+    try:
+        return tuple(float(t) for t in raw)
+    except OverflowError as exc:
+        raise ValidationError(field, str(exc)) from exc
+
+
 def _complex_array(raw, field) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
@@ -129,13 +151,13 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | ExplicitAttack:
     if "unitary" in raw:
         try:
             unitary = _complex_array(raw["unitary"], "attack.unitary")
-        except (ValueError, ValidationError) as exc:
+        except (ValueError, OverflowError, ValidationError) as exc:
             raise ValidationError("attack.unitary", str(exc)) from exc
         if "ancilla" not in raw:
             raise ValidationError("attack.ancilla", "missing required field")
         try:
             ancilla = _complex_array(raw["ancilla"], "attack.ancilla")
-        except (ValueError, ValidationError) as exc:
+        except (ValueError, OverflowError, ValidationError) as exc:
             raise ValidationError("attack.ancilla", str(exc)) from exc
         try:
             from_unitary(unitary, ancilla, n_qubits)
@@ -151,16 +173,12 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | ExplicitAttack:
     n = raw.get("n", n_qubits)
     if n != n_qubits:
         raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
-    params = raw.get("params", [])
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
-    ):
-        raise ValidationError("attack.params", "must be a list of numbers")
+    params = _float_list(raw.get("params", []), "attack.params")
     try:
         spec = AttackSpec(
             kind=kind,
             n=n,
-            params=tuple(float(p) for p in params),
+            params=params,
             eve_dim=raw.get("eve_dim", 1),
             seed=raw.get("seed", 0),
         )
@@ -200,12 +218,7 @@ def parse_scenario(text) -> ScenarioConfig:
 
     sweep_thetas = None
     if "sweep_thetas" in doc:
-        raw = doc["sweep_thetas"]
-        if not isinstance(raw, list) or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in raw
-        ):
-            raise ValidationError("sweep_thetas", "must be a list of numbers")
-        sweep_thetas = tuple(float(t) for t in raw)
+        sweep_thetas = _float_list(doc["sweep_thetas"], "sweep_thetas")
 
     return ScenarioConfig(
         n_qubits=n_qubits,
@@ -291,11 +304,13 @@ def run_sweep(cfg: ScenarioConfig) -> list[tuple[float, BoundsReport]]:
     return results
 
 
-def sigma_spectrum_detail(cfg: ScenarioConfig) -> dict:
-    """Fourier eigenvalues next to the error distribution, for inspection."""
-    ch = build_attack(cfg)
-    sa = sigma_matrix(purification_vectors(symmetrize(ch)))
-    report = run_scenario(cfg)
+def sigma_spectrum_detail(cfg: ScenarioConfig, report: BoundsReport) -> dict:
+    """Fourier eigenvalues next to the error distribution, for inspection.
+
+    ``report`` is the audit of ``cfg`` already run; only the Fourier
+    eigenvalues are computed here.
+    """
+    sa = sigma_matrix(purification_vectors(symmetrize(build_attack(cfg))))
     return {
         "lambda": [float(v) for v in sa.lambdas],
         "error_probs": [float(v) for v in report.error_dist.probs],

@@ -5,14 +5,14 @@ ordering is fixed package-wide: qubit 1 is the most significant bit of an
 index, and tensor factors compose with the left factor owning the most
 significant bits (the ``numpy.kron`` convention).
 
-The Hermitian eigensolver is a cyclic Jacobi iteration with complex plane
-rotations.  It is deterministic for identical input bits, which the audit
-pipeline relies on for byte-identical reruns.
+Every Hermitian eigensolve goes through ``_eigh``, which calls LAPACK
+through ``numpy.linalg.eigh``/``eigvalsh``.  Reruns are byte-identical on
+a given machine and numpy/BLAS build, which the audit pipeline relies on;
+other builds may differ in the last digits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    EigensolverError,
     InvalidStateError,
     NotADistributionError,
     NotHermitianError,
@@ -35,11 +36,6 @@ TAU_UNIT = 1e-9
 
 # Largest supported qubit count for basis transforms and channels.
 N_MAX = 4
-
-# Jacobi stops once the off-diagonal Frobenius mass drops below this,
-# relative to the Frobenius norm of the input.
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 60
 
 
 def bit_parity(x: int) -> int:
@@ -107,74 +103,6 @@ def hermitian_residual(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def _jacobi(a: np.ndarray, want_vectors: bool):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors or None), unsorted.  Each rotation
-    annihilates one off-diagonal entry ``a[p, q] = r * u`` (r >= 0, |u| = 1)
-    with the unitary that is the phase ``diag(1, conj(u))`` followed by the
-    real rotation with ``tan(theta)`` the smaller root of
-    ``t**2 + 2*tau*t - 1 = 0``, ``tau = (a_qq - a_pp) / (2 r)``.  The
-    bounded angle (|theta| <= pi/4) guarantees convergence.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)  # remove sub-tolerance asymmetry
-    v = np.eye(n, dtype=complex) if want_vectors else None
-    if n == 1:
-        return a.diagonal().real.copy(), v
-
-    scale = max(1.0, float(np.linalg.norm(a)))
-    target = _JACOBI_OFF_TOL * scale
-    skip = target / (2.0 * n)
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        mags = np.abs(a) ** 2
-        np.fill_diagonal(mags, 0.0)
-        if math.sqrt(float(mags.sum())) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                u = apq / r
-                tau = (aqq - app) / (2.0 * r)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ubar = u.conjugate()
-
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * ubar * col_q
-                a[:, q] = s * col_p + c * ubar * col_q
-
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * u * row_q
-                a[q, :] = s * row_p + c * u * row_q
-
-                a[p, p] = app - t * r
-                a[q, q] = aqq + t * r
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * ubar * vq
-                    v[:, q] = s * vp + c * ubar * vq
-    else:
-        raise ArithmeticError("Jacobi iteration failed to converge")
-
-    return a.diagonal().real.copy(), v
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition result: eigenvalues sorted descending, with the
@@ -194,14 +122,32 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _eigh(a: np.ndarray, want_vectors: bool):
+    """LAPACK eigensolve of the Hermitian part of ``a``.
+
+    Returns (eigenvalues ascending, eigenvectors or None).  LAPACK does not
+    reliably fail on NaN or infinite entries, so they are rejected first;
+    both they and a LAPACK failure raise EigensolverError.
+    """
+    if not np.isfinite(a).all():
+        raise EigensolverError("matrix has non-finite entries")
+    a = 0.5 * (a + a.conj().T)  # remove sub-tolerance asymmetry
+    try:
+        if want_vectors:
+            return np.linalg.eigh(a)
+        return np.linalg.eigvalsh(a), None
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver failed: {exc}") from exc
+
+
 def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix.
 
-    Deterministic for identical input bits.  Raises NotHermitianError when
-    the symmetry check fails.
+    Raises NotHermitianError when the symmetry check fails and
+    EigensolverError on non-finite entries.
     """
     a = _check_hermitian(a)
-    w, v = _jacobi(a, want_vectors=True)
+    w, v = _eigh(a, want_vectors=True)
     order = np.argsort(-w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
@@ -209,8 +155,8 @@ def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
 def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Eigenvalues only, sorted descending."""
     a = _check_hermitian(a)
-    w, _ = _jacobi(a, want_vectors=False)
-    return np.sort(w)[::-1]
+    w, _ = _eigh(a, want_vectors=False)
+    return w[::-1]
 
 
 def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
@@ -218,15 +164,16 @@ def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
 
     Fast path: Cholesky of ``a + floor*I`` succeeds iff that shift is
     positive definite.  On failure (boundary or violation) fall back to the
-    Jacobi eigenvalues for the exact verdict.
+    eigenvalues for the exact verdict.  A non-finite factor also falls back,
+    so non-finite input raises EigensolverError there.
     """
-    shifted = a + floor * np.eye(a.shape[0])
     try:
-        np.linalg.cholesky(shifted)
-        return True
+        factor = np.linalg.cholesky(a + floor * np.eye(a.shape[0]))
+        if np.isfinite(factor).all():
+            return True
     except np.linalg.LinAlgError:
-        w = _jacobi(a, want_vectors=False)[0]
-        return bool(w.min() >= -floor)
+        pass
+    return bool(_eigh(a, want_vectors=False)[0].min() >= -floor)
 
 
 @dataclass(frozen=True)
@@ -294,12 +241,17 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy in bits, with eigenvalues <= 0 contributing nothing."""
+    """Entropy in bits of the positive part of the spectrum, renormalized.
+
+    Eigenvalues <= 0 are dropped and the rest divided by their sum, so every
+    p lies in (0, 1] and every term -p*log2(p) is >= 0.  Trace rounding does
+    not read as entropy: a 1x1 state, whose one eigenvalue may be 1 - eps or
+    1 + eps, has entropy exactly 0.
+    """
     w = hermitian_eigenvalues(_matrix_of(rho))
-    pos = w[w > 0.0]
-    if pos.size == 0:
-        return 0.0
-    return float(-np.sum(pos * np.log2(pos))) + 0.0  # normalize -0.0
+    p = w[w > 0.0]
+    p = p / p.sum()
+    return float(-np.sum(p * np.log2(p))) + 0.0  # normalize -0.0
 
 
 def shannon_entropy(p) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubeve.bounds import (
     Ensemble,
@@ -310,6 +312,21 @@ class TestAuditAttack:
                     assert rep.corollary_rhs >= rep.h_xor - 1e-9
                     assert rep.spectrum_deviation <= 1e-9
                     idx += 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        eve_dim=st.integers(1, 4),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_bound_chain_property(self, n, eve_dim, seed):
+        rep = audit_attack(random_attack(n, eve_dim, seed), 4, seed)
+        assert rep.slack_main >= -1e-9
+        assert rep.slack_measured >= -1e-9
+        assert rep.i_lower <= rep.chi_orig + 1e-9
+        # data processing: reading the shift register recovers the
+        # original ensemble, so symmetrizing cannot lose information
+        assert rep.chi_orig <= rep.chi_sym + 1e-9
 
     def test_requires_basis_b(self):
         from mubeve.channel import to_conjugate_basis

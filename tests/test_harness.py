@@ -1,10 +1,12 @@
 """Tests for configuration parsing, runners, report serialization and the CLI."""
 
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+import mubeve.harness as harness
 from mubeve.cli import main
 from mubeve.errors import ParseError, ValidationError
 from mubeve.harness import (
@@ -21,6 +23,8 @@ from mubeve.harness import (
 from mubeve.zoo import AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# Reports computed by the former pure-Python Jacobi eigensolver.
+FROZEN = Path(__file__).resolve().parent / "data"
 
 
 def minimal_scenario(**overrides):
@@ -100,6 +104,25 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(doc)
         assert err.value.field == "attack.ancilla"
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, literal):
+        for doc in (
+            minimal_scenario(attack={"kind": "probe_overlap", "params": [0.5]}),
+            minimal_scenario(sweep_thetas=[0.5]),
+        ):
+            with pytest.raises(ParseError):
+                parse_scenario(doc.replace("0.5", literal))
+
+    @pytest.mark.parametrize("attack,field", [
+        ({"kind": "probe_overlap", "params": [10**400]}, "attack.params"),
+        ({"unitary": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]],
+          "ancilla": [[1, 0]]}, "attack.unitary"),
+    ])
+    def test_integer_beyond_double_rejected(self, attack, field):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(minimal_scenario(attack=attack))
+        assert err.value.field == field
 
     def test_sweep_thetas_parsed(self):
         cfg = parse_scenario(minimal_scenario(
@@ -235,6 +258,12 @@ class TestRunCampaign:
         assert first == second
         assert s1 == s2
 
+    def test_small_campaign_has_no_negative_field(self, campaign_small_rows):
+        for row in campaign_small_rows:
+            for name, value in row.items():
+                if name != "attack_id":
+                    assert float(value) >= 0.0, (row["attack_id"], name, value)
+
     def test_summary_matches_rows(self, tmp_path):
         cfg = CampaignConfig(grid=((1, 2),), count=4, master_seed=9,
                              output=str(tmp_path / "c.csv"), povm_samples=4)
@@ -244,6 +273,38 @@ class TestRunCampaign:
         assert summary.rows == 4
         assert summary.min_slack_main == pytest.approx(min(slacks), abs=1e-15)
         assert summary.min_slack_main >= -1e-9
+
+
+@pytest.fixture(scope="module")
+def campaign_small_rows(tmp_path_factory):
+    out = tmp_path_factory.mktemp("campaign") / "rows.csv"
+    cfg = parse_campaign((SCENARIOS / "campaign_small.json").read_bytes())
+    run_campaign(cfg, output_path=str(out))
+    return list(csv.DictReader(out.open()))
+
+
+def assert_rows_close(rows, frozen_csv):
+    frozen = list(csv.DictReader((FROZEN / frozen_csv).open()))
+    assert len(rows) == len(frozen)
+    for row, old in zip(rows, frozen):
+        assert row["attack_id"] == old["attack_id"]
+        for name in CSV_HEADER.split(",")[1:]:
+            assert abs(float(row[name]) - float(old[name])) <= 1e-12, (
+                row["attack_id"], name, row[name], old[name]
+            )
+
+
+class TestFrozenReports:
+    """The LAPACK eigen path reproduces the Jacobi-era reports to 1e-12."""
+
+    def test_campaign_small(self, campaign_small_rows):
+        assert_rows_close(campaign_small_rows, "jacobi_campaign_small.csv")
+
+    def test_probe_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(SCENARIOS / "probe_sweep.scenario"),
+                     "--out", str(out)]) == 0
+        assert_rows_close(list(csv.DictReader(out.open())), "jacobi_probe_sweep.csv")
 
 
 class TestCli:
@@ -295,6 +356,38 @@ class TestCli:
         bad = tmp_path / "bad.scenario"
         bad.write_text("{")
         assert main(["audit", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command,text", [
+        ("audit", '{"n_qubits": 1, "attack": {"kind": "probe_overlap", '
+                  '"params": [NaN]}, "povm_samples": 2, "seed": 1}'),
+        ("sweep", '{"n_qubits": 1, "attack": {"kind": "probe_overlap", '
+                  '"params": [0.0]}, "povm_samples": 2, "seed": 1, '
+                  '"sweep_thetas": [0.5, Infinity]}'),
+    ])
+    def test_non_finite_document_exit_code(self, tmp_path, capsys, command, text):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text)
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
+        calls = []
+        audit = harness.audit_attack
+
+        def counting(*args):
+            calls.append(args)
+            return audit(*args)
+
+        monkeypatch.setattr(harness, "audit_attack", counting)
+        rc = main(["audit", str(SCENARIOS / "phase_conversion.scenario")])
+        assert rc == 0
+        assert len(calls) == 1
+        err = capsys.readouterr().err
+        detail = json.loads(err.removeprefix("sigma_spectrum "))
+        assert detail["error_probs"] == [0.0, 1.0]
+        assert detail["lambda"] == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["audit", str(tmp_path / "nope.scenario")]) == 4

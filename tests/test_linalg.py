@@ -6,6 +6,7 @@ import pytest
 from mubeve.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    EigensolverError,
     InvalidStateError,
     NotADistributionError,
     NotHermitianError,
@@ -133,6 +134,23 @@ class TestEigendecomposition:
         spec = hermitian_eigendecomposition(np.array([[2.5]]))
         assert spec.eigenvalues[0] == 2.5
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_raise(self, bad):
+        a = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(EigensolverError):
+            hermitian_eigenvalues(a)
+        with pytest.raises(EigensolverError):
+            hermitian_eigendecomposition(a)
+
+    def test_lapack_failure_is_named(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigensolverError):
+            hermitian_eigenvalues(np.eye(2))
+
 
 class TestDensityMatrix:
     def test_valid(self):
@@ -151,6 +169,11 @@ class TestDensityMatrix:
     def test_bad_trace(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.eye(2))
+
+    def test_non_finite_rejected(self):
+        # Cholesky returns NaN here instead of failing
+        with pytest.raises(EigensolverError):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError):
@@ -207,6 +230,14 @@ class TestEntropies:
             assert abs(
                 von_neumann_entropy(rho) - von_neumann_entropy(rotated)
             ) <= 1e-9
+
+    @pytest.mark.parametrize("value", [1 + 1e-16, 1 - 2**-52, 1 + 2**-51])
+    def test_one_by_one_state_zero(self, value):
+        assert von_neumann_entropy(np.array([[value]])) == 0.0
+
+    def test_trace_rounding_is_not_entropy(self):
+        rho = np.diag([0.5, 0.5]) * (1 - 2**-50)
+        assert von_neumann_entropy(rho) == 1.0
 
     def test_shannon_basics(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
