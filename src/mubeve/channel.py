@@ -61,7 +61,7 @@ class AttackChannel:
             )
         gram = np.einsum("ijd,kjd->ik", k.conj(), k)
         res = float(np.max(np.abs(gram - np.eye(d))))
-        if res > TAU_UNIT:
+        if not res <= TAU_UNIT:  # also catches a NaN residual
             raise NotUnitaryError(
                 f"unitarity residual {res:.3e} exceeds {TAU_UNIT}"
             )

@@ -28,8 +28,7 @@ from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
 from .linalg import N_MAX
 from .rng import mix
-from .symmetrize import purification_vectors, sigma_matrix, symmetrize
-from .zoo import MAX_TOTAL_DIM, AttackSpec, make_attack, random_attack
+from .zoo import AttackSpec, check_total_dim, make_attack, random_attack
 
 CSV_HEADER = (
     "attack_id,n,eve_dim,delta,h_xor,chi_orig,chi_sym,i_lower,"
@@ -42,25 +41,12 @@ DEFAULT_SWEEP_THETAS = tuple(k * math.pi / 12.0 for k in range(7))
 
 
 @dataclass(frozen=True)
-class ExplicitAttack:
-    """Attack given directly as a joint unitary and an apparatus start vector."""
-
-    unitary: np.ndarray
-    ancilla: np.ndarray
-
-    def __post_init__(self):
-        u = np.array(self.unitary, dtype=complex)
-        a = np.array(self.ancilla, dtype=complex).reshape(-1)
-        u.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "ancilla", a)
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario document.  ``attack`` is a named spec, or the channel
+    of an explicit unitary, built once while parsing."""
+
     n_qubits: int
-    attack: AttackSpec | ExplicitAttack
+    attack: AttackSpec | AttackChannel
     povm_samples: int
     seed: int
     analyses: tuple[str, ...]
@@ -112,10 +98,15 @@ def _load_json(text) -> dict:
     return doc
 
 
-def _require_int(doc, field, minimum=None, maximum=None) -> int:
-    if field not in doc:
-        raise ValidationError(field, "missing required field")
-    value = doc[field]
+def _int_field(doc, key, minimum=None, maximum=None, default=None, prefix="") -> int:
+    """Integer ``doc[key]``, or ``default`` when the key is absent and a
+    default is given.  Errors name the field as ``prefix + key``."""
+    field = prefix + key
+    if key not in doc:
+        if default is None:
+            raise ValidationError(field, "missing required field")
+        return default
+    value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(field, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -143,7 +134,7 @@ def _complex_array(raw, field) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _parse_attack(doc, n_qubits) -> AttackSpec | ExplicitAttack:
+def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
     raw = doc.get("attack")
     if not isinstance(raw, dict):
         raise ValidationError("attack", "must be an object")
@@ -160,41 +151,24 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | ExplicitAttack:
         except (ValueError, OverflowError, ValidationError) as exc:
             raise ValidationError("attack.ancilla", str(exc)) from exc
         try:
-            from_unitary(unitary, ancilla, n_qubits)
-        except NotUnitaryError as exc:
+            return from_unitary(unitary, ancilla, n_qubits)
+        except (NotUnitaryError, DimensionMismatchError) as exc:
             raise ValidationError("attack.unitary", str(exc)) from exc
-        except DimensionMismatchError as exc:
-            raise ValidationError("attack.unitary", str(exc)) from exc
-        return ExplicitAttack(unitary=unitary, ancilla=ancilla)
 
     kind = raw.get("kind")
     if not isinstance(kind, str):
         raise ValidationError("attack.kind", "missing or not a string")
-    n = raw.get("n", n_qubits)
+    n = _int_field(raw, "n", default=n_qubits, prefix="attack.")
     if n != n_qubits:
         raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
     params = _float_list(raw.get("params", []), "attack.params")
+    eve_dim = _int_field(raw, "eve_dim", default=1, prefix="attack.")
+    seed = _int_field(raw, "seed", minimum=0, default=0, prefix="attack.")
     try:
-        spec = AttackSpec(
-            kind=kind,
-            n=n,
-            params=params,
-            eve_dim=raw.get("eve_dim", 1),
-            seed=raw.get("seed", 0),
-        )
-        if kind == "random_unitary":
-            # size guard without building the (possibly large) unitary
-            if spec.eve_dim < 1 or spec.eve_dim * (1 << n) > MAX_TOTAL_DIM:
-                raise DimensionTooLargeError(
-                    f"eve_dim {spec.eve_dim} makes the channel larger "
-                    f"than {MAX_TOTAL_DIM}"
-                )
-        else:
-            make_attack(spec)  # surfaces unsupported combinations early
+        return AttackSpec(kind=kind, n=n, params=params, eve_dim=eve_dim, seed=seed)
     except (UnsupportedCombinationError, OutOfRangeError,
             DimensionTooLargeError) as exc:
         raise ValidationError("attack", str(exc)) from exc
-    return spec
 
 
 def parse_scenario(text) -> ScenarioConfig:
@@ -204,10 +178,10 @@ def parse_scenario(text) -> ScenarioConfig:
     offending field otherwise.
     """
     doc = _load_json(text)
-    n_qubits = _require_int(doc, "n_qubits", minimum=1, maximum=N_MAX)
+    n_qubits = _int_field(doc, "n_qubits", minimum=1, maximum=N_MAX)
     attack = _parse_attack(doc, n_qubits)
-    povm_samples = _require_int(doc, "povm_samples", minimum=0)
-    seed = _require_int(doc, "seed", minimum=0)
+    povm_samples = _int_field(doc, "povm_samples", minimum=0)
+    seed = _int_field(doc, "seed", minimum=0)
 
     analyses = doc.get("analyses", ["audit"])
     if not isinstance(analyses, list) or not analyses:
@@ -247,19 +221,17 @@ def parse_campaign(text) -> CampaignConfig:
         n, eve_dim = cell
         if not 1 <= n <= N_MAX:
             raise ValidationError(field, f"n={n} outside [1, {N_MAX}]")
-        if eve_dim < 1 or eve_dim * (1 << n) > MAX_TOTAL_DIM:
-            raise ValidationError(
-                field, f"eve_dim={eve_dim} makes the channel larger than {MAX_TOTAL_DIM}"
-            )
+        try:
+            check_total_dim(n, eve_dim)
+        except (OutOfRangeError, DimensionTooLargeError) as exc:
+            raise ValidationError(field, str(exc)) from exc
         grid.append((n, eve_dim))
-    count = _require_int(doc, "count", minimum=0)
-    master_seed = _require_int(doc, "master_seed", minimum=0)
+    count = _int_field(doc, "count", minimum=0)
+    master_seed = _int_field(doc, "master_seed", minimum=0)
     output = doc.get("output")
     if not isinstance(output, str) or not output:
         raise ValidationError("output", "must be a nonempty path string")
-    povm_samples = doc.get("povm_samples", 16)
-    if isinstance(povm_samples, bool) or not isinstance(povm_samples, int) or povm_samples < 0:
-        raise ValidationError("povm_samples", "must be a nonnegative integer")
+    povm_samples = _int_field(doc, "povm_samples", minimum=0, default=16)
     return CampaignConfig(
         grid=tuple(grid),
         count=count,
@@ -270,13 +242,13 @@ def parse_campaign(text) -> CampaignConfig:
 
 
 def build_attack(cfg: ScenarioConfig) -> AttackChannel:
-    if isinstance(cfg.attack, ExplicitAttack):
-        return from_unitary(cfg.attack.unitary, cfg.attack.ancilla, cfg.n_qubits)
+    if isinstance(cfg.attack, AttackChannel):
+        return cfg.attack
     return make_attack(cfg.attack)
 
 
 def attack_label(cfg: ScenarioConfig) -> str:
-    if isinstance(cfg.attack, ExplicitAttack):
+    if isinstance(cfg.attack, AttackChannel):
         return "explicit"
     spec = cfg.attack
     if spec.kind == "probe_overlap":
@@ -293,7 +265,7 @@ def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
 
 def run_sweep(cfg: ScenarioConfig) -> list[tuple[float, BoundsReport]]:
     """Audit the probe-overlap family across a grid of angles."""
-    if isinstance(cfg.attack, ExplicitAttack) or cfg.attack.kind != "probe_overlap":
+    if not isinstance(cfg.attack, AttackSpec) or cfg.attack.kind != "probe_overlap":
         raise ValidationError("attack.kind", "sweep requires a probe_overlap attack")
     thetas = cfg.sweep_thetas if cfg.sweep_thetas is not None else DEFAULT_SWEEP_THETAS
     results = []
@@ -304,15 +276,10 @@ def run_sweep(cfg: ScenarioConfig) -> list[tuple[float, BoundsReport]]:
     return results
 
 
-def sigma_spectrum_detail(cfg: ScenarioConfig, report: BoundsReport) -> dict:
-    """Fourier eigenvalues next to the error distribution, for inspection.
-
-    ``report`` is the audit of ``cfg`` already run; only the Fourier
-    eigenvalues are computed here.
-    """
-    sa = sigma_matrix(purification_vectors(symmetrize(build_attack(cfg))))
+def sigma_spectrum_detail(report: BoundsReport) -> dict:
+    """Fourier eigenvalues next to the error distribution, for inspection."""
     return {
-        "lambda": [float(v) for v in sa.lambdas],
+        "lambda": [float(v) for v in report.fourier_eigenvalues],
         "error_probs": [float(v) for v in report.error_dist.probs],
         "max_deviation": float(report.spectrum_deviation),
     }

@@ -257,10 +257,12 @@ def von_neumann_entropy(rho) -> float:
 def shannon_entropy(p) -> float:
     """Shannon entropy in bits of a probability sequence.
 
-    Entries in [-TAU_PSD, 0) are clipped to 0; the sequence must sum to 1
-    within 1e-9, otherwise NotADistributionError is raised.
+    Entries in [-TAU_PSD, 0) are clipped to 0; the sequence must be finite
+    and sum to 1 within 1e-9, otherwise NotADistributionError is raised.
     """
     arr = np.asarray(p, dtype=float).reshape(-1)
+    if not np.isfinite(arr).all():
+        raise NotADistributionError("distribution has non-finite entries")
     if arr.size and float(arr.min()) < -TAU_PSD:
         raise NotADistributionError(
             f"entry {arr.min():.3e} below -{TAU_PSD}"

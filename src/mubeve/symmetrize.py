@@ -55,7 +55,7 @@ class SymmetrizedChannel:
             )
         gram = np.einsum("ijx,kjx->ik", k.conj(), k)
         res = float(np.max(np.abs(gram - np.eye(d))))
-        if res > TAU_UNIT:
+        if not res <= TAU_UNIT:  # also catches a NaN residual
             raise NotUnitaryError(
                 f"unitarity residual {res:.3e} exceeds {TAU_UNIT}"
             )

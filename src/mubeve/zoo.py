@@ -36,12 +36,26 @@ _PARAM_ARITY = {
 MAX_TOTAL_DIM = 512
 
 
+def check_total_dim(n: int, eve_dim: int) -> None:
+    """Reject an apparatus dimension below 1, or an (apparatus x system)
+    dimension ``eve_dim * 2**n`` above MAX_TOTAL_DIM."""
+    if eve_dim < 1:
+        raise OutOfRangeError(f"eve_dim {eve_dim} must be at least 1")
+    total = eve_dim * (1 << n)
+    if total > MAX_TOTAL_DIM:
+        raise DimensionTooLargeError(
+            f"total dimension {total} exceeds {MAX_TOTAL_DIM}"
+        )
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Named attack with its parameters.
 
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
-    and ``seed`` are only meaningful for ``random_unitary``.
+    and ``seed`` are only meaningful for ``random_unitary``.  Construction
+    rejects every spec that ``make_attack`` could not build, so a spec can
+    be validated without building its channel.
     """
 
     kind: str
@@ -60,6 +74,10 @@ class AttackSpec:
             raise OutOfRangeError(
                 f"{self.kind} takes {arity} parameter(s), got {len(self.params)}"
             )
+        if self.kind == "probe_overlap" and self.n != 1:
+            raise UnsupportedCombinationError("probe_overlap is defined for n=1")
+        if self.kind == "random_unitary":
+            check_total_dim(self.n, self.eve_dim)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
 
@@ -94,8 +112,6 @@ def make_attack(spec: AttackSpec) -> AttackChannel:
 
         return _diagonal_channel(n, d, pointer)
     if spec.kind == "probe_overlap":
-        if n != 1:
-            raise UnsupportedCombinationError("probe_overlap is defined for n=1")
         theta = spec.params[0]
         vectors = {
             0: np.array([1.0, 0.0], dtype=complex),
@@ -114,14 +130,8 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
     """
     if not 1 <= n <= N_MAX:
         raise DimensionTooLargeError(f"qubit count {n} outside [1, {N_MAX}]")
-    if eve_dim < 1:
-        raise OutOfRangeError("eve_dim must be at least 1")
-    total = eve_dim * (1 << n)
-    if total > MAX_TOTAL_DIM:
-        raise DimensionTooLargeError(
-            f"total dimension {total} exceeds {MAX_TOTAL_DIM}"
-        )
-    u = random_unitary(total, seed)
+    check_total_dim(n, eve_dim)
+    u = random_unitary(eve_dim * (1 << n), seed)
     ancilla = np.zeros(eve_dim, dtype=complex)
     ancilla[0] = 1.0
     return from_unitary(u, ancilla, n)

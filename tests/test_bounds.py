@@ -22,6 +22,7 @@ from mubeve.bounds import (
 from mubeve.channel import ErrorDistribution, eve_state
 from mubeve.errors import InvalidPovmError, OutOfRangeError
 from mubeve.linalg import DensityMatrix, hermitian_eigenvalues
+from mubeve.rng import SplitMix64, gram_schmidt_unitary
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
 # frozen from a 50-digit evaluation of h2(0.01) + 3 * 0.01
@@ -37,6 +38,13 @@ def binary_entropy(p):
 def basis_projectors(d):
     eye = np.eye(d, dtype=complex)
     return Povm(tuple(np.outer(eye[:, k], eye[:, k]) for k in range(d)))
+
+
+def random_basis_projectors(d, stream):
+    """Rank-1 projectors onto the columns of the next random orthonormal
+    basis drawn from ``stream``, built and validated as a full POVM."""
+    basis = gram_schmidt_unitary(stream.gaussian_matrix(d, d))
+    return Povm(tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(d)))
 
 
 def overlap_pair_ensemble(theta):
@@ -124,13 +132,10 @@ class TestMutualInformation:
 
     def test_matches_direct_expansion_for_uniform_priors(self):
         # oracle: I = 2**-N sum_a sum_i p(a|i) (log p(a|i) - log sum_j p(a|j)) + N
-        from mubeve.bounds import random_projective_povm
-        from mubeve.rng import SplitMix64
-
         ch = random_attack(1, 2, 314)
         states = [eve_state(ch, i) for i in range(2)]
         ens = Ensemble.uniform(states)
-        povm = random_projective_povm(2, SplitMix64(11))
+        povm = random_basis_projectors(2, SplitMix64(11))
         direct = 0.0
         n = 1
         for elem in povm.elements:
@@ -144,14 +149,11 @@ class TestMutualInformation:
         assert got == pytest.approx(direct, abs=1e-10)
 
     def test_bounded_by_label_entropy(self):
-        from mubeve.bounds import random_projective_povm
-        from mubeve.rng import SplitMix64
-
         stream = SplitMix64(77)
         for seed in range(5):
             ch = random_attack(1, 4, 600 + seed)
             ens = Ensemble.uniform([eve_state(ch, i) for i in range(2)])
-            povm = random_projective_povm(4, stream)
+            povm = random_basis_projectors(4, stream)
             val = mutual_information_of_measurement(ens, povm)
             assert -1e-12 <= val <= 1.0 + 1e-9
 
@@ -213,6 +215,28 @@ class TestAccessibleInfoLowerBound:
             accessible_info_lower_bound(ens, s, 5) for s in (0, 2, 4, 8, 16)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        "n,eve_dim,seed", [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5)]
+    )
+    def test_matches_projector_povm_oracle(self, n, eve_dim, seed):
+        # oracle: the same bases from the same stream, each built and
+        # validated as a projector POVM and measured by the public route
+        ch = random_attack(n, eve_dim, seed)
+        ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
+        samples = 6
+        stream = SplitMix64(seed + 100)
+        oracle = max(
+            [mutual_information_of_measurement(ens, pretty_good_measurement(ens))]
+            + [
+                mutual_information_of_measurement(
+                    ens, random_basis_projectors(eve_dim, stream)
+                )
+                for _ in range(samples)
+            ]
+        )
+        got = accessible_info_lower_bound(ens, samples, seed + 100)
+        assert abs(got - oracle) <= 1e-12
 
     def test_negative_samples_rejected(self):
         ens = overlap_pair_ensemble(0.4)

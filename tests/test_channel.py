@@ -234,6 +234,10 @@ class TestTypes:
         with pytest.raises(NotUnitaryError):
             AttackChannel(n=1, eve_dim=1, kraus=kraus)
 
+    def test_channel_rejects_nan_table(self):
+        with pytest.raises(NotUnitaryError):
+            AttackChannel(n=1, eve_dim=1, kraus=np.full((2, 2, 1), np.nan))
+
     def test_error_distribution_invariants(self):
         with pytest.raises(NotADistributionError):
             ErrorDistribution(1, [0.7, 0.7])

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import mubeve.bounds as bounds
 import mubeve.harness as harness
+from mubeve.channel import AttackChannel
 from mubeve.cli import main
 from mubeve.errors import ParseError, ValidationError
 from mubeve.harness import (
@@ -84,6 +86,7 @@ class TestParseScenario:
             "ancilla": [[1, 0]],
         })
         cfg = parse_scenario(doc)
+        assert isinstance(cfg.attack, AttackChannel)  # built once, at parse
         assert attack_label(cfg) == "explicit"
         report = run_scenario(cfg)
         assert report.delta == pytest.approx(0.0, abs=1e-12)
@@ -372,18 +375,42 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("field,value", [
+        ("eve_dim", "2"),
+        ("eve_dim", 2.5),
+        ("eve_dim", True),
+        ("seed", "x"),
+        ("seed", -3),
+        ("n", True),
+    ])
+    def test_malformed_attack_field_exit_code(self, tmp_path, capsys, field, value):
+        attack = {"kind": "random_unitary", "eve_dim": 2, "seed": 4}
+        attack[field] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario(attack=attack))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: attack.{field}: ")
+
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
-        calls = []
-        audit = harness.audit_attack
+        calls = {"audit_attack": 0, "make_attack": 0, "symmetrize": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return audit(*args)
+        def counting(module, name):
+            original = getattr(module, name)
 
-        monkeypatch.setattr(harness, "audit_attack", counting)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(harness, "audit_attack")
+        counting(harness, "make_attack")
+        counting(bounds, "symmetrize")
         rc = main(["audit", str(SCENARIOS / "phase_conversion.scenario")])
         assert rc == 0
-        assert len(calls) == 1
+        assert calls == {"audit_attack": 1, "make_attack": 1, "symmetrize": 1}
         err = capsys.readouterr().err
         detail = json.loads(err.removeprefix("sigma_spectrum "))
         assert detail["error_probs"] == [0.0, 1.0]

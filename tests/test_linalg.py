@@ -251,6 +251,11 @@ class TestEntropies:
         with pytest.raises(NotADistributionError):
             shannon_entropy([0.5, 0.6])
 
+    @pytest.mark.parametrize("p", [[float("nan"), 1.0], [0.5, float("nan"), 0.5]])
+    def test_shannon_rejects_non_finite(self, p):
+        with pytest.raises(NotADistributionError):
+            shannon_entropy(p)
+
     def test_shannon_rejects_big_negative(self):
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.1, -0.1])

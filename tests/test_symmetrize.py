@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from mubeve.channel import eve_state, to_conjugate_basis, xor_error_distribution
-from mubeve.errors import TranslationInvarianceError
+from mubeve.errors import NotUnitaryError, TranslationInvarianceError
 from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
 from mubeve.symmetrize import (
     PurificationSet,
+    SymmetrizedChannel,
     eve_state_sym,
     project_ancilla,
     purification_vectors,
@@ -49,6 +50,10 @@ class TestSymmetrize:
         conj = to_conjugate_basis(make_attack(AttackSpec("identity", 1)))
         with pytest.raises(ValueError):
             symmetrize(conj)
+
+    def test_rejects_nan_table(self):
+        with pytest.raises(NotUnitaryError):
+            SymmetrizedChannel(n=1, eve_dim=1, kraus_sym=np.full((2, 2, 2), np.nan))
 
     def test_shift_covariance(self):
         # the state for input i^t is the ancilla-shifted copy of the state
