@@ -50,10 +50,7 @@ from .channel import (
     xor_error_distribution,
 )
 from .symmetrize import (
-    PurificationSet,
     SigmaAnalysis,
-    SymmetrizedChannel,
-    eve_state_sym,
     project_ancilla,
     purification_vectors,
     sigma_matrix,

@@ -45,7 +45,6 @@ from .linalg import (
 )
 from .rng import SplitMix64, gram_schmidt_unitary
 from .symmetrize import (
-    eve_state_sym,
     purification_vectors,
     sigma_matrix,
     sigma_spectrum_check,
@@ -69,7 +68,11 @@ class Ensemble:
         states = tuple(self.states)
         if p.size != len(states) or not states:
             raise DimensionMismatchError("priors and states lengths disagree")
-        if abs(float(p.sum()) - 1.0) > 1e-9 or float(p.min()) < -TAU_PSD:
+        if (
+            not np.isfinite(p).all()
+            or abs(float(p.sum()) - 1.0) > 1e-9
+            or float(p.min()) < -TAU_PSD
+        ):
             raise OutOfRangeError("priors are not a probability distribution")
         d = states[0].dim
         if any(s.dim != d for s in states):
@@ -285,9 +288,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     chi_orig = holevo_chi(originals)
 
     sym = symmetrize(ch)
-    symmetrized = Ensemble.uniform(
-        eve_state_sym(sym, i) for i in range(ch.dim)
-    )
+    symmetrized = Ensemble.uniform(eve_state(sym, i) for i in range(ch.dim))
     chi_sym = holevo_chi(symmetrized)
 
     i_lower = accessible_info_lower_bound(originals, samples, seed)

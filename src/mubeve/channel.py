@@ -27,6 +27,7 @@ from .linalg import (
     as_index,
     mub_transform,
     sign_grid,
+    xor_grid,
 )
 
 
@@ -87,7 +88,11 @@ class ErrorDistribution:
             raise DimensionMismatchError(
                 f"distribution has {p.size} entries, expected {1 << self.n}"
             )
-        if float(p.min()) < -TAU_PSD or float(p.max()) > 1.0 + TAU_PSD:
+        if (
+            not np.isfinite(p).all()
+            or float(p.min()) < -TAU_PSD
+            or float(p.max()) > 1.0 + TAU_PSD
+        ):
             raise NotADistributionError("entries outside [0, 1]")
         if abs(float(p.sum()) - 1.0) > 1e-9:
             raise NotADistributionError("entries do not sum to 1")
@@ -173,7 +178,7 @@ def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
         raise ValueError("channel must be expressed in basis b")
     kbar = to_conjugate_basis(ch).kraus
     norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
-    d = ch.dim
-    idx = np.arange(d)
-    probs = np.array([float(norms[idx, idx ^ c].mean()) for c in range(d)])
+    idx = np.arange(ch.dim)
+    # row c averages norms[i, i ^ c] over the inputs i
+    probs = norms[idx[None, :], xor_grid(ch.n)].mean(axis=1)
     return ErrorDistribution(n=ch.n, probs=probs)

@@ -151,8 +151,11 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         except (ValueError, OverflowError, ValidationError) as exc:
             raise ValidationError("attack.ancilla", str(exc)) from exc
         try:
+            if unitary.ndim == 2:  # from_unitary rejects every other shape
+                check_total_dim(n_qubits, unitary.shape[0] >> n_qubits)
             return from_unitary(unitary, ancilla, n_qubits)
-        except (NotUnitaryError, DimensionMismatchError) as exc:
+        except (NotUnitaryError, DimensionMismatchError, OutOfRangeError,
+                DimensionTooLargeError) as exc:
             raise ValidationError("attack.unitary", str(exc)) from exc
 
     kind = raw.get("kind")

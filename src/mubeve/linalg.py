@@ -286,6 +286,12 @@ def sign_grid(n: int) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
+def xor_grid(n: int) -> np.ndarray:
+    """2^n x 2^n integer matrix of i XOR j, usable as a fancy index."""
+    idx = np.arange(1 << n)
+    return idx[:, None] ^ idx[None, :]
+
+
 def mub_transform(n: int) -> np.ndarray:
     """Change of basis between the computational basis and its conjugate.
 

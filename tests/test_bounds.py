@@ -58,6 +58,11 @@ class TestEnsemblePovmTypes:
         with pytest.raises(OutOfRangeError):
             Ensemble([0.6, 0.6], (DensityMatrix(np.eye(2) / 2),) * 2)
 
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_priors_must_be_finite(self, p):
+        with pytest.raises(OutOfRangeError):
+            Ensemble(p, (DensityMatrix(np.eye(2) / 2),) * 2)
+
     def test_states_must_share_dimension(self):
         with pytest.raises(Exception):
             Ensemble.uniform([

@@ -245,3 +245,8 @@ class TestTypes:
             ErrorDistribution(1, [1.5, -0.5])
         with pytest.raises(DimensionMismatchError):
             ErrorDistribution(2, [1.0, 0.0])
+
+    @pytest.mark.parametrize("p", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_error_distribution_rejects_non_finite(self, p):
+        with pytest.raises(NotADistributionError):
+            ErrorDistribution(1, p)

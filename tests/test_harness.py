@@ -4,6 +4,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mubeve.bounds as bounds
@@ -38,6 +39,13 @@ def minimal_scenario(**overrides):
     }
     doc.update(overrides)
     return json.dumps(doc)
+
+
+def explicit_identity(dim):
+    """Explicit-unitary attack field: the identity on apparatus x one qubit."""
+    pairs = np.stack([np.eye(dim, dtype=int), np.zeros((dim, dim), dtype=int)], -1)
+    ancilla = [[1, 0]] + [[0, 0]] * (dim // 2 - 1)
+    return {"unitary": pairs.tolist(), "ancilla": ancilla}
 
 
 class TestParseScenario:
@@ -99,6 +107,16 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(doc)
         assert err.value.field == "attack.unitary"
+
+    def test_explicit_attack_at_size_limit(self):
+        cfg = parse_scenario(minimal_scenario(attack=explicit_identity(512)))
+        assert cfg.attack.eve_dim == 256
+
+    def test_explicit_attack_beyond_size_limit(self):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(minimal_scenario(attack=explicit_identity(514)))
+        assert err.value.field == "attack.unitary"
+        assert "514" in str(err.value)
 
     def test_explicit_needs_ancilla(self):
         doc = minimal_scenario(attack={
@@ -283,11 +301,11 @@ def campaign_small_rows(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign") / "rows.csv"
     cfg = parse_campaign((SCENARIOS / "campaign_small.json").read_bytes())
     run_campaign(cfg, output_path=str(out))
-    return list(csv.DictReader(out.open()))
+    return list(csv.DictReader(out.read_text().splitlines()))
 
 
 def assert_rows_close(rows, frozen_csv):
-    frozen = list(csv.DictReader((FROZEN / frozen_csv).open()))
+    frozen = list(csv.DictReader((FROZEN / frozen_csv).read_text().splitlines()))
     assert len(rows) == len(frozen)
     for row, old in zip(rows, frozen):
         assert row["attack_id"] == old["attack_id"]
@@ -307,7 +325,8 @@ class TestFrozenReports:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", str(SCENARIOS / "probe_sweep.scenario"),
                      "--out", str(out)]) == 0
-        assert_rows_close(list(csv.DictReader(out.open())), "jacobi_probe_sweep.csv")
+        assert_rows_close(list(csv.DictReader(out.read_text().splitlines())),
+                          "jacobi_probe_sweep.csv")
 
 
 class TestCli:
@@ -374,6 +393,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_oversized_explicit_attack_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario(attack=explicit_identity(514)))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: attack.unitary: ")
 
     @pytest.mark.parametrize("field,value", [
         ("eve_dim", "2"),

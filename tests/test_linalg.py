@@ -24,6 +24,7 @@ from mubeve.linalg import (
     shannon_entropy,
     tensor_product,
     von_neumann_entropy,
+    xor_grid,
 )
 from mubeve.rng import random_unitary
 
@@ -57,6 +58,13 @@ class TestBitOps:
             BitString(2, 4)
         with pytest.raises(DimensionMismatchError):
             b.xor(BitString(2, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_xor_grid(self, n):
+        d = 1 << n
+        xors = [[BitString(n, i).xor(BitString(n, j)).value for j in range(d)]
+                for i in range(d)]
+        assert np.array_equal(xor_grid(n), xors)
 
 
 class TestTensorProduct:

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from mubeve.channel import eve_state, to_conjugate_basis, xor_error_distribution
-from mubeve.errors import NotUnitaryError, TranslationInvarianceError
+from mubeve.bounds import audit_attack
+from mubeve.channel import (
+    AttackChannel,
+    eve_state,
+    to_conjugate_basis,
+    xor_error_distribution,
+)
+from mubeve.errors import (
+    DimensionMismatchError,
+    InvalidStateError,
+    NotUnitaryError,
+    TranslationInvarianceError,
+)
 from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
 from mubeve.symmetrize import (
-    PurificationSet,
-    SymmetrizedChannel,
-    eve_state_sym,
     project_ancilla,
     purification_vectors,
     sigma_matrix,
@@ -32,16 +40,31 @@ class TestSymmetrize:
     def test_identity_attack_table(self):
         sym = symmetrize(make_attack(AttackSpec("identity", 1)))
         amp = 1.0 / np.sqrt(2.0)
-        assert np.allclose(sym.kraus_sym[0, 0], [amp, amp])
-        assert np.allclose(sym.kraus_sym[1, 1], [amp, amp])
-        assert np.allclose(sym.kraus_sym[0, 1], 0.0)
-        assert np.allclose(sym.kraus_sym[1, 0], 0.0)
+        assert np.allclose(sym.kraus[0, 0], [amp, amp])
+        assert np.allclose(sym.kraus[1, 1], [amp, amp])
+        assert np.allclose(sym.kraus[0, 1], 0.0)
+        assert np.allclose(sym.kraus[1, 0], 0.0)
+
+    def test_matches_definition(self):
+        # kraus'[i, j] = 2**(-n/2) sum_m (-1)**(m.(i^j)) |m> (x) kraus[i^m, j^m]
+        ch = random_attack(2, 3, 17)
+        sym = symmetrize(ch)
+        d, de = ch.dim, ch.eve_dim
+        assert isinstance(sym, AttackChannel)
+        assert (sym.n, sym.eve_dim) == (ch.n, d * de)
+        for i in range(d):
+            for j in range(d):
+                for m in range(d):
+                    sign = (-1.0) ** bin(m & (i ^ j)).count("1")
+                    expected = 0.5 * sign * ch.kraus[i ^ m, j ^ m]
+                    got = sym.kraus[i, j, m * de:(m + 1) * de]
+                    assert np.max(np.abs(got - expected)) <= 1e-15
 
     def test_row_norm_is_one(self):
         for seed in range(4):
             sym = symmetrize(random_attack(1, 2, seed))
             row = sum(
-                float(np.vdot(sym.kraus_sym[0, j], sym.kraus_sym[0, j]).real)
+                float(np.vdot(sym.kraus[0, j], sym.kraus[0, j]).real)
                 for j in range(2)
             )
             assert row == pytest.approx(1.0, abs=1e-9)
@@ -53,7 +76,7 @@ class TestSymmetrize:
 
     def test_rejects_nan_table(self):
         with pytest.raises(NotUnitaryError):
-            SymmetrizedChannel(n=1, eve_dim=1, kraus_sym=np.full((2, 2, 2), np.nan))
+            AttackChannel(n=1, eve_dim=2, kraus=np.full((2, 2, 2), np.nan))
 
     def test_shift_covariance(self):
         # the state for input i^t is the ancilla-shifted copy of the state
@@ -66,28 +89,50 @@ class TestSymmetrize:
             sym = symmetrize(ch)
             d = 1 << ch.n
             for i in range(d):
-                base = eve_state_sym(sym, i).matrix
+                base = eve_state(sym, i).matrix
                 for t in range(d):
                     u = shift_unitary(ch.n, t, ch.eve_dim)
                     shifted = u @ base @ u.conj().T
-                    target = eve_state_sym(sym, i ^ t).matrix
+                    target = eve_state(sym, i ^ t).matrix
                     assert np.max(np.abs(shifted - target)) < 1e-10
+
+
+CASES = [(n, de, seed) for n, de in ((1, 1), (1, 2), (2, 2), (2, 4))
+         for seed in (3, 41, 2026)]
+
+
+class TestSymmetrizedIsAnAttack:
+    """The symmetrized interaction is a fixed-basis attack on the enlarged
+    apparatus, so the channel-level quantities apply to it unchanged."""
+
+    @pytest.mark.parametrize("n,eve_dim,seed", CASES)
+    def test_same_error_distribution(self, n, eve_dim, seed):
+        ch = random_attack(n, eve_dim, seed)
+        ed = xor_error_distribution(ch)
+        ed_sym = xor_error_distribution(symmetrize(ch))
+        assert np.max(np.abs(ed_sym.probs - ed.probs)) <= 1e-12
+
+    @pytest.mark.parametrize("n,eve_dim,seed", CASES)
+    def test_original_chi_of_symmetrized_is_chi_sym(self, n, eve_dim, seed):
+        ch = random_attack(n, eve_dim, seed)
+        chi_sym = audit_attack(ch, 2, seed).chi_sym
+        assert abs(audit_attack(symmetrize(ch), 2, seed).chi_orig - chi_sym) <= 1e-12
 
 
 class TestEveStateSym:
     def test_identity_is_pure(self):
         sym = symmetrize(make_attack(AttackSpec("identity", 1)))
-        assert von_neumann_entropy(eve_state_sym(sym, 0)) < 1e-10
+        assert von_neumann_entropy(eve_state(sym, 0)) < 1e-10
 
     def test_phase_conversion_is_pure(self):
         sym = symmetrize(make_attack(AttackSpec("phase_conversion", 1)))
         for i in range(2):
-            assert von_neumann_entropy(eve_state_sym(sym, i)) < 1e-10
+            assert von_neumann_entropy(eve_state(sym, i)) < 1e-10
 
     def test_unit_trace(self):
         sym = symmetrize(random_attack(2, 4, 8))
         for i in range(4):
-            tr = np.trace(eve_state_sym(sym, i).matrix).real
+            tr = np.trace(eve_state(sym, i).matrix).real
             assert abs(tr - 1.0) <= 1e-10
 
 
@@ -129,14 +174,14 @@ class TestProjectAncilla:
 class TestPurification:
     def test_normalized(self):
         pur = purification_vectors(symmetrize(random_attack(2, 2, 6)))
-        norms = np.sum(np.abs(pur.vectors) ** 2, axis=1)
+        norms = np.sum(np.abs(pur) ** 2, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_cnot_orthogonal_reference_components(self):
         # nonzero Kraus vectors sit at distinct apparatus pointers, so the
         # purifications are orthogonal
         pur = purification_vectors(symmetrize(make_attack(AttackSpec("cnot_probe", 1))))
-        overlap = np.vdot(pur.vectors[0], pur.vectors[1])
+        overlap = np.vdot(pur[0], pur[1])
         assert abs(overlap) < 1e-12
 
     def test_identity_parallel_purifications(self):
@@ -144,7 +189,7 @@ class TestPurification:
         # depend on the input beyond the diagonal, and the reference slot
         # i XOR j = 0 is common
         pur = purification_vectors(symmetrize(make_attack(AttackSpec("identity", 1))))
-        overlap = np.vdot(pur.vectors[0], pur.vectors[1])
+        overlap = np.vdot(pur[0], pur[1])
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_trace_recovers_symmetrized_state(self):
@@ -153,9 +198,9 @@ class TestPurification:
         pur = purification_vectors(sym)
         d = 1 << ch.n
         for i in range(d):
-            joint = DensityMatrix.pure(pur.vectors[i])
-            reduced = partial_trace(joint, sym.dim, d, keep="left")
-            expected = eve_state_sym(sym, i).matrix
+            joint = DensityMatrix.pure(pur[i])
+            reduced = partial_trace(joint, sym.eve_dim, d, keep="left")
+            expected = eve_state(sym, i).matrix
             assert np.max(np.abs(reduced.matrix - expected)) <= 1e-10
 
 
@@ -192,9 +237,25 @@ class TestSigmaMatrix:
         v[0] /= np.sqrt(2.0)
         v[1, :2] = [1.0, 1.0j]
         v[1] /= np.sqrt(2.0)
-        pur = PurificationSet(n=1, eve_dim=1, vectors=v)
         with pytest.raises(TranslationInvarianceError):
-            sigma_matrix(pur)
+            sigma_matrix(v)
+
+
+    @pytest.mark.parametrize("rows", [1, 3, 6])
+    def test_row_count_must_be_power_of_two(self, rows):
+        v = np.zeros((rows, 4), dtype=complex)
+        v[:, 0] = 1.0
+        with pytest.raises(DimensionMismatchError):
+            sigma_matrix(v)
+
+    def test_rejects_flat_input(self):
+        with pytest.raises(DimensionMismatchError):
+            sigma_matrix(np.ones(4))
+
+    def test_unnormalized_rows_fail_trace_check(self):
+        pur = purification_vectors(symmetrize(random_attack(1, 2, 6)))
+        with pytest.raises(InvalidStateError):
+            sigma_matrix(1.1 * pur)
 
 
 class TestSpectrumCheck:
