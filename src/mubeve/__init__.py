@@ -3,6 +3,7 @@ unbiased bases: channel models, disturbance statistics, information-gain
 bounds and their numerical verification."""
 
 from .errors import (
+    DependentColumnsError,
     DimensionMismatchError,
     DimensionTooLargeError,
     EigensolverError,

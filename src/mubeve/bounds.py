@@ -40,6 +40,7 @@ from .linalg import (
     _min_eigenvalue_at_least,
     hermitian_eigendecomposition,
     hermitian_residual,
+    shannon_entropies,
     shannon_entropy,
     von_neumann_entropy,
 )
@@ -54,6 +55,7 @@ from .symmetrize import (
 _SLACK_TOL = 1e-9
 _POVM_COMPLETENESS_TOL = 1e-8
 _PGM_SUPPORT_CUTOFF = 1e-12
+_BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
 
 
 @dataclass(frozen=True)
@@ -142,19 +144,20 @@ def holevo_chi(ens: Ensemble) -> float:
     return float(mixed - individual) + 0.0  # normalize -0.0
 
 
-def _label_information(priors: np.ndarray, cond: np.ndarray) -> float:
+def _label_information(priors: np.ndarray, cond: np.ndarray) -> np.ndarray:
     """``H(A) + H(E) - H(A, E)`` in bits for label priors ``p(i)`` and
-    outcome probabilities ``cond[i, a] = p(a|i)``.
+    outcome probabilities ``cond[..., i, a] = p(a|i)``, one value per
+    leading index.
 
-    Negative rounding in ``cond`` is clipped to 0, and the joint table is
+    Negative rounding in ``cond`` is clipped to 0, and each joint table is
     renormalized to absorb measurement completeness slack.
     """
     joint = priors[:, None] * np.clip(cond, 0.0, None)
-    joint = joint / float(joint.sum())
+    joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
     h_label = shannon_entropy(priors)
-    h_outcome = shannon_entropy(joint.sum(axis=0))
-    h_joint = shannon_entropy(joint.reshape(-1))
-    return float(h_label + h_outcome - h_joint)
+    h_outcome = shannon_entropies(joint.sum(axis=-2))
+    h_joint = shannon_entropies(joint.reshape(*cond.shape[:-2], -1))
+    return h_label + h_outcome - h_joint
 
 
 def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
@@ -166,7 +169,7 @@ def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
         )
     rho = np.stack([s.matrix for s in ens.states])
     cond = np.einsum("axy,iyx->ia", np.stack(x.elements), rho)  # tr(X_a rho_i)
-    return _label_information(ens.priors, cond.real)
+    return float(_label_information(ens.priors, cond.real))
 
 
 def pretty_good_measurement(ens: Ensemble) -> Povm:
@@ -196,19 +199,24 @@ def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float
     and ``samples`` seeded random orthonormal-basis measurements.
 
     Monotone nondecreasing in ``samples`` for a fixed seed, since the
-    bases are drawn from one sequential stream.  Each basis is orthonormal
-    by construction, so ``p(a|i) = <b_a|rho_i|b_a>`` is read off directly
-    rather than through a validated projector ``Povm``.
+    bases are drawn from one sequential stream.  Bases are drawn,
+    orthonormalized and scored in blocks of at most ``2**16`` matrix
+    entries; a block draw equals the same bases drawn one at a time.  Each
+    basis is orthonormal by construction, so ``p(a|i) = <b_a|rho_i|b_a>``
+    is read off directly rather than through a validated projector ``Povm``.
     """
     if samples < 0:
         raise OutOfRangeError("samples must be nonnegative")
     best = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
     rho = np.stack([s.matrix for s in ens.states])
+    d = ens.dim
+    block = max(1, _BLOCK_ENTRIES // d**2)
     stream = SplitMix64(seed)
-    for _ in range(samples):
-        basis = gram_schmidt_unitary(stream.gaussian_matrix(ens.dim, ens.dim))
-        cond = np.einsum("xa,ixa->ia", basis.conj(), rho @ basis)
-        best = max(best, _label_information(ens.priors, cond.real))
+    for start in range(0, samples, block):
+        m = min(block, samples - start)
+        bases = gram_schmidt_unitary(stream.gaussian_matrix(m * d, d).reshape(m, d, d))
+        cond = np.einsum("sxa,sixa->sia", bases.conj(), rho @ bases[:, None])
+        best = max(best, float(_label_information(ens.priors, cond.real).max()))
     return best
 
 

@@ -138,16 +138,28 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus, basis_label=Basis.B)
 
 
+def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:
+    """``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``, as
+    two Walsh-Hadamard matrix products (the sign grid is symmetric)."""
+    s = sign_grid(n)
+    d = 1 << n
+    half = (s @ kraus.reshape(d, -1)).reshape(kraus.shape)  # sums over i
+    return s @ half / float(d)                               # sums over j
+
+
 def to_conjugate_basis(ch: AttackChannel) -> AttackChannel:
     """Re-express the same interaction in the conjugate encoding basis.
 
     ``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``; the
     transform is an involution and preserves unitarity.
     """
-    s = sign_grid(ch.n)
-    k2 = np.einsum("il,sj,ijd->lsd", s, s, ch.kraus) / float(ch.dim)
     label = Basis.B_CONJUGATE if ch.basis_label is Basis.B else Basis.B
-    return AttackChannel(n=ch.n, eve_dim=ch.eve_dim, kraus=k2, basis_label=label)
+    return AttackChannel(
+        n=ch.n,
+        eve_dim=ch.eve_dim,
+        kraus=_conjugate_kraus(ch.n, ch.kraus),
+        basis_label=label,
+    )
 
 
 def eve_state(ch: AttackChannel, i) -> DensityMatrix:
@@ -165,7 +177,7 @@ def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:
     conjugate basis carries the receiver's outcome probabilities.
     """
     i = as_index(i, ch.n)
-    kbar = to_conjugate_basis(ch).kraus[i]
+    kbar = _conjugate_kraus(ch.n, ch.kraus)[i]
     comps = np.einsum("ld,jd->jl", kbar.conj(), kbar)
     h = mub_transform(ch.n)
     return DensityMatrix(h @ comps @ h)
@@ -176,7 +188,7 @@ def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
     averaged over uniform input strings."""
     if ch.basis_label is not Basis.B:
         raise ValueError("channel must be expressed in basis b")
-    kbar = to_conjugate_basis(ch).kraus
+    kbar = _conjugate_kraus(ch.n, ch.kraus)
     norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
     idx = np.arange(ch.dim)
     # row c averages norms[i, i ^ c] over the inputs i

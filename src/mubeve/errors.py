@@ -33,6 +33,10 @@ class EigensolverError(MubeveError):
     """Eigensolver input has non-finite entries, or LAPACK failed."""
 
 
+class DependentColumnsError(MubeveError, ValueError):
+    """Columns to orthonormalize are numerically linearly dependent."""
+
+
 class InvalidStateError(MubeveError):
     """Density matrix violates its type invariants."""
 

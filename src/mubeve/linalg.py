@@ -254,25 +254,33 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(p * np.log2(p))) + 0.0  # normalize -0.0
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy in bits of a probability sequence.
+def shannon_entropies(p) -> np.ndarray:
+    """Shannon entropy in bits of each row (last axis) of a probability table.
 
-    Entries in [-TAU_PSD, 0) are clipped to 0; the sequence must be finite
+    Entries in [-TAU_PSD, 0) are clipped to 0; every row must be finite
     and sum to 1 within 1e-9, otherwise NotADistributionError is raised.
     """
-    arr = np.asarray(p, dtype=float).reshape(-1)
+    arr = np.asarray(p, dtype=float)
     if not np.isfinite(arr).all():
         raise NotADistributionError("distribution has non-finite entries")
     if arr.size and float(arr.min()) < -TAU_PSD:
         raise NotADistributionError(
             f"entry {arr.min():.3e} below -{TAU_PSD}"
         )
-    total = float(arr.sum())
-    if abs(total - 1.0) > 1e-9:
+    totals = arr.sum(axis=-1)
+    bad = np.abs(totals - 1.0) > 1e-9
+    if bad.any():
+        total = float(totals[bad][0])
         raise NotADistributionError(f"sum {total!r} deviates from 1 beyond 1e-9")
     q = np.clip(arr, 0.0, None)
-    pos = q[q > 0.0]
-    return float(-np.sum(pos * np.log2(pos))) + 0.0  # normalize -0.0
+    logs = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+    return -np.sum(q * logs, axis=-1) + 0.0  # normalize -0.0
+
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy in bits of one probability sequence; the one-row
+    case of :func:`shannon_entropies`, with the same checks."""
+    return float(shannon_entropies(np.reshape(p, (1, -1)))[0])
 
 
 def sign_grid(n: int) -> np.ndarray:

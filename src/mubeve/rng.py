@@ -23,6 +23,19 @@ Derived quantities:
 * sub-seeds via :func:`mix`, which folds integers into a seed with the
   same finalizer.
 
+Step k of a stream seeded with ``s`` has state ``s + k * GOLDEN mod 2**64``,
+so :meth:`SplitMix64.gaussian_matrix` computes a whole draw at once in
+numpy ``uint64`` arithmetic.  ``ln``, ``cos`` and ``sin`` stay scalar
+calls to the platform libm (``math``), because ``numpy.log`` can differ
+from it in the last bit; ``sqrt``, products and sums are correctly
+rounded either way.  A draw therefore equals, bit for bit, the same
+count of :meth:`SplitMix64.next_gaussian_pair` calls.
+
+Unitaries orthonormalize such a matrix by Householder QR (LAPACK) with
+the phases fixed so that ``R`` has a positive real diagonal: column k is
+the normalized part of input column k orthogonal to the columns before
+it, as with Gram-Schmidt.
+
 Test vectors (first outputs for a given seed) are frozen in
 ``tests/test_rng.py`` and listed in the README.
 """
@@ -33,15 +46,16 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DependentColumnsError, DimensionMismatchError
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
 
-def mix64(z: int) -> int:
-    """Apply the SplitMix64 output finalizer to a 64-bit integer."""
-    z &= MASK64
+def mix64(z):
+    """Apply the SplitMix64 output finalizer to a 64-bit integer, or
+    elementwise to a numpy ``uint64`` array (whose arithmetic wraps)."""
+    z = z & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return z ^ (z >> 31)
@@ -86,39 +100,43 @@ class SplitMix64:
         """Matrix of standard complex Gaussians, filled row-major.
 
         Each entry is ``(z0 + i z1) / sqrt(2)`` for one Box-Muller pair,
-        so real and imaginary parts have variance 1/2.
+        so real and imaginary parts have variance 1/2.  The draw advances
+        the stream by ``2 * rows * cols`` steps, so a ``(m * rows) x cols``
+        draw equals ``m`` consecutive ``rows x cols`` draws stacked.
         """
-        out = np.empty((rows, cols), dtype=complex)
+        pairs = rows * cols
+        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+        u = (mix64(self._state + steps * GOLDEN) >> 11) * 2.0**-53
+        self._state = (self._state + 2 * pairs * GOLDEN) & MASK64
+        # ln, cos and sin from the platform libm, as in next_gaussian_pair
+        log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float, pairs)
+        t = (2.0 * math.pi * u[1::2]).tolist()
+        r = np.sqrt(-2.0 * log)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for r in range(rows):
-            for c in range(cols):
-                z0, z1 = self.next_gaussian_pair()
-                out[r, c] = complex(z0, z1) * inv_sqrt2
-        return out
+        out = np.empty(pairs, dtype=complex)
+        out.real = r * np.fromiter(map(math.cos, t), float, pairs) * inv_sqrt2
+        out.imag = r * np.fromiter(map(math.sin, t), float, pairs) * inv_sqrt2
+        return out.reshape(rows, cols)
 
 
 def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a square matrix.
+    """Orthonormalize the columns of a square matrix, or of each matrix in
+    a stack of shape ``(m, d, d)``.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass, which keeps
-    the residual ``||Q^dag Q - I||`` at machine precision even for
-    ill-conditioned inputs.
+    Householder QR with the phases of ``Q`` fixed so that ``R`` has a
+    positive real diagonal: the Gram-Schmidt basis of the columns, in
+    their order.  Raises DependentColumnsError when some ``|R_kk|`` is
+    below 1e-12 (or not finite).
     """
-    a = np.array(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("expected a square matrix")
-    n = a.shape[0]
-    q = np.zeros_like(a)
-    for k in range(n):
-        v = a[:, k].copy()
-        for _ in range(2):
-            if k:
-                v -= q[:, :k] @ (q[:, :k].conj().T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise ValueError("columns are numerically dependent")
-        q[:, k] = v / nrm
-    return q
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError("expected a square matrix or a stack of them")
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(diag)
+    if size.size and not size.min() >= 1e-12:
+        raise DependentColumnsError("columns are numerically dependent")
+    return q * (diag / size)[..., None, :]
 
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:

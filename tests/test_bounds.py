@@ -222,14 +222,22 @@ class TestAccessibleInfoLowerBound:
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize(
-        "n,eve_dim,seed", [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5)]
+        "n,eve_dim,seed,samples",
+        [
+            pytest.param(1, 2, 3, 6, id="1-2-3"),
+            pytest.param(2, 2, 8, 6, id="2-2-8"),
+            pytest.param(1, 8, 21, 6, id="1-8-21"),
+            pytest.param(2, 4, 5, 6, id="2-4-5"),
+            # at eve_dim 64 a block holds 16 bases: one full block and a partial one
+            pytest.param(1, 64, 9, 20, id="1-64-9-two-blocks"),
+        ],
     )
-    def test_matches_projector_povm_oracle(self, n, eve_dim, seed):
-        # oracle: the same bases from the same stream, each built and
-        # validated as a projector POVM and measured by the public route
+    def test_matches_projector_povm_oracle(self, n, eve_dim, seed, samples):
+        # oracle: the same bases from the same stream, drawn one at a time,
+        # each built and validated as a projector POVM and measured by the
+        # public route
         ch = random_attack(n, eve_dim, seed)
         ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
-        samples = 6
         stream = SplitMix64(seed + 100)
         oracle = max(
             [mutual_information_of_measurement(ens, pretty_good_measurement(ens))]

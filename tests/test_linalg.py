@@ -21,6 +21,7 @@ from mubeve.linalg import (
     hermitian_eigenvalues,
     mub_transform,
     partial_trace,
+    shannon_entropies,
     shannon_entropy,
     tensor_product,
     von_neumann_entropy,
@@ -267,6 +268,20 @@ class TestEntropies:
     def test_shannon_rejects_big_negative(self):
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.1, -0.1])
+
+    def test_shannon_rows_match_one_row_calls(self):
+        table = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [1.0, -1e-11, 1e-11]]
+        got = shannon_entropies(table)
+        assert got.shape == (3,)
+        assert list(got) == [shannon_entropy(row) for row in table]
+
+    @pytest.mark.parametrize(
+        "bad_row", [[0.5, float("nan"), 0.5], [0.5, 0.6, 0.0], [1.1, -0.1, 0.0]]
+    )
+    def test_shannon_rows_reject_one_bad_row(self, bad_row):
+        table = np.array([[0.5, 0.5, 0.0], bad_row, [0.25, 0.25, 0.5]])
+        with pytest.raises(NotADistributionError):
+            shannon_entropies(table)
 
     def test_von_neumann_propagates_hermitian_check(self):
         with pytest.raises(NotHermitianError):

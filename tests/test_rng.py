@@ -1,9 +1,14 @@
 """Tests for the deterministic random streams."""
 
+import math
+
 import numpy as np
 import pytest
 
+from mubeve.errors import DependentColumnsError, MubeveError
 from mubeve.rng import (
+    GOLDEN,
+    MASK64,
     SplitMix64,
     gram_schmidt_unitary,
     mix,
@@ -36,6 +41,33 @@ REFERENCE_STREAMS = {
     ],
 }
 
+# the state passes through 0 at step 24690, the second uniform of a pair
+WRAP_SEED = (-24690 * GOLDEN) & MASK64
+
+
+def scalar_gaussian_matrix(stream, rows, cols):
+    """Row-major complex Gaussians, one ``next_gaussian_pair`` per entry."""
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    out = np.empty((rows, cols), dtype=complex)
+    for r in range(rows):
+        for c in range(cols):
+            z0, z1 = stream.next_gaussian_pair()
+            out[r, c] = complex(z0, z1) * inv_sqrt2
+    return out
+
+
+def mgs_unitary(a):
+    """Modified Gram-Schmidt with one re-orthogonalization pass."""
+    a = np.array(a, dtype=complex)
+    q = np.zeros_like(a)
+    for k in range(a.shape[0]):
+        v = a[:, k].copy()
+        for _ in range(2):
+            if k:
+                v -= q[:, :k] @ (q[:, :k].conj().T @ v)
+        q[:, k] = v / np.linalg.norm(v)
+    return q
+
 
 class TestSplitMix64:
     def test_reference_vectors(self):
@@ -66,10 +98,25 @@ class TestSplitMix64:
         assert np.array_equal(m1, m2)
         assert m1.shape == (3, 4)
 
+    @pytest.mark.parametrize("seed", [0, MASK64, WRAP_SEED])
+    def test_gaussian_matrix_bit_identical_to_scalar_pairs(self, seed):
+        got = SplitMix64(seed).gaussian_matrix(256, 256)
+        want = scalar_gaussian_matrix(SplitMix64(seed), 256, 256)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gaussian_matrix_advances_state_by_two_steps_per_entry(self):
+        vector, scalar = SplitMix64(WRAP_SEED), SplitMix64(WRAP_SEED)
+        vector.gaussian_matrix(3, 5)
+        scalar_gaussian_matrix(scalar, 3, 5)
+        assert vector.next_u64() == scalar.next_u64()
+
+    def test_stacked_draw_equals_consecutive_draws(self):
+        stream = SplitMix64(17)
+        parts = [stream.gaussian_matrix(4, 4) for _ in range(3)]
+        assert np.array_equal(SplitMix64(17).gaussian_matrix(12, 4), np.vstack(parts))
+
     def test_mix64_matches_stream_finalizer(self):
         # one stream step is state += GOLDEN then the finalizer
-        from mubeve.rng import GOLDEN, MASK64
-
         seed = 777
         assert SplitMix64(seed).next_u64() == mix64((seed + GOLDEN) & MASK64)
 
@@ -106,6 +153,31 @@ class TestGramSchmidt:
 
         with pytest.raises(DimensionMismatchError):
             gram_schmidt_unitary(np.ones((3, 4)))
+
+    @pytest.mark.parametrize("d", [8, 64, 512])
+    def test_matches_mgs_oracle(self, d):
+        m = SplitMix64(d).gaussian_matrix(d, d)
+        assert np.max(np.abs(gram_schmidt_unitary(m) - mgs_unitary(m))) <= 1e-12
+
+    def test_stacked_equals_per_matrix(self):
+        stack = SplitMix64(3).gaussian_matrix(5 * 16, 16).reshape(5, 16, 16)
+        q = gram_schmidt_unitary(stack)
+        for k in range(5):
+            assert np.array_equal(q[k], gram_schmidt_unitary(stack[k]))
+
+    def test_dependent_columns_named_error(self):
+        m = SplitMix64(6).gaussian_matrix(4, 4)
+        m[:, 2] = 2.0 * m[:, 0]
+        with pytest.raises(DependentColumnsError) as info:
+            gram_schmidt_unitary(m)
+        assert isinstance(info.value, MubeveError)
+        assert isinstance(info.value, ValueError)
+
+    def test_one_dependent_matrix_in_stack(self):
+        stack = SplitMix64(6).gaussian_matrix(3 * 4, 4).reshape(3, 4, 4)
+        stack[1, :, 3] = 0.0
+        with pytest.raises(DependentColumnsError):
+            gram_schmidt_unitary(stack)
 
 
 class TestRandomUnitary:
