@@ -19,6 +19,7 @@ from .errors import (
     TranslationInvarianceError,
     UnsupportedCombinationError,
     ValidationError,
+    WrongBasisError,
 )
 from .linalg import (
     N_MAX,
@@ -67,6 +68,7 @@ from .bounds import (
     boykin_bound,
     corollary_bound,
     holevo_chi,
+    kraus_holevo_chi,
     mutual_information_of_measurement,
     pretty_good_measurement,
     xor_entropy_bound,

@@ -28,9 +28,9 @@ from .errors import (
 )
 from .channel import (
     AttackChannel,
-    Basis,
     ErrorDistribution,
     eve_state,
+    require_basis_b,
     xor_error_distribution,
 )
 from .linalg import (
@@ -40,8 +40,10 @@ from .linalg import (
     _min_eigenvalue_at_least,
     hermitian_eigendecomposition,
     hermitian_residual,
+    mixture_spectra,
     shannon_entropies,
     shannon_entropy,
+    spectral_entropies,
     von_neumann_entropy,
 )
 from .rng import SplitMix64, gram_schmidt_unitary
@@ -142,6 +144,25 @@ def holevo_chi(ens: Ensemble) -> float:
         p * von_neumann_entropy(s) for p, s in zip(ens.priors, ens.states)
     )
     return float(mixed - individual) + 0.0  # normalize -0.0
+
+
+def kraus_holevo_chi(kraus) -> float:
+    """Holevo quantity of the uniform ensemble of apparatus states
+    ``rho_i = sum_j |K_ij><K_ij|`` of a Kraus table ``kraus[i, j]``.
+
+    Equals ``holevo_chi(Ensemble.uniform(eve_state(ch, i) ...))`` for
+    ``kraus = ch.kraus``, but no dense state is built: the state spectra
+    and the spectrum of the average (all ``d**2`` vectors at weight
+    ``1/d``) come from ``mixture_spectra``, which eigensolves the smaller
+    side of each Gram/ensemble pair and checks every spectrum.  The value
+    is the mean of ``S(avg) - S(rho_i)``, so an ensemble of identical
+    states, such as the symmetrized identity attack, reads exactly 0.
+    """
+    k = np.asarray(kraus, dtype=complex)
+    d = k.shape[0]
+    individual = spectral_entropies(mixture_spectra(k))
+    mixed = spectral_entropies(mixture_spectra(k.reshape(1, d * d, -1), 1.0 / d))
+    return float(np.mean(mixed - individual)) + 0.0  # normalize -0.0
 
 
 def _label_information(priors: np.ndarray, cond: np.ndarray) -> np.ndarray:
@@ -281,24 +302,24 @@ class BoundsReport:
 def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     """Run the full bound chain on one attack.
 
-    Raises TheoremViolation (carrying the report) if a bound that follows
-    from channel unitarity fails beyond 1e-9, which can only mean an
-    implementation bug.
+    Certifies, each to 1e-9, ``i_lower <= chi_orig <= chi_sym <= h_xor``,
+    ``i_lower <= h_xor`` and the Gram-spectrum identity.  Raises
+    TheoremViolation (carrying the report) if one fails, which can only
+    mean an implementation bug.  Both Holevo quantities come from Kraus
+    Gram spectra (``kraus_holevo_chi``); the original ensemble is built
+    only for the measured search.
     """
-    if ch.basis_label is not Basis.B:
-        raise ValueError("channel must be expressed in basis b")
+    require_basis_b(ch)
 
     ed = xor_error_distribution(ch)
     delta_raw = ed.delta
     h_xor = xor_entropy_bound(ed)
 
-    originals = Ensemble.uniform(eve_state(ch, i) for i in range(ch.dim))
-    chi_orig = holevo_chi(originals)
-
+    chi_orig = kraus_holevo_chi(ch.kraus)
     sym = symmetrize(ch)
-    symmetrized = Ensemble.uniform(eve_state(sym, i) for i in range(ch.dim))
-    chi_sym = holevo_chi(symmetrized)
+    chi_sym = kraus_holevo_chi(sym.kraus)
 
+    originals = Ensemble.uniform(eve_state(ch, i) for i in range(ch.dim))
     i_lower = accessible_info_lower_bound(originals, samples, seed)
 
     sa = sigma_matrix(purification_vectors(sym))
@@ -323,6 +344,8 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     if (
         report.slack_main < -_SLACK_TOL
         or report.slack_measured < -_SLACK_TOL
+        or i_lower - chi_orig > _SLACK_TOL
+        or chi_orig - chi_sym > _SLACK_TOL
         or report.spectrum_deviation > _SLACK_TOL
     ):
         raise TheoremViolation("audited bounds violated beyond tolerance", report)

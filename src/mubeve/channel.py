@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     NotADistributionError,
     NotUnitaryError,
+    WrongBasisError,
 )
 from .linalg import (
     TAU_PSD,
@@ -105,6 +106,12 @@ class ErrorDistribution:
         return float(np.sum(self.probs[1:]))
 
 
+def require_basis_b(ch: AttackChannel) -> None:
+    """Raise WrongBasisError unless the table is expressed in basis b."""
+    if ch.basis_label is not Basis.B:
+        raise WrongBasisError("channel must be expressed in basis b")
+
+
 def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     """Extract the Kraus table of a unitary acting on apparatus x system.
 
@@ -186,8 +193,7 @@ def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:
 def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
     """Distribution of (outcome XOR input) for conjugate-basis encoding,
     averaged over uniform input strings."""
-    if ch.basis_label is not Basis.B:
-        raise ValueError("channel must be expressed in basis b")
+    require_basis_b(ch)
     kbar = _conjugate_kraus(ch.n, ch.kraus)
     norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
     idx = np.arange(ch.dim)

@@ -8,6 +8,7 @@ violation (an internal-bug signal), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -88,6 +89,7 @@ def _cmd_zoo(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,

@@ -37,6 +37,10 @@ class DependentColumnsError(MubeveError, ValueError):
     """Columns to orthonormalize are numerically linearly dependent."""
 
 
+class WrongBasisError(MubeveError, ValueError):
+    """Channel is expressed in the conjugate basis where basis b is needed."""
+
+
 class InvalidStateError(MubeveError):
     """Density matrix violates its type invariants."""
 

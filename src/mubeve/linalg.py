@@ -123,7 +123,8 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def _eigh(a: np.ndarray, want_vectors: bool):
-    """LAPACK eigensolve of the Hermitian part of ``a``.
+    """LAPACK eigensolve of the Hermitian part of ``a``, one matrix or a
+    stack of shape (..., m, m).
 
     Returns (eigenvalues ascending, eigenvectors or None).  LAPACK does not
     reliably fail on NaN or infinite entries, so they are rejected first;
@@ -131,7 +132,7 @@ def _eigh(a: np.ndarray, want_vectors: bool):
     """
     if not np.isfinite(a).all():
         raise EigensolverError("matrix has non-finite entries")
-    a = 0.5 * (a + a.conj().T)  # remove sub-tolerance asymmetry
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))  # remove sub-tolerance asymmetry
     try:
         if want_vectors:
             return np.linalg.eigh(a)
@@ -240,18 +241,60 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     return DensityMatrix(red)
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of the positive part of the spectrum, renormalized.
+def mixture_spectra(vectors, weight: float = 1.0) -> np.ndarray:
+    """Eigenvalues, descending, of ``rho = weight * sum_r |v_r><v_r|`` for
+    each stack of rows ``vectors[..., r, :]``, one spectrum per leading
+    index.
+
+    ``rho`` shares its nonzero spectrum with the row Gram matrix
+    ``weight * v v^H`` (Gram/ensemble duality), so the eigensolve runs on
+    whichever of the two is strictly smaller; a tie takes the dense
+    ``rho``.  All stacks go through one batched eigensolve.  The weight
+    multiplies the product, so a power of two adds no rounding.
+
+    Each spectrum gets the checks of ``DensityMatrix``: it must sum to 1
+    within TAU_TR and have no eigenvalue below -TAU_PSD, else
+    InvalidStateError.  Non-finite vectors raise EigensolverError.
+    """
+    v = np.asarray(vectors, dtype=complex)
+    rows, dim = v.shape[-2:]
+    if rows < dim:
+        m = v @ v.conj().swapaxes(-1, -2)       # Gram: <v_s|v_r>
+    else:
+        m = v.swapaxes(-1, -2) @ v.conj()       # dense: sum_r |v_r><v_r|
+    w = _eigh(weight * m, want_vectors=False)[0][..., ::-1]
+    traces = w.sum(axis=-1)
+    bad = np.abs(traces - 1.0) > TAU_TR
+    if bad.any():
+        tr = float(traces[bad][0])
+        raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
+    if w.size and float(w.min()) < -TAU_PSD:
+        raise InvalidStateError(f"smallest eigenvalue below -{TAU_PSD}")
+    return w
+
+
+def spectral_entropies(w) -> np.ndarray:
+    """Entropy in bits of each row (last axis) of a table of eigenvalues,
+    taken over the positive part renormalized to unit sum.
 
     Eigenvalues <= 0 are dropped and the rest divided by their sum, so every
     p lies in (0, 1] and every term -p*log2(p) is >= 0.  Trace rounding does
     not read as entropy: a 1x1 state, whose one eigenvalue may be 1 - eps or
-    1 + eps, has entropy exactly 0.
+    1 + eps, has entropy exactly 0.  A row without positive entries has
+    entropy 0.
     """
-    w = hermitian_eigenvalues(_matrix_of(rho))
-    p = w[w > 0.0]
-    p = p / p.sum()
-    return float(-np.sum(p * np.log2(p))) + 0.0  # normalize -0.0
+    w = np.asarray(w, dtype=float)
+    p = np.where(w > 0.0, w, 0.0)
+    total = p.sum(axis=-1, keepdims=True)
+    p = np.divide(p, total, out=np.zeros_like(p), where=total > 0.0)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.sum(p * logs, axis=-1) + 0.0  # normalize -0.0
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy in bits of one density matrix; the one-matrix case of
+    :func:`spectral_entropies`, with the same positive-part policy."""
+    return float(spectral_entropies(hermitian_eigenvalues(_matrix_of(rho))))
 
 
 def shannon_entropies(p) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, TranslationInvarianceError
-from .channel import AttackChannel, Basis, ErrorDistribution
+from .channel import AttackChannel, ErrorDistribution, require_basis_b
 from .linalg import (
     DensityMatrix,
     as_index,
@@ -72,8 +72,7 @@ def symmetrize(ch: AttackChannel) -> AttackChannel:
     |m> (x) kraus[i^m, j^m]``, with ``eve_dim' = 2**n * eve_dim``; the
     shift register owns the most significant bits of the apparatus index.
     """
-    if ch.basis_label is not Basis.B:
-        raise ValueError("channel must be expressed in basis b")
+    require_basis_b(ch)
     d = ch.dim
     x = xor_grid(ch.n)                       # x[m, i] = i ^ m
     phase = sign_grid(ch.n)[:, x]            # (m, i, j): (-1)**(m.(i^j))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mubeve.bounds as bounds
 from mubeve.bounds import (
     Ensemble,
     Povm,
@@ -15,14 +16,22 @@ from mubeve.bounds import (
     boykin_bound,
     corollary_bound,
     holevo_chi,
+    kraus_holevo_chi,
     mutual_information_of_measurement,
     pretty_good_measurement,
     xor_entropy_bound,
 )
 from mubeve.channel import ErrorDistribution, eve_state
-from mubeve.errors import InvalidPovmError, OutOfRangeError
+from mubeve.errors import (
+    InvalidPovmError,
+    MubeveError,
+    OutOfRangeError,
+    TheoremViolation,
+    WrongBasisError,
+)
 from mubeve.linalg import DensityMatrix, hermitian_eigenvalues
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
+from mubeve.symmetrize import symmetrize
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
 # frozen from a 50-digit evaluation of h2(0.01) + 3 * 0.01
@@ -352,11 +361,14 @@ class TestAuditAttack:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        n=st.integers(1, 2),
-        eve_dim=st.integers(1, 4),
+        # every n the parser accepts, total dimension 2**n * eve_dim <= 64
+        cell=st.integers(1, 4).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))
+        ),
         seed=st.integers(0, 2**63 - 1),
     )
-    def test_bound_chain_property(self, n, eve_dim, seed):
+    def test_bound_chain_property(self, cell, seed):
+        n, eve_dim = cell
         rep = audit_attack(random_attack(n, eve_dim, seed), 4, seed)
         assert rep.slack_main >= -1e-9
         assert rep.slack_measured >= -1e-9
@@ -369,5 +381,58 @@ class TestAuditAttack:
         from mubeve.channel import to_conjugate_basis
 
         conj = to_conjugate_basis(make_attack(AttackSpec("identity", 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             audit_attack(conj, 4, 0)
+        assert isinstance(info.value, WrongBasisError)
+        assert isinstance(info.value, MubeveError)
+
+    def test_swapped_holevo_values_violate_chain(self, swap_holevo):
+        # chi_sym - chi_orig is about 0.7 here; only the new link sees the swap
+        with pytest.raises(TheoremViolation) as info:
+            audit_attack(random_attack(2, 2, 11), 4, 0)
+        rep = info.value.report
+        assert rep.chi_orig > rep.chi_sym + 1e-9
+        assert rep.slack_main >= -1e-9
+
+    def test_inflated_i_lower_violates_chain(self, monkeypatch):
+        ch = random_attack(2, 2, 11)
+        chi_orig = audit_attack(ch, 4, 0).chi_orig
+        monkeypatch.setattr(
+            bounds, "accessible_info_lower_bound", lambda ens, s, seed: chi_orig + 1e-6
+        )
+        with pytest.raises(TheoremViolation) as info:
+            audit_attack(ch, 4, 0)
+        assert info.value.report.slack_measured >= -1e-9
+
+
+def dense_chi(ch):
+    """Holevo quantity of the validated dense apparatus ensemble of ``ch``."""
+    return holevo_chi(Ensemble.uniform(eve_state(ch, i) for i in range(ch.dim)))
+
+
+class TestKrausHolevo:
+    """``audit_attack`` reads both Holevo quantities off Kraus Gram spectra;
+    the dense ``holevo_chi`` route is the oracle."""
+
+    def assert_matches_dense(self, ch):
+        rep = audit_attack(ch, 0, 0)
+        assert abs(rep.chi_orig - dense_chi(ch)) <= 1e-12
+        assert abs(rep.chi_sym - dense_chi(symmetrize(ch))) <= 1e-12
+        assert kraus_holevo_chi(ch.kraus) == rep.chi_orig
+
+    @pytest.mark.parametrize("n, eve_dim", [(1, 1), (1, 2), (2, 1), (2, 4), (3, 2), (1, 8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_oracle(self, n, eve_dim, seed):
+        self.assert_matches_dense(random_attack(n, eve_dim, 7100 + seed))
+
+    def test_matches_dense_oracle_at_declared_limit(self):
+        self.assert_matches_dense(random_attack(4, 32, 7200))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_identity_is_exactly_zero(self, n):
+        # the symmetrized table is square per input here: the tie that must
+        # take the dense side, where the spectrum is exactly one 1
+        rep = audit_attack(make_attack(AttackSpec("identity", n)), 0, 0)
+        assert rep.chi_orig == 0.0
+        assert rep.chi_sym == 0.0
+        assert rep.slack_main == 0.0

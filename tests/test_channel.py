@@ -15,8 +15,10 @@ from mubeve.channel import (
 )
 from mubeve.errors import (
     DimensionMismatchError,
+    MubeveError,
     NotADistributionError,
     NotUnitaryError,
+    WrongBasisError,
 )
 from mubeve.linalg import BitString, mub_transform
 from mubeve.zoo import AttackSpec, make_attack, random_attack
@@ -222,8 +224,10 @@ class TestXorErrorDistribution:
 
     def test_requires_basis_b(self):
         conj = to_conjugate_basis(make_attack(AttackSpec("identity", 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             xor_error_distribution(conj)
+        assert isinstance(info.value, WrongBasisError)
+        assert isinstance(info.value, MubeveError)
 
 
 class TestTypes:

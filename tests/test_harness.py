@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mubeve.bounds as bounds
+import mubeve.cli as cli
 import mubeve.harness as harness
 from mubeve.channel import AttackChannel
 from mubeve.cli import main
@@ -483,6 +484,47 @@ class TestCli:
         rc = main(["audit", str(SCENARIOS / "identity.scenario")])
         assert rc == 3
         assert "theorem violation" in capsys.readouterr().err
+
+    def test_broken_bound_chain_exit_code(self, tmp_path, swap_holevo, capsys):
+        doc = tmp_path / "random.scenario"
+        doc.write_text(minimal_scenario(
+            n_qubits=2, attack={"kind": "random_unitary", "eve_dim": 2, "seed": 11},
+        ))
+        assert main(["audit", str(doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "theorem violation" in captured.err
+
+    def test_cached_parser_keeps_no_state(self, capsys):
+        """Consecutive in-process commands share one parser; each must print
+        what the same command prints with a freshly built parser."""
+        src = str(SCENARIOS / "probe_sweep.scenario")
+        sequence = [
+            ["audit", src, "--format", "json"],
+            ["audit", src],
+            ["audit", src, "--seed", "9"],
+            ["audit", src],
+        ]
+
+        def run(argv):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            return captured.out.encode(), captured.err.encode()
+
+        warm = [run(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert warm == fresh
+        assert warm[0][0].startswith(b"[") and warm[1][0].startswith(b"attack_id,")
+        assert warm[2] != warm[1] and warm[3] == warm[1]
+
+        with pytest.raises(SystemExit) as info:
+            main(["audit", src, "--format", "xml"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert run(sequence[1]) == warm[1]
 
     def test_campaign_seed_override(self, tmp_path):
         cfg = tmp_path / "camp.json"

@@ -12,6 +12,7 @@ from mubeve.errors import (
     NotHermitianError,
     OutOfRangeError,
 )
+import mubeve.linalg as linalg
 from mubeve.linalg import (
     BitString,
     DensityMatrix,
@@ -19,10 +20,12 @@ from mubeve.linalg import (
     bit_parity,
     hermitian_eigendecomposition,
     hermitian_eigenvalues,
+    mixture_spectra,
     mub_transform,
     partial_trace,
     shannon_entropies,
     shannon_entropy,
+    spectral_entropies,
     tensor_product,
     von_neumann_entropy,
     xor_grid,
@@ -283,9 +286,101 @@ class TestEntropies:
         with pytest.raises(NotADistributionError):
             shannon_entropies(table)
 
+    def test_spectral_rows_match_one_matrix_calls(self):
+        rng = np.random.default_rng(8)
+        states = [random_density(rng, 5) for _ in range(4)]
+        w = np.stack([hermitian_eigenvalues(s) for s in states])
+        rows = spectral_entropies(w)
+        assert rows.shape == (4,)
+        for h, s in zip(rows, states):
+            assert h == von_neumann_entropy(s)
+
+    def test_spectral_drops_non_positive_part(self):
+        rows = spectral_entropies([[0.5, 0.5, 0.0, -1e-17], [0.0, 0.0, 0.0, 0.0]])
+        assert rows[0] == 1.0
+        assert rows[1] == 0.0
+
     def test_von_neumann_propagates_hermitian_check(self):
         with pytest.raises(NotHermitianError):
             von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
+
+
+def unit_trace_vectors(rng, *shape):
+    """Complex vectors of shape ``shape`` whose sum over the last two axes
+    of |v|^2 is 1 per leading index, so each stack is a unit-trace state."""
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True))
+
+
+class TestMixtureSpectra:
+    def dense(self, v):
+        return np.einsum("...rd,...re->...de", v, v.conj())
+
+    def eigensolved(self, monkeypatch, v):
+        """Spectra of ``v`` and the matrices handed to the eigensolver."""
+        seen = []
+        original = linalg._eigh
+
+        def spy(a, want_vectors):
+            seen.append(a)
+            return original(a, want_vectors)
+
+        monkeypatch.setattr(linalg, "_eigh", spy)
+        w = mixture_spectra(v)
+        assert len(seen) == 1  # one batched eigensolve for the whole stack
+        return w, seen[0]
+
+    @pytest.mark.parametrize("rows, dim", [(2, 5), (3, 8), (5, 2), (8, 3)])
+    def test_matches_dense_spectra(self, rows, dim):
+        v = unit_trace_vectors(np.random.default_rng(rows * dim), 4, rows, dim)
+        w = mixture_spectra(v)
+        assert w.shape == (4, min(rows, dim))
+        for vi, wi in zip(v, w):
+            dense = hermitian_eigenvalues(self.dense(vi))
+            assert np.max(np.abs(wi - dense[: wi.size])) <= 1e-12
+            assert np.max(np.abs(dense[wi.size:]), initial=0.0) <= 1e-12
+            assert np.all(np.diff(wi) <= 0)
+
+    def test_gram_side_when_rows_fewer(self, monkeypatch):
+        v = unit_trace_vectors(np.random.default_rng(1), 3, 2, 6)
+        w, m = self.eigensolved(monkeypatch, v)
+        assert m.shape == (3, 2, 2)
+        assert np.allclose(m, v @ v.conj().swapaxes(-1, -2), atol=1e-15)
+        assert w.shape == (3, 2)
+
+    def test_dense_side_when_dim_smaller(self, monkeypatch):
+        v = unit_trace_vectors(np.random.default_rng(2), 3, 6, 2)
+        w, m = self.eigensolved(monkeypatch, v)
+        assert m.shape == (3, 2, 2)
+        assert np.allclose(m, self.dense(v), atol=1e-15)
+
+    def test_tie_takes_dense_side(self, monkeypatch):
+        v = unit_trace_vectors(np.random.default_rng(3), 2, 4, 4)
+        gram = v @ v.conj().swapaxes(-1, -2)
+        _, m = self.eigensolved(monkeypatch, v)
+        assert np.allclose(m, self.dense(v), atol=1e-15)
+        assert not np.allclose(m, gram, atol=1e-3)
+
+    def test_non_finite_stack_raises(self):
+        v = unit_trace_vectors(np.random.default_rng(4), 3, 2, 4)
+        v[1, 0, 2] = np.nan
+        with pytest.raises(EigensolverError):
+            mixture_spectra(v)
+
+    def test_lapack_failure_is_named(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigensolverError):
+            mixture_spectra(unit_trace_vectors(np.random.default_rng(5), 2, 2, 3))
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_bad_trace_in_stack_raises(self, scale):
+        v = unit_trace_vectors(np.random.default_rng(6), 3, 2, 4)
+        v[2] *= np.sqrt(scale)
+        with pytest.raises(InvalidStateError):
+            mixture_spectra(v)
 
 
 class TestMubTransform:

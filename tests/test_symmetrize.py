@@ -13,8 +13,10 @@ from mubeve.channel import (
 from mubeve.errors import (
     DimensionMismatchError,
     InvalidStateError,
+    MubeveError,
     NotUnitaryError,
     TranslationInvarianceError,
+    WrongBasisError,
 )
 from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
 from mubeve.symmetrize import (
@@ -71,8 +73,10 @@ class TestSymmetrize:
 
     def test_requires_basis_b(self):
         conj = to_conjugate_basis(make_attack(AttackSpec("identity", 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             symmetrize(conj)
+        assert isinstance(info.value, WrongBasisError)
+        assert isinstance(info.value, MubeveError)
 
     def test_rejects_nan_table(self):
         with pytest.raises(NotUnitaryError):
