@@ -47,6 +47,7 @@ from .channel import (
     ErrorDistribution,
     bob_conjugate_state,
     eve_state,
+    eve_states,
     from_unitary,
     to_conjugate_basis,
     xor_error_distribution,
@@ -73,7 +74,7 @@ from .bounds import (
     pretty_good_measurement,
     xor_entropy_bound,
 )
-from .rng import SplitMix64, mix, mix64, random_unitary
+from .rng import SplitMix64, mix, mix64, random_isometry, random_unitary
 from .zoo import AttackSpec, make_attack, random_attack
 from .harness import (
     CampaignConfig,

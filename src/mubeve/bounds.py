@@ -29,7 +29,7 @@ from .errors import (
 from .channel import (
     AttackChannel,
     ErrorDistribution,
-    eve_state,
+    eve_states,
     require_basis_b,
     xor_error_distribution,
 )
@@ -111,29 +111,33 @@ class Povm:
         if not elems:
             raise InvalidPovmError("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        frozen = []
-        for e in elems:
-            if e.shape != (d, d):
-                raise InvalidPovmError("elements have mixed dimensions")
-            if hermitian_residual(e) > TAU_HERM:
-                raise InvalidPovmError("element is not Hermitian")
-            if not _min_eigenvalue_at_least(e, TAU_PSD):
-                raise InvalidPovmError("element is not positive semidefinite")
-            e = np.array(e)
-            e.setflags(write=False)
-            frozen.append(e)
-            total = total + e
-        res = float(np.max(np.abs(total - np.eye(d))))
-        if res > _POVM_COMPLETENESS_TOL:
-            raise InvalidPovmError(
-                f"completeness residual {res:.3e} exceeds {_POVM_COMPLETENESS_TOL}"
-            )
-        object.__setattr__(self, "elements", tuple(frozen))
+        if any(e.shape != (d, d) for e in elems):
+            raise InvalidPovmError("elements have mixed dimensions")
+        stack = np.array(elems)
+        _check_povm_stack(stack)
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
 
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
+
+
+def _check_povm_stack(elements: np.ndarray) -> None:
+    """Validate a stack of POVM elements ``(count, d, d)`` in one pass:
+    Hermitian within TAU_HERM, no eigenvalue below -TAU_PSD (one batched
+    Cholesky, eigenvalues only on failure) and completeness within 1e-8.
+    Raises InvalidPovmError, or EigensolverError on non-finite entries."""
+    if hermitian_residual(elements) > TAU_HERM:
+        raise InvalidPovmError("element is not Hermitian")
+    if not _min_eigenvalue_at_least(elements, TAU_PSD):
+        raise InvalidPovmError("element is not positive semidefinite")
+    d = elements.shape[-1]
+    res = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
+    if not res <= _POVM_COMPLETENESS_TOL:
+        raise InvalidPovmError(
+            f"completeness residual {res:.3e} exceeds {_POVM_COMPLETENESS_TOL}"
+        )
 
 
 def holevo_chi(ens: Ensemble) -> float:
@@ -181,6 +185,17 @@ def _label_information(priors: np.ndarray, cond: np.ndarray) -> np.ndarray:
     return h_label + h_outcome - h_joint
 
 
+def _states(ens: Ensemble) -> np.ndarray:
+    return np.stack([s.matrix for s in ens.states])
+
+
+def _measured_information(priors, elements, rho) -> float:
+    """Mutual information of measuring the stack of POVM elements on the
+    stack of states, ``p(a|i) = tr(X_a rho_i)``."""
+    cond = np.einsum("axy,iyx->ia", elements, rho)
+    return float(_label_information(priors, cond.real))
+
+
 def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
     """Mutual information in bits between the ensemble label and the
     measurement outcome, ``H(A) + H(E) - H(A, E)``."""
@@ -188,9 +203,29 @@ def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
         raise InvalidPovmError(
             f"POVM dimension {x.dim} does not match ensemble dimension {ens.dim}"
         )
-    rho = np.stack([s.matrix for s in ens.states])
-    cond = np.einsum("axy,iyx->ia", np.stack(x.elements), rho)  # tr(X_a rho_i)
-    return float(_label_information(ens.priors, cond.real))
+    return _measured_information(ens.priors, np.stack(x.elements), _states(ens))
+
+
+def _pgm_stack(priors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Elements of the pretty good measurement of the ensemble with label
+    priors ``priors`` and state stack ``rho[i]``, as one checked stack.
+
+    ``X = S (p rho) S + C / count`` for every label at once, where ``S`` is
+    the inverse square root of the average on its support and ``C`` the
+    projector onto the complement.  The Hermitian part is exact by
+    construction; positivity and completeness are checked once for the
+    whole stack (``_check_povm_stack``).
+    """
+    weighted = priors[:, None, None] * rho
+    spec = hermitian_eigendecomposition(weighted.sum(axis=0))
+    keep = spec.eigenvalues > _PGM_SUPPORT_CUTOFF
+    vk = spec.eigenvectors[:, keep]
+    inv_sqrt = (vk * (1.0 / np.sqrt(spec.eigenvalues[keep]))) @ vk.conj().T
+    complement = np.eye(rho.shape[-1]) - vk @ vk.conj().T
+    x = inv_sqrt @ weighted @ inv_sqrt + complement / len(priors)
+    x = 0.5 * (x + x.conj().swapaxes(-1, -2))
+    _check_povm_stack(x)
+    return x
 
 
 def pretty_good_measurement(ens: Ensemble) -> Povm:
@@ -201,18 +236,26 @@ def pretty_good_measurement(ens: Ensemble) -> Povm:
     complement of the support is split evenly across the elements so the
     family is complete.
     """
-    avg = ens.average()
-    spec = hermitian_eigendecomposition(avg)
-    keep = spec.eigenvalues > _PGM_SUPPORT_CUTOFF
-    vk = spec.eigenvectors[:, keep]
-    inv_sqrt = (vk * (1.0 / np.sqrt(spec.eigenvalues[keep]))) @ vk.conj().T
-    complement = np.eye(ens.dim) - vk @ vk.conj().T
-    count = len(ens.states)
-    elements = []
-    for p, state in zip(ens.priors, ens.states):
-        e = inv_sqrt @ (p * state.matrix) @ inv_sqrt + complement / count
-        elements.append(0.5 * (e + e.conj().T))
-    return Povm(tuple(elements))
+    return Povm(tuple(_pgm_stack(ens.priors, _states(ens))))
+
+
+def _accessible_info(priors: np.ndarray, rho: np.ndarray, samples: int,
+                     seed: int) -> float:
+    """``accessible_info_lower_bound`` of the ensemble with label priors
+    ``priors`` and state stack ``rho[i]``; the audit calls it on
+    ``eve_states`` directly."""
+    if samples < 0:
+        raise OutOfRangeError("samples must be nonnegative")
+    best = _measured_information(priors, _pgm_stack(priors, rho), rho)
+    d = rho.shape[-1]
+    block = max(1, _BLOCK_ENTRIES // d**2)
+    stream = SplitMix64(seed)
+    for start in range(0, samples, block):
+        m = min(block, samples - start)
+        bases = gram_schmidt_unitary(stream.gaussian_matrix(m * d, d).reshape(m, d, d))
+        cond = np.einsum("sxa,sixa->sia", bases.conj(), rho @ bases[:, None])
+        best = max(best, float(_label_information(priors, cond.real).max()))
+    return best
 
 
 def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float:
@@ -226,19 +269,7 @@ def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float
     basis is orthonormal by construction, so ``p(a|i) = <b_a|rho_i|b_a>``
     is read off directly rather than through a validated projector ``Povm``.
     """
-    if samples < 0:
-        raise OutOfRangeError("samples must be nonnegative")
-    best = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
-    rho = np.stack([s.matrix for s in ens.states])
-    d = ens.dim
-    block = max(1, _BLOCK_ENTRIES // d**2)
-    stream = SplitMix64(seed)
-    for start in range(0, samples, block):
-        m = min(block, samples - start)
-        bases = gram_schmidt_unitary(stream.gaussian_matrix(m * d, d).reshape(m, d, d))
-        cond = np.einsum("sxa,sixa->sia", bases.conj(), rho @ bases[:, None])
-        best = max(best, float(_label_information(ens.priors, cond.real).max()))
-    return best
+    return _accessible_info(ens.priors, _states(ens), samples, seed)
 
 
 def xor_entropy_bound(ed: ErrorDistribution) -> float:
@@ -306,8 +337,9 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     ``i_lower <= h_xor`` and the Gram-spectrum identity.  Raises
     TheoremViolation (carrying the report) if one fails, which can only
     mean an implementation bug.  Both Holevo quantities come from Kraus
-    Gram spectra (``kraus_holevo_chi``); the original ensemble is built
-    only for the measured search.
+    Gram spectra (``kraus_holevo_chi``), which also checks the spectra of
+    the original states; the measured search runs on their unvalidated
+    stack (``eve_states``) and checks its pretty good measurement once.
     """
     require_basis_b(ch)
 
@@ -319,8 +351,8 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     sym = symmetrize(ch)
     chi_sym = kraus_holevo_chi(sym.kraus)
 
-    originals = Ensemble.uniform(eve_state(ch, i) for i in range(ch.dim))
-    i_lower = accessible_info_lower_bound(originals, samples, seed)
+    priors = np.full(ch.dim, 1.0 / ch.dim)
+    i_lower = _accessible_info(priors, eve_states(ch), samples, seed)
 
     sa = sigma_matrix(purification_vectors(sym))
     spectrum_deviation = sigma_spectrum_check(sa, ed)

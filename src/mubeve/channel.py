@@ -61,7 +61,8 @@ class AttackChannel:
             raise DimensionMismatchError(
                 f"kraus table is {k.shape}, expected {(d, d, self.eve_dim)}"
             )
-        gram = np.einsum("ijd,kjd->ik", k.conj(), k)
+        rows = k.reshape(d, -1)              # row i: kraus[i] flattened
+        gram = rows.conj() @ rows.T          # sum_j <K_ij|K_kj>, one BLAS product
         res = float(np.max(np.abs(gram - np.eye(d))))
         if not res <= TAU_UNIT:  # also catches a NaN residual
             raise NotUnitaryError(
@@ -174,6 +175,20 @@ def eve_state(ch: AttackChannel, i) -> DensityMatrix:
     i = as_index(i, ch.n)
     k = ch.kraus[i]
     return DensityMatrix(np.einsum("jd,je->de", k, k.conj()))
+
+
+def eve_states(ch: AttackChannel) -> np.ndarray:
+    """All apparatus states as one ``(2**n, eve_dim, eve_dim)`` stack,
+    ``rho_i = sum_j |K_ij><K_ij|``, entry for entry equal to the matrices
+    of ``eve_state(ch, i)``.
+
+    Not validated one by one: each ``rho_i`` is Hermitian by construction,
+    and ``kraus_holevo_chi(ch.kraus)`` checks the unit trace and
+    positivity of the same spectra.
+    """
+    k = ch.kraus
+    out = np.empty((ch.dim, ch.eve_dim, ch.eve_dim), dtype=complex)
+    return np.einsum("ijd,ije->ide", k, k.conj(), out=out)
 
 
 def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:

@@ -234,6 +234,7 @@ def parse_campaign(text) -> CampaignConfig:
     output = doc.get("output")
     if not isinstance(output, str) or not output:
         raise ValidationError("output", "must be a nonempty path string")
+    _campaign_paths(output)
     povm_samples = _int_field(doc, "povm_samples", minimum=0, default=16)
     return CampaignConfig(
         grid=tuple(grid),
@@ -337,14 +338,35 @@ def write_report(rows, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def _campaign_paths(output: str) -> tuple[Path, Path]:
+    """The CSV path of a campaign and its JSON mirror, ``output`` with the
+    suffix replaced by ``.json``.  Raises ValidationError("output") when
+    the two coincide (``output`` already ends in ``.json``), since the
+    mirror would overwrite the rows, or when ``output`` has no file name."""
+    csv = Path(output)
+    try:
+        mirror = csv.with_suffix(".json")
+    except ValueError as exc:
+        raise ValidationError("output", f"{output!r} has no file name") from exc
+    if mirror == csv:
+        raise ValidationError(
+            "output", f"{output!r} is also the path of the JSON mirror"
+        )
+    return csv, mirror
+
+
 def run_campaign(cfg: CampaignConfig, output_path: str | None = None) -> CampaignSummary:
     """Audit seeded random attacks over the configured grid.
 
     Writes per-attack rows to the output path as CSV plus a JSON mirror
     alongside it.  The sub-seed for cell (n, d, k) is
     ``mix(master_seed, n, d, k)``, so output does not depend on execution
-    order; reruns are byte-identical.
+    order; reruns are byte-identical.  An output path that would collide
+    with its mirror (see ``_campaign_paths``) is rejected before any audit.
     """
+    csv_path, json_path = _campaign_paths(
+        output_path if output_path is not None else cfg.output
+    )
     rows: list[tuple[str, BoundsReport]] = []
     seeds: list[int] = []
     for n, eve_dim in cfg.grid:
@@ -355,9 +377,8 @@ def run_campaign(cfg: CampaignConfig, output_path: str | None = None) -> Campaig
             rows.append((f"n{n}_d{eve_dim}_k{k}", report))
             seeds.append(sub)
 
-    out = Path(output_path if output_path is not None else cfg.output)
-    out.write_bytes(write_report(rows, "csv"))
-    out.with_suffix(".json").write_bytes(write_report(rows, "json"))
+    csv_path.write_bytes(write_report(rows, "csv"))
+    json_path.write_bytes(write_report(rows, "json"))
 
     if not rows:
         return CampaignSummary(0, 0.0, 0.0, 0.0, None, None)

@@ -98,9 +98,10 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitian_residual(a: np.ndarray) -> float:
-    """Max-norm deviation of a square matrix from its conjugate transpose."""
+    """Max-norm deviation of a square matrix, or of a stack of them, from
+    its conjugate transpose."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -161,15 +162,17 @@ def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
 
 
 def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
-    """True when the smallest eigenvalue of Hermitian ``a`` is >= -floor.
+    """True when the smallest eigenvalue of Hermitian ``a``, or of every
+    matrix in a stack ``a[..., m, m]``, is >= -floor.
 
-    Fast path: Cholesky of ``a + floor*I`` succeeds iff that shift is
-    positive definite.  On failure (boundary or violation) fall back to the
-    eigenvalues for the exact verdict.  A non-finite factor also falls back,
-    so non-finite input raises EigensolverError there.
+    Fast path: one (batched) Cholesky of ``a + floor*I`` succeeds iff every
+    shifted matrix is positive definite.  On failure (boundary or
+    violation) fall back to the eigenvalues for the exact verdict.  A
+    non-finite factor also falls back, so non-finite input raises
+    EigensolverError there.
     """
     try:
-        factor = np.linalg.cholesky(a + floor * np.eye(a.shape[0]))
+        factor = np.linalg.cholesky(a + floor * np.eye(a.shape[-1]))
         if np.isfinite(factor).all():
             return True
     except np.linalg.LinAlgError:

@@ -25,16 +25,20 @@ Derived quantities:
 
 Step k of a stream seeded with ``s`` has state ``s + k * GOLDEN mod 2**64``,
 so :meth:`SplitMix64.gaussian_matrix` computes a whole draw at once in
-numpy ``uint64`` arithmetic.  ``ln``, ``cos`` and ``sin`` stay scalar
-calls to the platform libm (``math``), because ``numpy.log`` can differ
-from it in the last bit; ``sqrt``, products and sums are correctly
-rounded either way.  A draw therefore equals, bit for bit, the same
-count of :meth:`SplitMix64.next_gaussian_pair` calls.
+numpy ``uint64`` arithmetic.  ``ln`` and the ``cos``/``sin`` pair stay
+scalar calls to the platform libm, because ``numpy.log`` can differ from
+it in the last bit; ``sqrt``, products and sums are correctly rounded
+either way.  ``cos t`` and ``sin t`` come from one ``cmath.exp(i t)``
+call, which CPython evaluates as ``exp(0) * cos t`` and ``exp(0) * sin t``
+with ``exp(0) = 1`` exactly.  A draw therefore equals, bit for bit, the
+same count of :meth:`SplitMix64.next_gaussian_pair` calls.
 
 Unitaries orthonormalize such a matrix by Householder QR (LAPACK) with
 the phases fixed so that ``R`` has a positive real diagonal: column k is
 the normalized part of input column k orthogonal to the columns before
-it, as with Gram-Schmidt.
+it, as with Gram-Schmidt.  So the first k columns of a random unitary
+depend only on the first k columns of its Gaussian matrix, and
+:func:`random_isometry` draws just those entries.
 
 Test vectors (first outputs for a given seed) are frozen in
 ``tests/test_rng.py`` and listed in the README.
@@ -42,6 +46,7 @@ Test vectors (first outputs for a given seed) are frozen in
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -105,23 +110,36 @@ class SplitMix64:
         draw equals ``m`` consecutive ``rows x cols`` draws stacked.
         """
         pairs = rows * cols
-        steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-        u = (mix64(self._state + steps * GOLDEN) >> 11) * 2.0**-53
+        out = _gaussians_at(self._state, np.arange(pairs, dtype=np.uint64))
         self._state = (self._state + 2 * pairs * GOLDEN) & MASK64
-        # ln, cos and sin from the platform libm, as in next_gaussian_pair
-        log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float, pairs)
-        t = (2.0 * math.pi * u[1::2]).tolist()
-        r = np.sqrt(-2.0 * log)
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        out = np.empty(pairs, dtype=complex)
-        out.real = r * np.fromiter(map(math.cos, t), float, pairs) * inv_sqrt2
-        out.imag = r * np.fromiter(map(math.sin, t), float, pairs) * inv_sqrt2
         return out.reshape(rows, cols)
 
 
+def _gaussians_at(state: int, pairs: np.ndarray) -> np.ndarray:
+    """Complex Gaussian entries number ``pairs`` (a ``uint64`` array) of a
+    stream at ``state``: entry p is the Box-Muller pair of steps 2p + 1 and
+    2p + 2, the value ``gaussian_matrix`` puts at flat position p."""
+    steps = (2 * pairs[:, None] + np.array([1, 2], dtype=np.uint64)).reshape(-1)
+    u = (mix64(state + steps * GOLDEN) >> 11) * 2.0**-53
+    count = pairs.size
+    # ln and exp(i t) = cos t + i sin t from the platform libm, as in
+    # next_gaussian_pair; exp(0) = 1 leaves cos and sin bit-exact
+    log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float, count)
+    t = np.zeros(count, dtype=complex)
+    t.imag = 2.0 * math.pi * u[1::2]
+    rot = np.fromiter(map(cmath.exp, t.tolist()), complex, count)
+    r = np.sqrt(-2.0 * log)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    out = np.empty(count, dtype=complex)
+    out.real = r * rot.real * inv_sqrt2
+    out.imag = r * rot.imag * inv_sqrt2
+    return out
+
+
 def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a square matrix, or of each matrix in
-    a stack of shape ``(m, d, d)``.
+    """Orthonormalize the columns of a matrix with at least as many rows
+    as columns (a unitary when square, an isometry when tall), or of each
+    matrix in a stack of shape ``(m, rows, cols)``.
 
     Householder QR with the phases of ``Q`` fixed so that ``R`` has a
     positive real diagonal: the Gram-Schmidt basis of the columns, in
@@ -129,8 +147,10 @@ def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
     below 1e-12 (or not finite).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError("expected a square matrix or a stack of them")
+    if a.ndim not in (2, 3) or a.shape[-1] > a.shape[-2]:
+        raise DimensionMismatchError(
+            "expected a square or tall matrix or a stack of them"
+        )
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
@@ -139,7 +159,19 @@ def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
     return q * (diag / size)[..., None, :]
 
 
+def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
+    """The first ``cols`` columns of ``random_unitary(rows, seed)``.
+
+    Only the Gaussian entries of those columns are drawn (entry (r, c) of
+    the ``rows x rows`` draw is pair ``r * rows + c`` of the stream), and
+    QR keeps column k a function of input columns 0..k.
+    """
+    flat = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(rows)
+    pairs = (flat + np.arange(cols, dtype=np.uint64)).reshape(-1)
+    g = _gaussians_at(int(seed) & MASK64, pairs).reshape(rows, cols)
+    return gram_schmidt_unitary(g)
+
+
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Seeded random unitary: complex Gaussian matrix, columns orthonormalized."""
-    stream = SplitMix64(seed)
-    return gram_schmidt_unitary(stream.gaussian_matrix(dim, dim))
+    return random_isometry(dim, dim, seed)

@@ -74,11 +74,12 @@ def symmetrize(ch: AttackChannel) -> AttackChannel:
     """
     require_basis_b(ch)
     d = ch.dim
-    x = xor_grid(ch.n)                       # x[m, i] = i ^ m
-    phase = sign_grid(ch.n)[:, x]            # (m, i, j): (-1)**(m.(i^j))
-    shifted = ch.kraus[x[:, :, None], x[:, None, :]]  # (m, i, j, apparatus)
-    out = 2.0 ** (-ch.n / 2.0) * phase[..., None] * shifted
-    kraus = out.transpose(1, 2, 0, 3).reshape(d, d, d * ch.eve_dim)
+    x = xor_grid(ch.n)                       # x[i, m] = i ^ m, symmetric
+    # (i, j, m): 2**(-n/2) * (-1)**(m.(i^j))
+    weight = (2.0 ** (-ch.n / 2.0) * sign_grid(ch.n)[:, x]).transpose(1, 2, 0)
+    out = ch.kraus[x[:, None, :], x[None, :, :]]  # (i, j, m, apparatus)
+    out *= weight[..., None]
+    kraus = out.reshape(d, d, d * ch.eve_dim)
     return AttackChannel(n=ch.n, eve_dim=d * ch.eve_dim, kraus=kraus)
 
 

@@ -11,9 +11,9 @@ from .errors import (
     OutOfRangeError,
     UnsupportedCombinationError,
 )
-from .channel import AttackChannel, Basis, from_unitary
+from .channel import AttackChannel, Basis
 from .linalg import N_MAX, bit_parity
-from .rng import random_unitary
+from .rng import random_isometry
 
 KINDS = (
     "identity",
@@ -126,12 +126,16 @@ def make_attack(spec: AttackSpec) -> AttackChannel:
 def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
     """Seeded Haar-style random attack with a fixed |0> apparatus start.
 
-    Bit-identical output for identical (n, eve_dim, seed).
+    The interaction is ``u = random_unitary(eve_dim * 2**n, seed)`` on
+    (apparatus x system); with the apparatus at |0> only its first 2**n
+    columns act, so only they are drawn (``random_isometry``) and
+    ``kraus[i, j, a] = u[a * 2**n + j, i]``.  Bit-identical output for
+    identical (n, eve_dim, seed).
     """
     if not 1 <= n <= N_MAX:
         raise DimensionTooLargeError(f"qubit count {n} outside [1, {N_MAX}]")
     check_total_dim(n, eve_dim)
-    u = random_unitary(eve_dim * (1 << n), seed)
-    ancilla = np.zeros(eve_dim, dtype=complex)
-    ancilla[0] = 1.0
-    return from_unitary(u, ancilla, n)
+    d = 1 << n
+    cols = random_isometry(eve_dim * d, d, seed)  # (apparatus, output) x input
+    kraus = cols.reshape(eve_dim, d, d).transpose(2, 1, 0)
+    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus, basis_label=Basis.B)

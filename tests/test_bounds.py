@@ -21,8 +21,9 @@ from mubeve.bounds import (
     pretty_good_measurement,
     xor_entropy_bound,
 )
-from mubeve.channel import ErrorDistribution, eve_state
+from mubeve.channel import ErrorDistribution, eve_state, eve_states
 from mubeve.errors import (
+    EigensolverError,
     InvalidPovmError,
     MubeveError,
     OutOfRangeError,
@@ -266,6 +267,62 @@ class TestAccessibleInfoLowerBound:
             accessible_info_lower_bound(ens, -1, 0)
 
 
+PGM_CELLS = [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5), (1, 64, 9)]
+
+
+class TestPgmStack:
+    """The audit builds the pretty good measurement as one stack and checks
+    it once; the validated ``Povm`` route is the oracle."""
+
+    @pytest.mark.parametrize("n, eve_dim, seed", PGM_CELLS)
+    def test_matches_validated_povm(self, n, eve_dim, seed):
+        ch = random_attack(n, eve_dim, seed)
+        ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
+        rho = eve_states(ch)
+        stack = bounds._pgm_stack(ens.priors, rho)
+        got = bounds._measured_information(ens.priors, stack, rho)
+        want = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
+        assert abs(got - want) <= 1e-12
+
+    def projectors(self, d):
+        return np.stack([np.diag(np.eye(d)[k]).astype(complex) for k in range(d)])
+
+    def test_negative_eigenvalue_in_one_element(self):
+        # completeness still holds: the defect moves weight between elements
+        stack = self.projectors(4)
+        stack[2, 0, 0] -= 1e-6
+        stack[0, 0, 0] += 1e-6
+        with pytest.raises(InvalidPovmError, match="positive semidefinite"):
+            bounds._check_povm_stack(stack)
+        with pytest.raises(InvalidPovmError, match="positive semidefinite"):
+            Povm(tuple(stack))
+
+    def test_eigenvalue_within_floor_accepted(self):
+        # rounding-sized negatives above -TAU_PSD are not a violation
+        stack = self.projectors(4)
+        stack[2, 0, 0] -= 0.5e-10
+        stack[0, 0, 0] += 0.5e-10
+        bounds._check_povm_stack(stack)
+
+    def test_completeness_error(self):
+        stack = self.projectors(4)
+        stack[3, 3, 3] += 1e-7
+        with pytest.raises(InvalidPovmError, match="completeness"):
+            bounds._check_povm_stack(stack)
+
+    def test_non_hermitian_element(self):
+        stack = self.projectors(2)
+        stack[1, 0, 1] = 1e-6
+        with pytest.raises(InvalidPovmError, match="Hermitian"):
+            bounds._check_povm_stack(stack)
+
+    def test_nan_state(self):
+        rho = eve_states(random_attack(1, 2, 4))
+        rho[1, 0, 0] = np.nan
+        with pytest.raises(EigensolverError):
+            bounds._pgm_stack(np.full(2, 0.5), rho)
+
+
 class TestClosedFormBounds:
     def test_xor_entropy(self):
         assert xor_entropy_bound(ErrorDistribution(1, [1.0, 0.0])) == 0.0
@@ -394,11 +451,27 @@ class TestAuditAttack:
         assert rep.chi_orig > rep.chi_sym + 1e-9
         assert rep.slack_main >= -1e-9
 
+    def test_builds_no_povm_and_one_density_matrix(self, monkeypatch):
+        # every check runs on stacks; the only validated object left is the
+        # sigma Gram state of the spectrum identity
+        built = {"Povm": 0, "DensityMatrix": 0}
+        for cls in (Povm, DensityMatrix):
+            original = cls.__post_init__
+
+            def counting(self, original=original, name=cls.__name__):
+                built[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        audit_attack(random_attack(3, 2, 19), 16, 2)
+        assert built == {"Povm": 0, "DensityMatrix": 1}
+
     def test_inflated_i_lower_violates_chain(self, monkeypatch):
         ch = random_attack(2, 2, 11)
         chi_orig = audit_attack(ch, 4, 0).chi_orig
+        # the audit runs the measured search on the state stack directly
         monkeypatch.setattr(
-            bounds, "accessible_info_lower_bound", lambda ens, s, seed: chi_orig + 1e-6
+            bounds, "_accessible_info", lambda priors, rho, s, seed: chi_orig + 1e-6
         )
         with pytest.raises(TheoremViolation) as info:
             audit_attack(ch, 4, 0)

@@ -9,6 +9,7 @@ from mubeve.channel import (
     ErrorDistribution,
     bob_conjugate_state,
     eve_state,
+    eve_states,
     from_unitary,
     to_conjugate_basis,
     xor_error_distribution,
@@ -153,6 +154,17 @@ class TestEveState:
                 np.trace(eve_state(ch, i).matrix).real for i in range(4)
             )
             assert abs(total - 4.0) <= 1e-9
+
+    @pytest.mark.parametrize("n, eve_dim", [(1, 2), (3, 2), (2, 3), (1, 256)])
+    def test_stack_equals_validated_states(self, n, eve_dim):
+        # bit for bit, and C-contiguous like the matrices it replaces, so
+        # every product taken from it rounds the same way
+        ch = random_attack(n, eve_dim, 17)
+        stack = eve_states(ch)
+        assert stack.shape == (ch.dim, eve_dim, eve_dim)
+        assert stack.flags["C_CONTIGUOUS"]
+        for i in range(ch.dim):
+            assert np.array_equal(stack[i], eve_state(ch, i).matrix)
 
     def test_bitstring_index(self):
         ch = make_attack(AttackSpec("cnot_probe", 1))

@@ -173,6 +173,20 @@ class TestParseCampaign:
         with pytest.raises(ValidationError):
             parse_campaign(json.dumps(doc))
 
+    @pytest.mark.parametrize("output", ["x.json", "out/report.json", "."])
+    def test_output_that_is_its_own_mirror_rejected(self, output):
+        # the JSON mirror goes to output with suffix .json; here it would
+        # overwrite the CSV rows (or there is no file name to suffix)
+        doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": output}
+        with pytest.raises(ValidationError) as err:
+            parse_campaign(json.dumps(doc))
+        assert err.value.field == "output"
+
+    @pytest.mark.parametrize("output", ["x.csv", "x", "x.json.csv"])
+    def test_output_with_distinct_mirror_accepted(self, output):
+        doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": output}
+        assert parse_campaign(json.dumps(doc)).output == output
+
 
 class TestShippedScenarios:
     def test_phase_conversion_file(self):
@@ -285,6 +299,18 @@ class TestRunCampaign:
             for name, value in row.items():
                 if name != "attack_id":
                     assert float(value) >= 0.0, (row["attack_id"], name, value)
+
+    def test_json_output_override_rejected_before_auditing(self, tmp_path, monkeypatch):
+        def no_audit(*args):
+            raise AssertionError("audited before the output path was checked")
+
+        monkeypatch.setattr(harness, "audit_attack", no_audit)
+        cfg = CampaignConfig(grid=((1, 1),), count=1, master_seed=3,
+                             output=str(tmp_path / "rows.csv"), povm_samples=2)
+        with pytest.raises(ValidationError) as err:
+            run_campaign(cfg, output_path=str(tmp_path / "rows.json"))
+        assert err.value.field == "output"
+        assert list(tmp_path.iterdir()) == []
 
     def test_summary_matches_rows(self, tmp_path):
         cfg = CampaignConfig(grid=((1, 2),), count=4, master_seed=9,
@@ -471,6 +497,29 @@ class TestCli:
         assert (tmp_path / "rows.csv").exists()
         assert (tmp_path / "rows.json").exists()
         assert "campaign: 2 attacks" in capsys.readouterr().out
+
+    def test_campaign_json_out_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "camp.json"
+        cfg.write_text(json.dumps({
+            "grid": [[1, 1]], "count": 1, "master_seed": 5,
+            "output": str(tmp_path / "rows.csv"), "povm_samples": 2,
+        }))
+        report = tmp_path / "report.json"
+        assert main(["campaign", str(cfg), "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output: ")
+        assert not report.exists() and not (tmp_path / "rows.csv").exists()
+
+    def test_campaign_json_output_field_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "camp.json"
+        cfg.write_text(json.dumps({
+            "grid": [[1, 1]], "count": 1, "master_seed": 5,
+            "output": str(tmp_path / "x.json"), "povm_samples": 2,
+        }))
+        assert main(["campaign", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: output: ")
+        assert not (tmp_path / "x.json").exists()
 
     def test_theorem_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         # unreachable with valid channels, so inject the failure

@@ -13,6 +13,7 @@ from mubeve.rng import (
     gram_schmidt_unitary,
     mix,
     mix64,
+    random_isometry,
     random_unitary,
 )
 
@@ -154,6 +155,12 @@ class TestGramSchmidt:
         with pytest.raises(DimensionMismatchError):
             gram_schmidt_unitary(np.ones((3, 4)))
 
+    def test_tall_matrix_gives_leading_columns(self):
+        m = SplitMix64(8).gaussian_matrix(12, 12)
+        q = gram_schmidt_unitary(m[:, :5])
+        assert q.shape == (12, 5)
+        assert np.max(np.abs(q - gram_schmidt_unitary(m)[:, :5])) <= 1e-12
+
     @pytest.mark.parametrize("d", [8, 64, 512])
     def test_matches_mgs_oracle(self, d):
         m = SplitMix64(d).gaussian_matrix(d, d)
@@ -193,3 +200,22 @@ class TestRandomUnitary:
 
     def test_seed_changes_output(self):
         assert not np.allclose(random_unitary(4, 1), random_unitary(4, 2))
+
+    def test_unitary_is_the_square_isometry(self):
+        assert np.array_equal(random_unitary(6, 3), random_isometry(6, 6, 3))
+
+    def test_isometry_columns(self):
+        v = random_isometry(16, 4, 12)
+        assert v.shape == (16, 4)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
+        assert np.max(np.abs(v - random_unitary(16, 12)[:, :4])) <= 1e-12
+
+
+@pytest.mark.slow
+def test_gaussian_draw_bit_exact_over_a_million_pairs():
+    """2**20 pairs of the vectorized draw (cmath.exp for cos and sin)
+    against the scalar math.cos/math.sin pairs.  Run with pytest -m slow."""
+    rows = cols = 1 << 10
+    got = SplitMix64(WRAP_SEED).gaussian_matrix(rows, cols)
+    want = scalar_gaussian_matrix(SplitMix64(WRAP_SEED), rows, cols)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+import mubeve.rng as rng
 from mubeve.bounds import audit_attack, holevo_chi, Ensemble, xor_entropy_bound
-from mubeve.channel import eve_state, xor_error_distribution
+from mubeve.channel import eve_state, from_unitary, xor_error_distribution
 from mubeve.errors import (
+    DependentColumnsError,
     DimensionTooLargeError,
     OutOfRangeError,
     UnsupportedCombinationError,
 )
+from mubeve.rng import SplitMix64, random_unitary
 from mubeve.zoo import KINDS, AttackSpec, make_attack, random_attack
 
 
@@ -133,3 +136,56 @@ class TestRandomAttack:
             random_attack(4, 64, 0)  # 64 * 16 = 1024 > 512
         with pytest.raises(OutOfRangeError):
             random_attack(1, 0, 0)
+
+
+THIN_DRAW_CELLS = [(1, 2), (2, 4), (3, 2), (1, 8), (4, 32), (1, 256)]
+
+
+class TestThinDraw:
+    """A random attack is the first 2**n columns of ``random_unitary``;
+    only those columns are drawn and orthonormalized.  The full square
+    draw is the oracle."""
+
+    @pytest.mark.parametrize("n, eve_dim", THIN_DRAW_CELLS)
+    @pytest.mark.parametrize("seed", [5, 2**63 + 11])
+    def test_matches_full_unitary(self, n, eve_dim, seed):
+        ancilla = np.zeros(eve_dim, dtype=complex)
+        ancilla[0] = 1.0
+        full = from_unitary(random_unitary(eve_dim << n, seed), ancilla, n)
+        thin = random_attack(n, eve_dim, seed)
+        assert np.max(np.abs(thin.kraus - full.kraus)) <= 1e-12
+
+    @pytest.mark.parametrize("n, eve_dim", THIN_DRAW_CELLS)
+    def test_drawn_entries_are_the_full_draw(self, n, eve_dim, monkeypatch):
+        drawn = []
+        original = rng.gram_schmidt_unitary
+
+        def capture(a):
+            drawn.append(a)
+            return original(a)
+
+        monkeypatch.setattr(rng, "gram_schmidt_unitary", capture)
+        random_attack(n, eve_dim, 31)
+        rows = eve_dim << n
+        want = SplitMix64(31).gaussian_matrix(rows, rows)[:, : 1 << n]
+        assert len(drawn) == 1 and drawn[0].shape == want.shape
+        assert np.array_equal(drawn[0].view(np.uint64), want.view(np.uint64))
+
+    def test_dependent_columns_raise(self, monkeypatch):
+        # equal Gaussian entries everywhere make every column the same
+        monkeypatch.setattr(
+            rng, "_gaussians_at", lambda state, pairs: np.ones(pairs.size, complex)
+        )
+        with pytest.raises(DependentColumnsError):
+            random_attack(2, 2, 0)
+
+
+@pytest.mark.parametrize("n, eve_dim", [(4, 32), (3, 64), (2, 128), (1, 256)])
+def test_declared_limit_audit_certifies_chain(n, eve_dim):
+    """Every cell at the total-dimension limit of 512 audits in tier-1
+    time, and its report carries the full certified chain."""
+    rep = audit_attack(random_attack(n, eve_dim, 8100 + n), 2, n)
+    assert rep.i_lower <= rep.chi_orig + 1e-9
+    assert rep.chi_orig <= rep.chi_sym + 1e-9
+    assert rep.chi_sym <= rep.h_xor + 1e-9
+    assert rep.spectrum_deviation <= 1e-9
