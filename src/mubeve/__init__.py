@@ -54,11 +54,13 @@ from .channel import (
 )
 from .symmetrize import (
     SigmaAnalysis,
+    error_patterns,
     project_ancilla,
     purification_vectors,
     sigma_matrix,
     sigma_spectrum_check,
     symmetrize,
+    symmetrized_sigma,
 )
 from .bounds import (
     BoundsReport,
@@ -72,6 +74,7 @@ from .bounds import (
     kraus_holevo_chi,
     mutual_information_of_measurement,
     pretty_good_measurement,
+    symmetrized_holevo_chi,
     xor_entropy_bound,
 )
 from .rng import SplitMix64, mix, mix64, random_isometry, random_unitary

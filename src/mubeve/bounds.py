@@ -38,21 +38,19 @@ from .linalg import (
     TAU_PSD,
     DensityMatrix,
     _min_eigenvalue_at_least,
+    density_spectra,
     hermitian_eigendecomposition,
     hermitian_residual,
     mixture_spectra,
     shannon_entropies,
     shannon_entropy,
+    sign_grid,
     spectral_entropies,
     von_neumann_entropy,
+    xor_grid,
 )
 from .rng import SplitMix64, gram_schmidt_unitary
-from .symmetrize import (
-    purification_vectors,
-    sigma_matrix,
-    sigma_spectrum_check,
-    symmetrize,
-)
+from .symmetrize import error_patterns, sigma_spectrum_check, symmetrized_sigma
 
 _SLACK_TOL = 1e-9
 _POVM_COMPLETENESS_TOL = 1e-8
@@ -167,6 +165,35 @@ def kraus_holevo_chi(kraus) -> float:
     individual = spectral_entropies(mixture_spectra(k))
     mixed = spectral_entropies(mixture_spectra(k.reshape(1, d * d, -1), 1.0 / d))
     return float(np.mean(mixed - individual)) + 0.0  # normalize -0.0
+
+
+def symmetrized_holevo_chi(patterns) -> float:
+    """Holevo quantity of the shift-symmetrized attack, computed from the
+    original table regrouped by error pattern, ``patterns =
+    error_patterns(ch.kraus)``.
+
+    Equals ``kraus_holevo_chi(symmetrize(ch).kraus)``, but the enlarged
+    table is never built.  The symmetrized states are XOR-covariant, so
+    all share the nonzero spectrum of one ``2**n x 2**n`` Gram matrix
+    ``G0[j, k] = 2**-n sum_m (-1)**(m.(j^k)) <P[k, m]|P[j, m]>``, taken on
+    this side even when ``eve_dim = 1`` ties it.  Their average is
+    block-circulant over the shift register, so its spectrum is the union
+    over l of the spectra of ``B_l = 4**-n sum_c |W[c, l^c]><W[c, l^c]|``
+    with the Walsh transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``: 2**n
+    eigenproblems of size ``min(2**n, eve_dim)``.  Both spectra get the
+    checks of ``density_spectra``, the average's as one union.
+    """
+    p = np.asarray(patterns, dtype=complex)
+    d = p.shape[0]
+    n = d.bit_length() - 1
+    s = sign_grid(n)
+    signed = (s[:, :, None] * p).reshape(d, -1)   # row j: (-1)**(m.j) P[j, m]
+    state = density_spectra((1.0 / d) * (signed @ signed.conj().T))
+    walsh = s @ p                                 # walsh[c, x] = W[c, x]
+    blocks = walsh[np.arange(d)[None, :], xor_grid(n)]  # blocks[l, c] = W[c, l ^ c]
+    average = mixture_spectra(blocks, 1.0 / d**2, union=True)
+    chi = spectral_entropies(average.reshape(-1)) - spectral_entropies(state)
+    return float(chi) + 0.0  # normalize -0.0
 
 
 def _label_information(priors: np.ndarray, cond: np.ndarray) -> np.ndarray:
@@ -336,10 +363,16 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     Certifies, each to 1e-9, ``i_lower <= chi_orig <= chi_sym <= h_xor``,
     ``i_lower <= h_xor`` and the Gram-spectrum identity.  Raises
     TheoremViolation (carrying the report) if one fails, which can only
-    mean an implementation bug.  Both Holevo quantities come from Kraus
-    Gram spectra (``kraus_holevo_chi``), which also checks the spectra of
-    the original states; the measured search runs on their unvalidated
-    stack (``eve_states``) and checks its pretty good measurement once.
+    mean an implementation bug.  ``chi_orig`` comes from Kraus Gram
+    spectra (``kraus_holevo_chi``), which also checks the spectra of the
+    original states; the measured search runs on their unvalidated stack
+    (``eve_states``) and checks its pretty good measurement once.  The
+    symmetrized attack is never built: ``chi_sym``
+    (``symmetrized_holevo_chi``) and the purification Gram of the
+    spectrum identity (``symmetrized_sigma``) come from the original
+    table regrouped by error pattern (``error_patterns``), while the
+    error distribution they are checked against comes independently from
+    the conjugate-basis table (``xor_error_distribution``).
     """
     require_basis_b(ch)
 
@@ -348,13 +381,13 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     h_xor = xor_entropy_bound(ed)
 
     chi_orig = kraus_holevo_chi(ch.kraus)
-    sym = symmetrize(ch)
-    chi_sym = kraus_holevo_chi(sym.kraus)
+    patterns = error_patterns(ch.kraus)
+    chi_sym = symmetrized_holevo_chi(patterns)
 
     priors = np.full(ch.dim, 1.0 / ch.dim)
     i_lower = _accessible_info(priors, eve_states(ch), samples, seed)
 
-    sa = sigma_matrix(purification_vectors(sym))
+    sa = symmetrized_sigma(patterns)
     spectrum_deviation = sigma_spectrum_check(sa, ed)
 
     report = BoundsReport(

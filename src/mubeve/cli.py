@@ -44,10 +44,18 @@ def _emit(payload: bytes, out: str | None) -> None:
         Path(out).write_bytes(payload)
 
 
+def _seed_override(args) -> int | None:
+    """The ``--seed`` value, held to the rule documents follow: >= 0."""
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError("--seed", f"must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _cmd_audit(args) -> int:
+    seed = _seed_override(args)
     cfg = parse_scenario(Path(args.file).read_bytes())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     report = run_scenario(cfg)
     _emit(write_report([(attack_label(cfg), report)], args.format), args.out)
     if "sigma_spectrum" in cfg.analyses:
@@ -57,9 +65,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    seed = _seed_override(args)
     cfg = parse_scenario(Path(args.file).read_bytes())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    if seed is not None:
+        cfg = replace(cfg, seed=seed)
     rows = [
         (f"probe_overlap[theta={theta:.17g}]", report)
         for theta, report in run_sweep(cfg)
@@ -69,9 +78,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    seed = _seed_override(args)
     cfg = parse_campaign(Path(args.file).read_bytes())
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
+    if seed is not None:
+        cfg = replace(cfg, master_seed=seed)
     summary = run_campaign(cfg, output_path=args.out)
     print(
         f"campaign: {summary.rows} attacks, "

@@ -13,6 +13,7 @@ other builds may differ in the last digits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,7 +245,27 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     return DensityMatrix(red)
 
 
-def mixture_spectra(vectors, weight: float = 1.0) -> np.ndarray:
+def density_spectra(m, union: bool = False) -> np.ndarray:
+    """Eigenvalues, descending, of each Hermitian matrix in a stack
+    ``m[..., k, k]``, checked like the spectra of density matrices.
+
+    Each spectrum must sum to 1 within TAU_TR and have no eigenvalue below
+    -TAU_PSD, else InvalidStateError.  With ``union`` the stack is the
+    block-diagonal form of one state, so only the union of its spectra
+    must sum to 1.  Non-finite entries raise EigensolverError.
+    """
+    w = _eigh(m, want_vectors=False)[0][..., ::-1]
+    traces = (w.reshape(1, -1) if union else w).sum(axis=-1)
+    bad = np.abs(traces - 1.0) > TAU_TR
+    if bad.any():
+        tr = float(traces[bad][0])
+        raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
+    if w.size and float(w.min()) < -TAU_PSD:
+        raise InvalidStateError(f"smallest eigenvalue below -{TAU_PSD}")
+    return w
+
+
+def mixture_spectra(vectors, weight: float = 1.0, union: bool = False) -> np.ndarray:
     """Eigenvalues, descending, of ``rho = weight * sum_r |v_r><v_r|`` for
     each stack of rows ``vectors[..., r, :]``, one spectrum per leading
     index.
@@ -253,11 +274,9 @@ def mixture_spectra(vectors, weight: float = 1.0) -> np.ndarray:
     ``weight * v v^H`` (Gram/ensemble duality), so the eigensolve runs on
     whichever of the two is strictly smaller; a tie takes the dense
     ``rho``.  All stacks go through one batched eigensolve.  The weight
-    multiplies the product, so a power of two adds no rounding.
-
-    Each spectrum gets the checks of ``DensityMatrix``: it must sum to 1
-    within TAU_TR and have no eigenvalue below -TAU_PSD, else
-    InvalidStateError.  Non-finite vectors raise EigensolverError.
+    multiplies the product, so a power of two adds no rounding.  The
+    spectra are checked by ``density_spectra``, each one or, with
+    ``union``, all together.
     """
     v = np.asarray(vectors, dtype=complex)
     rows, dim = v.shape[-2:]
@@ -265,15 +284,7 @@ def mixture_spectra(vectors, weight: float = 1.0) -> np.ndarray:
         m = v @ v.conj().swapaxes(-1, -2)       # Gram: <v_s|v_r>
     else:
         m = v.swapaxes(-1, -2) @ v.conj()       # dense: sum_r |v_r><v_r|
-    w = _eigh(weight * m, want_vectors=False)[0][..., ::-1]
-    traces = w.sum(axis=-1)
-    bad = np.abs(traces - 1.0) > TAU_TR
-    if bad.any():
-        tr = float(traces[bad][0])
-        raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
-    if w.size and float(w.min()) < -TAU_PSD:
-        raise InvalidStateError(f"smallest eigenvalue below -{TAU_PSD}")
-    return w
+    return density_spectra(weight * m, union)
 
 
 def spectral_entropies(w) -> np.ndarray:
@@ -329,21 +340,33 @@ def shannon_entropy(p) -> float:
     return float(shannon_entropies(np.reshape(p, (1, -1)))[0])
 
 
+@functools.cache
 def sign_grid(n: int) -> np.ndarray:
-    """2^n x 2^n matrix of (-1)**(i.j) with the bit-wise dot product."""
+    """2^n x 2^n matrix of (-1)**(i.j) with the bit-wise dot product.
+
+    Built once per n and read-only, since every caller shares it.
+    """
     d = 1 << n
     idx = np.arange(d)
     dots = np.bitwise_and(idx[:, None], idx[None, :])
     parity = np.zeros((d, d), dtype=int)
     for k in range(n):
         parity ^= (dots >> k) & 1
-    return 1.0 - 2.0 * parity
+    grid = 1.0 - 2.0 * parity
+    grid.setflags(write=False)
+    return grid
 
 
+@functools.cache
 def xor_grid(n: int) -> np.ndarray:
-    """2^n x 2^n integer matrix of i XOR j, usable as a fancy index."""
+    """2^n x 2^n integer matrix of i XOR j, usable as a fancy index.
+
+    Built once per n and read-only, since every caller shares it.
+    """
     idx = np.arange(1 << n)
-    return idx[:, None] ^ idx[None, :]
+    grid = idx[:, None] ^ idx[None, :]
+    grid.setflags(write=False)
+    return grid
 
 
 def mub_transform(n: int) -> np.ndarray:

@@ -11,6 +11,14 @@ The purifications of the symmetrized states have a Gram matrix whose
 profile reproduces the conjugate-basis error distribution.  That
 identity is the numerical engine behind the audit bounds and is
 re-verified on every audit.
+
+Audits never build the enlarged table.  Every symmetrized Kraus vector
+is a signed stack of the original vectors with one error pattern
+``c = i ^ j``, so the audit works on the original table regrouped by
+error pattern (``error_patterns``); ``symmetrized_sigma`` reads the
+purification Gram off it.  ``symmetrize``, ``purification_vectors`` and
+``sigma_matrix`` build the same objects densely and are the reference
+route.
 """
 
 from __future__ import annotations
@@ -90,9 +98,14 @@ def project_ancilla(sym: AttackChannel, i, m) -> tuple[float, DensityMatrix]:
     The probability is 2**-n for every (i, m), and the remaining state
     equals the original attack's apparatus state for input i XOR m.
     """
+    if sym.eve_dim % sym.dim:
+        raise DimensionMismatchError(
+            f"eve_dim {sym.eve_dim} is not a multiple of the {sym.dim}-value "
+            "shift register"
+        )
     i = as_index(i, sym.n)
     m = as_index(m, sym.n)
-    de = sym.eve_dim >> sym.n
+    de = sym.eve_dim // sym.dim
     block = sym.kraus[i, :, m * de:(m + 1) * de]
     raw = np.einsum("jd,je->de", block, block.conj())
     prob = float(np.trace(raw).real)
@@ -130,7 +143,47 @@ def sigma_matrix(vectors) -> SigmaAnalysis:
         raise DimensionMismatchError(
             f"purifications are {vecs.shape}, expected 2**n rows with n >= 1"
         )
-    gram = vecs @ vecs.conj().T          # gram[i, j] = <phi_j|phi_i>
+    return _sigma_analysis(n, vecs @ vecs.conj().T)
+
+
+def error_patterns(kraus) -> np.ndarray:
+    """A Kraus table regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``,
+    of shape (2**n, 2**n, eve_dim).
+
+    Row c holds the vectors that turn input a into output a XOR c.  The
+    symmetrized Kraus vectors are signed stacks of one such row,
+    ``symmetrize(ch).kraus[i, i ^ c] = 2**(-n/2) sum_m (-1)**(m.c) |m> (x)
+    P[c, i ^ m]``.
+    """
+    k = np.asarray(kraus, dtype=complex)
+    d = k.shape[0]
+    return k[np.arange(d)[None, :], xor_grid(d.bit_length() - 1)]
+
+
+def symmetrized_sigma(patterns) -> SigmaAnalysis:
+    """``sigma_matrix(purification_vectors(symmetrize(ch)))`` computed from
+    ``patterns = error_patterns(ch.kraus)``, without the enlarged table.
+
+    The signs of a symmetrized vector cancel in overlaps at equal error
+    pattern, so the purification Gram is the shift average
+    ``<phi_j|phi_i> = 2**-n sum_m Gamma[i ^ m, j ^ m]`` of the original
+    overlaps ``Gamma[a, b] = sum_p <P[p, b]|P[p, a]>``.  Every check of
+    ``sigma_matrix`` runs on it.
+    """
+    p = np.asarray(patterns, dtype=complex)
+    d = p.shape[0]
+    n = d.bit_length() - 1
+    by_input = p.transpose(1, 0, 2).reshape(d, -1)     # row a: every P[p, a]
+    gamma = by_input @ by_input.conj().T
+    x = xor_grid(n)                                    # x[m, i] = i ^ m
+    gram = gamma[x[:, :, None], x[:, None, :]].sum(axis=0) / float(d)
+    return _sigma_analysis(n, gram)
+
+
+def _sigma_analysis(n: int, gram: np.ndarray) -> SigmaAnalysis:
+    """Check a purification Gram ``gram[i, j] = <phi_j|phi_i>`` for
+    translation invariance and take the Fourier spectrum of its profile."""
+    d = 1 << n
     reps = gram[np.arange(d)[None, :], xor_grid(n)]  # reps[t, i] = gram[i, i ^ t]
     spread = float(np.max(np.abs(reps - reps[:, :1])))
     if spread > _F_SPREAD_TOL:

@@ -1,5 +1,6 @@
 """Tests for information quantities, the bound chain and audits."""
 
+import importlib
 import math
 
 import numpy as np
@@ -21,7 +22,13 @@ from mubeve.bounds import (
     pretty_good_measurement,
     xor_entropy_bound,
 )
-from mubeve.channel import ErrorDistribution, eve_state, eve_states
+from mubeve.channel import (
+    AttackChannel,
+    ErrorDistribution,
+    eve_state,
+    eve_states,
+    xor_error_distribution,
+)
 from mubeve.errors import (
     EigensolverError,
     InvalidPovmError,
@@ -32,8 +39,18 @@ from mubeve.errors import (
 )
 from mubeve.linalg import DensityMatrix, hermitian_eigenvalues
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
-from mubeve.symmetrize import symmetrize
+from mubeve.symmetrize import (
+    error_patterns,
+    purification_vectors,
+    sigma_matrix,
+    sigma_spectrum_check,
+    symmetrize,
+    symmetrized_sigma,
+)
 from mubeve.zoo import AttackSpec, make_attack, random_attack
+
+# the package re-exports the function ``symmetrize`` under the module's name
+symmetrize_module = importlib.import_module("mubeve.symmetrize")
 
 # frozen from a 50-digit evaluation of h2(0.01) + 3 * 0.01
 COROLLARY_001_N3 = 0.11079313589591118
@@ -466,6 +483,34 @@ class TestAuditAttack:
         audit_attack(random_attack(3, 2, 19), 16, 2)
         assert built == {"Povm": 0, "DensityMatrix": 1}
 
+    def test_builds_no_symmetrized_table(self, monkeypatch):
+        # chi_sym and the sigma check come from the original table; the
+        # dense symmetrized route is only the reference
+        called = {"AttackChannel": 0}
+        original_init = AttackChannel.__post_init__
+
+        def counting_init(self):
+            called["AttackChannel"] += 1
+            original_init(self)
+
+        monkeypatch.setattr(AttackChannel, "__post_init__", counting_init)
+        for name in ("symmetrize", "purification_vectors", "sigma_matrix"):
+            called[name] = 0
+            original = getattr(symmetrize_module, name)
+
+            def counting(*args, original=original, name=name):
+                called[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(symmetrize_module, name, counting)
+        ch = random_attack(3, 2, 19)
+        called["AttackChannel"] = 0
+        audit_attack(ch, 4, 2)
+        assert called == {
+            "AttackChannel": 0, "symmetrize": 0,
+            "purification_vectors": 0, "sigma_matrix": 0,
+        }
+
     def test_inflated_i_lower_violates_chain(self, monkeypatch):
         ch = random_attack(2, 2, 11)
         chi_orig = audit_attack(ch, 4, 0).chi_orig
@@ -484,14 +529,24 @@ def dense_chi(ch):
 
 
 class TestKrausHolevo:
-    """``audit_attack`` reads both Holevo quantities off Kraus Gram spectra;
-    the dense ``holevo_chi`` route is the oracle."""
+    """``audit_attack`` reads both Holevo quantities off Kraus Gram spectra
+    and the sigma check off the error-pattern table; the dense
+    ``holevo_chi`` route and the enlarged table are the oracle."""
 
     def assert_matches_dense(self, ch):
         rep = audit_attack(ch, 0, 0)
+        sym = symmetrize(ch)
         assert abs(rep.chi_orig - dense_chi(ch)) <= 1e-12
-        assert abs(rep.chi_sym - dense_chi(symmetrize(ch))) <= 1e-12
+        assert abs(rep.chi_sym - dense_chi(sym)) <= 1e-12
         assert kraus_holevo_chi(ch.kraus) == rep.chi_orig
+        assert abs(rep.chi_sym - kraus_holevo_chi(sym.kraus)) <= 1e-12
+        dense = sigma_matrix(purification_vectors(sym))
+        sa = symmetrized_sigma(error_patterns(ch.kraus))
+        assert np.max(np.abs(sa.sigma.matrix - dense.sigma.matrix)) <= 1e-12
+        assert np.max(np.abs(sa.f_values - dense.f_values)) <= 1e-12
+        assert np.max(np.abs(rep.fourier_eigenvalues - dense.lambdas)) <= 1e-12
+        ed = xor_error_distribution(ch)
+        assert abs(rep.spectrum_deviation - sigma_spectrum_check(dense, ed)) <= 1e-12
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 1), (1, 2), (2, 1), (2, 4), (3, 2), (1, 8)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -500,6 +555,9 @@ class TestKrausHolevo:
 
     def test_matches_dense_oracle_at_declared_limit(self):
         self.assert_matches_dense(random_attack(4, 32, 7200))
+
+    def test_matches_dense_oracle_at_largest_apparatus(self):
+        self.assert_matches_dense(random_attack(1, 256, 7300))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_identity_is_exactly_zero(self, n):

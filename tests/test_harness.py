@@ -448,7 +448,7 @@ class TestCli:
         assert captured.err.startswith(f"error: attack.{field}: ")
 
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
-        calls = {"audit_attack": 0, "make_attack": 0, "symmetrize": 0}
+        calls = {"audit_attack": 0, "make_attack": 0, "symmetrized_sigma": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -461,10 +461,10 @@ class TestCli:
 
         counting(harness, "audit_attack")
         counting(harness, "make_attack")
-        counting(bounds, "symmetrize")
+        counting(bounds, "symmetrized_sigma")
         rc = main(["audit", str(SCENARIOS / "phase_conversion.scenario")])
         assert rc == 0
-        assert calls == {"audit_attack": 1, "make_attack": 1, "symmetrize": 1}
+        assert calls == {"audit_attack": 1, "make_attack": 1, "symmetrized_sigma": 1}
         err = capsys.readouterr().err
         detail = json.loads(err.removeprefix("sigma_spectrum "))
         assert detail["error_probs"] == [0.0, 1.0]
@@ -590,3 +590,18 @@ class TestCli:
         r1 = (tmp_path / "r1.csv").read_text().splitlines()[1]
         r2 = (tmp_path / "r2.csv").read_text().splitlines()[1]
         assert r1 != r2
+
+    @pytest.mark.parametrize("command, document", [
+        ("audit", "identity.scenario"),
+        ("sweep", "probe_sweep.scenario"),
+        ("campaign", "campaign_small.json"),
+    ])
+    def test_negative_seed_override_rejected(self, tmp_path, capsys, command, document):
+        # a document seed of -1 is a ValidationError; the override follows suit
+        out = tmp_path / "r.csv"
+        argv = [command, str(SCENARIOS / document), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed: must be >= 0, got -1\n"
+        assert not out.exists()

@@ -18,6 +18,7 @@ from mubeve.linalg import (
     DensityMatrix,
     bit_dot,
     bit_parity,
+    density_spectra,
     hermitian_eigendecomposition,
     hermitian_eigenvalues,
     mixture_spectra,
@@ -25,6 +26,7 @@ from mubeve.linalg import (
     partial_trace,
     shannon_entropies,
     shannon_entropy,
+    sign_grid,
     spectral_entropies,
     tensor_product,
     von_neumann_entropy,
@@ -69,6 +71,20 @@ class TestBitOps:
         xors = [[BitString(n, i).xor(BitString(n, j)).value for j in range(d)]
                 for i in range(d)]
         assert np.array_equal(xor_grid(n), xors)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sign_grid(self, n):
+        d = 1 << n
+        signs = [[(-1) ** bit_dot(i, j) for j in range(d)] for i in range(d)]
+        assert np.array_equal(sign_grid(n), signs)
+
+    @pytest.mark.parametrize("grid", [sign_grid, xor_grid])
+    def test_grids_built_once_and_read_only(self, grid):
+        first = grid(3)
+        assert grid(3) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 7
 
 
 class TestTensorProduct:
@@ -381,6 +397,21 @@ class TestMixtureSpectra:
         v[2] *= np.sqrt(scale)
         with pytest.raises(InvalidStateError):
             mixture_spectra(v)
+
+    def test_union_checks_the_stack_as_one_state(self):
+        # blocks of one block-diagonal state: only their union has unit trace
+        v = unit_trace_vectors(np.random.default_rng(7), 1, 6, 4).reshape(3, 2, 4)
+        w = mixture_spectra(v, union=True)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        with pytest.raises(InvalidStateError):
+            mixture_spectra(v)
+        with pytest.raises(InvalidStateError):
+            mixture_spectra(np.sqrt(1.1) * v, union=True)
+
+    def test_union_keeps_the_positivity_check(self):
+        blocks = np.array([[[1.2]], [[-0.2]]], dtype=complex)
+        with pytest.raises(InvalidStateError):
+            density_spectra(blocks, union=True)
 
 
 class TestMubTransform:

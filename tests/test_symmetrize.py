@@ -174,6 +174,13 @@ class TestProjectAncilla:
                     count += 1
         assert count >= 50
 
+    @pytest.mark.parametrize("n, eve_dim", [(1, 3), (2, 2)])
+    def test_apparatus_without_whole_register_rejected(self, n, eve_dim):
+        # eve_dim 3 is not two register values of one apparatus dimension,
+        # and eve_dim 2 cannot hold a 4-value register at all
+        with pytest.raises(DimensionMismatchError):
+            project_ancilla(random_attack(n, eve_dim, 1), 0, 1)
+
 
 class TestPurification:
     def test_normalized(self):
