@@ -23,7 +23,6 @@ from .errors import (
 )
 from .linalg import (
     N_MAX,
-    TAU_EIG,
     TAU_HERM,
     TAU_PSD,
     TAU_TR,

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidPovmError,
+    NotADistributionError,
     OutOfRangeError,
     TheoremViolation,
 )
@@ -35,15 +36,18 @@ from .channel import (
 )
 from .linalg import (
     TAU_HERM,
+    TAU_POVM,
     TAU_PSD,
+    TAU_SLACK,
+    TAU_SUPPORT,
     DensityMatrix,
+    _check_probabilities,
+    _entropy_bits,
     _min_eigenvalue_at_least,
     density_spectra,
     hermitian_eigendecomposition,
     hermitian_residual,
     mixture_spectra,
-    shannon_entropies,
-    shannon_entropy,
     sign_grid,
     spectral_entropies,
     von_neumann_entropy,
@@ -52,9 +56,6 @@ from .linalg import (
 from .rng import SplitMix64, gram_schmidt_unitary
 from .symmetrize import error_patterns, sigma_spectrum_check, symmetrized_sigma
 
-_SLACK_TOL = 1e-9
-_POVM_COMPLETENESS_TOL = 1e-8
-_PGM_SUPPORT_CUTOFF = 1e-12
 _BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
 
 
@@ -70,12 +71,7 @@ class Ensemble:
         states = tuple(self.states)
         if p.size != len(states) or not states:
             raise DimensionMismatchError("priors and states lengths disagree")
-        if (
-            not np.isfinite(p).all()
-            or abs(float(p.sum()) - 1.0) > 1e-9
-            or float(p.min()) < -TAU_PSD
-        ):
-            raise OutOfRangeError("priors are not a probability distribution")
+        _check_probabilities(p, OutOfRangeError, "priors")
         d = states[0].dim
         if any(s.dim != d for s in states):
             raise DimensionMismatchError("states have mixed dimensions")
@@ -124,7 +120,7 @@ class Povm:
 def _check_povm_stack(elements: np.ndarray) -> None:
     """Validate a stack of POVM elements ``(count, d, d)`` in one pass:
     Hermitian within TAU_HERM, no eigenvalue below -TAU_PSD (one batched
-    Cholesky, eigenvalues only on failure) and completeness within 1e-8.
+    Cholesky, eigenvalues only on failure) and completeness within TAU_POVM.
     Raises InvalidPovmError, or EigensolverError on non-finite entries."""
     if hermitian_residual(elements) > TAU_HERM:
         raise InvalidPovmError("element is not Hermitian")
@@ -132,10 +128,8 @@ def _check_povm_stack(elements: np.ndarray) -> None:
         raise InvalidPovmError("element is not positive semidefinite")
     d = elements.shape[-1]
     res = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
-    if not res <= _POVM_COMPLETENESS_TOL:
-        raise InvalidPovmError(
-            f"completeness residual {res:.3e} exceeds {_POVM_COMPLETENESS_TOL}"
-        )
+    if not res <= TAU_POVM:
+        raise InvalidPovmError(f"completeness residual {res:.3e} exceeds {TAU_POVM}")
 
 
 def holevo_chi(ens: Ensemble) -> float:
@@ -196,19 +190,21 @@ def symmetrized_holevo_chi(patterns) -> float:
     return float(chi) + 0.0  # normalize -0.0
 
 
-def _label_information(priors: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    """``H(A) + H(E) - H(A, E)`` in bits for label priors ``p(i)`` and
-    outcome probabilities ``cond[..., i, a] = p(a|i)``, one value per
-    leading index.
+def _label_information(priors, h_label, cond) -> np.ndarray:
+    """``H(A) + H(E) - H(A, E)`` in bits for label priors ``p(i)``, their
+    entropy ``h_label`` and outcome probabilities ``cond[..., i, a] =
+    p(a|i)``, one value per leading index.
 
     Negative rounding in ``cond`` is clipped to 0, and each joint table is
-    renormalized to absorb measurement completeness slack.
+    renormalized to absorb measurement completeness slack, so only its
+    finiteness needs a check.
     """
     joint = priors[:, None] * np.clip(cond, 0.0, None)
     joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
-    h_label = shannon_entropy(priors)
-    h_outcome = shannon_entropies(joint.sum(axis=-2))
-    h_joint = shannon_entropies(joint.reshape(*cond.shape[:-2], -1))
+    if not np.isfinite(joint).all():
+        raise NotADistributionError("measured joint table has non-finite entries")
+    h_outcome = _entropy_bits(joint.sum(axis=-2))
+    h_joint = _entropy_bits(joint.reshape(*cond.shape[:-2], -1))
     return h_label + h_outcome - h_joint
 
 
@@ -216,11 +212,11 @@ def _states(ens: Ensemble) -> np.ndarray:
     return np.stack([s.matrix for s in ens.states])
 
 
-def _measured_information(priors, elements, rho) -> float:
+def _measured_information(priors, h_label, elements, rho) -> float:
     """Mutual information of measuring the stack of POVM elements on the
     stack of states, ``p(a|i) = tr(X_a rho_i)``."""
     cond = np.einsum("axy,iyx->ia", elements, rho)
-    return float(_label_information(priors, cond.real))
+    return float(_label_information(priors, h_label, cond.real))
 
 
 def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
@@ -230,36 +226,35 @@ def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
         raise InvalidPovmError(
             f"POVM dimension {x.dim} does not match ensemble dimension {ens.dim}"
         )
-    return _measured_information(ens.priors, np.stack(x.elements), _states(ens))
+    return _measured_information(ens.priors, float(_entropy_bits(ens.priors)),
+                                 np.stack(x.elements), _states(ens))
 
 
 def _pgm_stack(priors: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Elements of the pretty good measurement of the ensemble with label
-    priors ``priors`` and state stack ``rho[i]``, as one checked stack.
+    priors ``priors`` and state stack ``rho[i]``, as one unchecked stack.
 
     ``X = S (p rho) S + C / count`` for every label at once, where ``S`` is
     the inverse square root of the average on its support and ``C`` the
     projector onto the complement.  The Hermitian part is exact by
-    construction; positivity and completeness are checked once for the
-    whole stack (``_check_povm_stack``).
+    construction; callers check positivity and completeness once for the
+    whole stack (``_check_povm_stack``, or ``Povm``).
     """
     weighted = priors[:, None, None] * rho
     spec = hermitian_eigendecomposition(weighted.sum(axis=0))
-    keep = spec.eigenvalues > _PGM_SUPPORT_CUTOFF
+    keep = spec.eigenvalues > TAU_SUPPORT
     vk = spec.eigenvectors[:, keep]
     inv_sqrt = (vk * (1.0 / np.sqrt(spec.eigenvalues[keep]))) @ vk.conj().T
     complement = np.eye(rho.shape[-1]) - vk @ vk.conj().T
     x = inv_sqrt @ weighted @ inv_sqrt + complement / len(priors)
-    x = 0.5 * (x + x.conj().swapaxes(-1, -2))
-    _check_povm_stack(x)
-    return x
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def pretty_good_measurement(ens: Ensemble) -> Povm:
     """Square-root measurement of an ensemble.
 
     ``X_i = avg^(-1/2) (p_i rho_i) avg^(-1/2)`` with the inverse square
-    root taken on the support (eigenvalues below 1e-12 dropped); the
+    root taken on the support (eigenvalues up to TAU_SUPPORT dropped); the
     complement of the support is split evenly across the elements so the
     family is complete.
     """
@@ -273,7 +268,10 @@ def _accessible_info(priors: np.ndarray, rho: np.ndarray, samples: int,
     ``eve_states`` directly."""
     if samples < 0:
         raise OutOfRangeError("samples must be nonnegative")
-    best = _measured_information(priors, _pgm_stack(priors, rho), rho)
+    h_label = float(_entropy_bits(priors))
+    pgm = _pgm_stack(priors, rho)
+    _check_povm_stack(pgm)
+    best = _measured_information(priors, h_label, pgm, rho)
     d = rho.shape[-1]
     block = max(1, _BLOCK_ENTRIES // d**2)
     stream = SplitMix64(seed)
@@ -281,7 +279,7 @@ def _accessible_info(priors: np.ndarray, rho: np.ndarray, samples: int,
         m = min(block, samples - start)
         bases = gram_schmidt_unitary(stream.gaussian_matrix(m * d, d).reshape(m, d, d))
         cond = np.einsum("sxa,sixa->sia", bases.conj(), rho @ bases[:, None])
-        best = max(best, float(_label_information(priors, cond.real).max()))
+        best = max(best, float(_label_information(priors, h_label, cond.real).max()))
     return best
 
 
@@ -300,8 +298,8 @@ def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float
 
 
 def xor_entropy_bound(ed: ErrorDistribution) -> float:
-    """Entropy in bits of the conjugate-basis error pattern."""
-    return shannon_entropy(ed.probs)
+    """Entropy in bits of the conjugate-basis error pattern (checked by ``ed``)."""
+    return float(_entropy_bits(ed.probs))
 
 
 def boykin_bound(ed: ErrorDistribution) -> float:
@@ -351,16 +349,16 @@ class BoundsReport:
             self.h_xor, self.chi_orig, self.chi_sym, self.i_lower,
             self.boykin_rhs, self.corollary_rhs,
         )
-        if min(entropic) < -1e-9:
+        if min(entropic) < -TAU_SLACK:
             raise OutOfRangeError("negative entropic field in report")
-        if not -1e-9 <= self.delta <= 1.0 + 1e-9:
+        if not -TAU_SLACK <= self.delta <= 1.0 + TAU_SLACK:
             raise OutOfRangeError(f"delta {self.delta} outside [0, 1]")
 
 
 def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     """Run the full bound chain on one attack.
 
-    Certifies, each to 1e-9, ``i_lower <= chi_orig <= chi_sym <= h_xor``,
+    Certifies, each to TAU_SLACK, ``i_lower <= chi_orig <= chi_sym <= h_xor``,
     ``i_lower <= h_xor`` and the Gram-spectrum identity.  Raises
     TheoremViolation (carrying the report) if one fails, which can only
     mean an implementation bug.  ``chi_orig`` comes from Kraus Gram
@@ -407,11 +405,11 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
         fourier_eigenvalues=sa.lambdas,
     )
     if (
-        report.slack_main < -_SLACK_TOL
-        or report.slack_measured < -_SLACK_TOL
-        or i_lower - chi_orig > _SLACK_TOL
-        or chi_orig - chi_sym > _SLACK_TOL
-        or report.spectrum_deviation > _SLACK_TOL
+        report.slack_main < -TAU_SLACK
+        or report.slack_measured < -TAU_SLACK
+        or i_lower - chi_orig > TAU_SLACK
+        or chi_orig - chi_sym > TAU_SLACK
+        or report.spectrum_deviation > TAU_SLACK
     ):
         raise TheoremViolation("audited bounds violated beyond tolerance", report)
     return report

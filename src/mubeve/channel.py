@@ -25,6 +25,7 @@ from .linalg import (
     TAU_PSD,
     TAU_UNIT,
     DensityMatrix,
+    _check_probabilities,
     as_index,
     mub_transform,
     sign_grid,
@@ -90,14 +91,9 @@ class ErrorDistribution:
             raise DimensionMismatchError(
                 f"distribution has {p.size} entries, expected {1 << self.n}"
             )
-        if (
-            not np.isfinite(p).all()
-            or float(p.min()) < -TAU_PSD
-            or float(p.max()) > 1.0 + TAU_PSD
-        ):
+        _check_probabilities(p, NotADistributionError, "error probabilities")
+        if float(p.max()) > 1.0 + TAU_PSD:
             raise NotADistributionError("entries outside [0, 1]")
-        if abs(float(p.sum()) - 1.0) > 1e-9:
-            raise NotADistributionError("entries do not sum to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

@@ -12,11 +12,11 @@ import functools
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .errors import MubeveError, ParseError, TheoremViolation, ValidationError
 from .harness import (
     attack_label,
+    checked_path,
     parse_campaign,
     parse_scenario,
     run_campaign,
@@ -41,7 +41,7 @@ def _emit(payload: bytes, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload.decode("utf-8"))
     else:
-        Path(out).write_bytes(payload)
+        checked_path(out, "--out").write_bytes(payload)
 
 
 def _seed_override(args) -> int | None:
@@ -53,7 +53,7 @@ def _seed_override(args) -> int | None:
 
 def _cmd_audit(args) -> int:
     seed = _seed_override(args)
-    cfg = parse_scenario(Path(args.file).read_bytes())
+    cfg = parse_scenario(checked_path(args.file, "file").read_bytes())
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     report = run_scenario(cfg)
@@ -66,7 +66,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     seed = _seed_override(args)
-    cfg = parse_scenario(Path(args.file).read_bytes())
+    cfg = parse_scenario(checked_path(args.file, "file").read_bytes())
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     rows = [
@@ -79,7 +79,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_campaign(args) -> int:
     seed = _seed_override(args)
-    cfg = parse_campaign(Path(args.file).read_bytes())
+    cfg = parse_campaign(checked_path(args.file, "file").read_bytes())
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
     summary = run_campaign(cfg, output_path=args.out)

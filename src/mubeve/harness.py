@@ -91,7 +91,7 @@ def _load_json(text) -> dict:
         doc = json.loads(
             text, parse_constant=_finite_float, parse_float=_finite_float
         )
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -128,9 +128,14 @@ def _float_list(raw, field) -> tuple[float, ...]:
 
 
 def _complex_array(raw, field) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+    """Nested lists of [re, im] pairs as a complex array, else ValidationError."""
+    message = "complex entries must be [re, im] pairs"
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(field, f"{message}: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ValidationError(field, "complex entries must be [re, im] pairs")
+        raise ValidationError(field, message)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -140,16 +145,10 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         raise ValidationError("attack", "must be an object")
 
     if "unitary" in raw:
-        try:
-            unitary = _complex_array(raw["unitary"], "attack.unitary")
-        except (ValueError, OverflowError, ValidationError) as exc:
-            raise ValidationError("attack.unitary", str(exc)) from exc
+        unitary = _complex_array(raw["unitary"], "attack.unitary")
         if "ancilla" not in raw:
             raise ValidationError("attack.ancilla", "missing required field")
-        try:
-            ancilla = _complex_array(raw["ancilla"], "attack.ancilla")
-        except (ValueError, OverflowError, ValidationError) as exc:
-            raise ValidationError("attack.ancilla", str(exc)) from exc
+        ancilla = _complex_array(raw["ancilla"], "attack.ancilla")
         try:
             if unitary.ndim == 2:  # from_unitary rejects every other shape
                 check_total_dim(n_qubits, unitary.shape[0] >> n_qubits)
@@ -338,12 +337,21 @@ def write_report(rows, fmt: str = "csv") -> bytes:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def checked_path(path: str, field: str) -> Path:
+    """``path`` as a Path, or ValidationError(field) when it holds a NUL
+    character, which no file system accepts."""
+    if "\0" in path:
+        raise ValidationError(field, f"{path!r} contains a NUL character")
+    return Path(path)
+
+
 def _campaign_paths(output: str) -> tuple[Path, Path]:
     """The CSV path of a campaign and its JSON mirror, ``output`` with the
     suffix replaced by ``.json``.  Raises ValidationError("output") when
     the two coincide (``output`` already ends in ``.json``), since the
-    mirror would overwrite the rows, or when ``output`` has no file name."""
-    csv = Path(output)
+    mirror would overwrite the rows, or when ``output`` has no file name
+    or holds a NUL character."""
+    csv = checked_path(output, "output")
     try:
         mirror = csv.with_suffix(".json")
     except ValueError as exc:

@@ -23,17 +23,24 @@ from .errors import (
     DimensionTooLargeError,
     EigensolverError,
     InvalidStateError,
+    MubeveError,
     NotADistributionError,
     NotHermitianError,
     OutOfRangeError,
 )
 
-# Shared tolerances.  Double precision with dimensions up to 512.
-TAU_HERM = 1e-9
-TAU_TR = 1e-9
-TAU_PSD = 1e-10
-TAU_EIG = 1e-10
-TAU_UNIT = 1e-9
+# Tolerances, one table for the whole package.  Double precision with
+# dimensions up to 512; every residual is a max-norm.
+TAU_HERM = 1e-9      # Hermitian residual |a - a^H| of a matrix
+TAU_TR = 1e-9        # |trace - 1| of a state, |sum - 1| of a probability row
+TAU_PSD = 1e-10      # lowest admitted eigenvalue or probability is -TAU_PSD
+TAU_UNIT = 1e-9      # unitarity residual of a unitary or a Kraus table
+TAU_POVM = 1e-8      # completeness residual |sum_a X_a - I| of a POVM
+TAU_SUPPORT = 1e-12  # eigenvalues above this span the support of a PGM average
+TAU_RANK = 1e-12     # |R_kk| below this makes QR columns numerically dependent
+TAU_SPREAD = 1e-10   # spread of a purification overlap over pairs with one i XOR j
+TAU_FOURIER = 1e-9   # Fourier eigenvalues: imaginary part, and gap to the eigensolver
+TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 
 # Largest supported qubit count for basis transforms and channels.
 N_MAX = 4
@@ -188,14 +195,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError("density matrix must be square")
-        res = hermitian_residual(m)
-        if res > TAU_HERM:
-            raise NotHermitianError(
-                f"Hermitian residual {res:.3e} exceeds {TAU_HERM}"
-            )
+        m = _check_hermitian(np.array(self.matrix, dtype=complex))
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TAU_TR:
             raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
@@ -245,23 +245,30 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     return DensityMatrix(red)
 
 
+def _check_probabilities(p, error: type[MubeveError], what="probabilities") -> None:
+    """Raise ``error`` unless every row (last axis) of ``p`` is a
+    probability vector: finite, no entry below -TAU_PSD, and a sum within
+    TAU_TR of 1.  ``what`` names the rows in the message."""
+    if not np.isfinite(p).all():
+        raise error(f"{what}: non-finite entries")
+    if p.size and float(p.min()) < -TAU_PSD:
+        raise error(f"{what}: entry {p.min():.3e} below -{TAU_PSD}")
+    dev = float(np.max(np.abs(p.sum(axis=-1) - 1.0), initial=0.0))
+    if dev > TAU_TR:
+        raise error(f"{what}: sum deviates from 1 by {dev:.3e}, beyond {TAU_TR}")
+
+
 def density_spectra(m, union: bool = False) -> np.ndarray:
     """Eigenvalues, descending, of each Hermitian matrix in a stack
     ``m[..., k, k]``, checked like the spectra of density matrices.
 
-    Each spectrum must sum to 1 within TAU_TR and have no eigenvalue below
-    -TAU_PSD, else InvalidStateError.  With ``union`` the stack is the
+    Each spectrum must pass ``_check_probabilities``, its sum being the
+    trace, else InvalidStateError.  With ``union`` the stack is the
     block-diagonal form of one state, so only the union of its spectra
     must sum to 1.  Non-finite entries raise EigensolverError.
     """
     w = _eigh(m, want_vectors=False)[0][..., ::-1]
-    traces = (w.reshape(1, -1) if union else w).sum(axis=-1)
-    bad = np.abs(traces - 1.0) > TAU_TR
-    if bad.any():
-        tr = float(traces[bad][0])
-        raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
-    if w.size and float(w.min()) < -TAU_PSD:
-        raise InvalidStateError(f"smallest eigenvalue below -{TAU_PSD}")
+    _check_probabilities(w.reshape(1, -1) if union else w, InvalidStateError, "spectrum")
     return w
 
 
@@ -287,6 +294,13 @@ def mixture_spectra(vectors, weight: float = 1.0, union: bool = False) -> np.nda
     return density_spectra(weight * m, union)
 
 
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """``-sum p log2 p`` in bits over the last axis, unchecked.  An entry
+    <= 0 adds a zero term, so rounding negatives read as 0 without a clip."""
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.sum(p * logs, axis=-1) + 0.0  # normalize -0.0
+
+
 def spectral_entropies(w) -> np.ndarray:
     """Entropy in bits of each row (last axis) of a table of eigenvalues,
     taken over the positive part renormalized to unit sum.
@@ -300,9 +314,7 @@ def spectral_entropies(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     p = np.where(w > 0.0, w, 0.0)
     total = p.sum(axis=-1, keepdims=True)
-    p = np.divide(p, total, out=np.zeros_like(p), where=total > 0.0)
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -np.sum(p * logs, axis=-1) + 0.0  # normalize -0.0
+    return _entropy_bits(np.divide(p, total, out=np.zeros_like(p), where=total > 0.0))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -314,24 +326,12 @@ def von_neumann_entropy(rho) -> float:
 def shannon_entropies(p) -> np.ndarray:
     """Shannon entropy in bits of each row (last axis) of a probability table.
 
-    Entries in [-TAU_PSD, 0) are clipped to 0; every row must be finite
-    and sum to 1 within 1e-9, otherwise NotADistributionError is raised.
+    Every row must pass ``_check_probabilities``, else NotADistributionError
+    is raised; entries in [-TAU_PSD, 0) count as 0.
     """
     arr = np.asarray(p, dtype=float)
-    if not np.isfinite(arr).all():
-        raise NotADistributionError("distribution has non-finite entries")
-    if arr.size and float(arr.min()) < -TAU_PSD:
-        raise NotADistributionError(
-            f"entry {arr.min():.3e} below -{TAU_PSD}"
-        )
-    totals = arr.sum(axis=-1)
-    bad = np.abs(totals - 1.0) > 1e-9
-    if bad.any():
-        total = float(totals[bad][0])
-        raise NotADistributionError(f"sum {total!r} deviates from 1 beyond 1e-9")
-    q = np.clip(arr, 0.0, None)
-    logs = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
-    return -np.sum(q * logs, axis=-1) + 0.0  # normalize -0.0
+    _check_probabilities(arr, NotADistributionError)
+    return _entropy_bits(arr)
 
 
 def shannon_entropy(p) -> float:

@@ -52,6 +52,7 @@ import math
 import numpy as np
 
 from .errors import DependentColumnsError, DimensionMismatchError
+from .linalg import TAU_RANK
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -144,7 +145,7 @@ def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
     Householder QR with the phases of ``Q`` fixed so that ``R`` has a
     positive real diagonal: the Gram-Schmidt basis of the columns, in
     their order.  Raises DependentColumnsError when some ``|R_kk|`` is
-    below 1e-12 (or not finite).
+    below TAU_RANK (or not finite).
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (2, 3) or a.shape[-1] > a.shape[-2]:
@@ -154,7 +155,7 @@ def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     size = np.abs(diag)
-    if size.size and not size.min() >= 1e-12:
+    if size.size and not size.min() >= TAU_RANK:
         raise DependentColumnsError("columns are numerically dependent")
     return q * (diag / size)[..., None, :]
 

@@ -30,15 +30,15 @@ import numpy as np
 from .errors import DimensionMismatchError, TranslationInvarianceError
 from .channel import AttackChannel, ErrorDistribution, require_basis_b
 from .linalg import (
+    TAU_FOURIER,
+    TAU_SPREAD,
     DensityMatrix,
+    _check_probabilities,
+    _eigh,
     as_index,
-    hermitian_eigenvalues,
     sign_grid,
     xor_grid,
 )
-
-_F_SPREAD_TOL = 1e-10
-_SPECTRUM_XCHECK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,7 @@ class SigmaAnalysis:
         lam = np.array(self.lambdas, dtype=float).reshape(-1)
         if self.sigma.dim != d or f.size != d or lam.size != d:
             raise DimensionMismatchError("component sizes disagree")
-        if float(lam.min()) < -1e-10:
-            raise TranslationInvarianceError(
-                f"negative Fourier eigenvalue {lam.min():.3e}"
-            )
-        if abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise TranslationInvarianceError("Fourier eigenvalues do not sum to 1")
+        _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
         f.setflags(write=False)
         lam.setflags(write=False)
         object.__setattr__(self, "f_values", f)
@@ -133,7 +128,7 @@ def sigma_matrix(vectors) -> SigmaAnalysis:
     The Gram matrix is authoritative: ``sigma[i, j] = 2**-n <phi_j|phi_i>``,
     so unnormalized rows fail its unit-trace check.  The overlap profile
     must depend on i XOR j only; the representative spread is checked to
-    1e-10 and a violation raises TranslationInvarianceError (an
+    TAU_SPREAD and a violation raises TranslationInvarianceError (an
     implementation bug, not a bad input).
     """
     vecs = np.asarray(vectors, dtype=complex)
@@ -186,13 +181,13 @@ def _sigma_analysis(n: int, gram: np.ndarray) -> SigmaAnalysis:
     d = 1 << n
     reps = gram[np.arange(d)[None, :], xor_grid(n)]  # reps[t, i] = gram[i, i ^ t]
     spread = float(np.max(np.abs(reps - reps[:, :1])))
-    if spread > _F_SPREAD_TOL:
+    if spread > TAU_SPREAD:
         raise TranslationInvarianceError(
             f"overlap profile varies by {spread:.3e} across representatives"
         )
     f_values = gram[0, :].copy()         # representative i = 0
     lambdas_c = sign_grid(n) @ f_values / float(d)
-    if float(np.max(np.abs(lambdas_c.imag))) > 1e-9:
+    if float(np.max(np.abs(lambdas_c.imag))) > TAU_FOURIER:
         raise TranslationInvarianceError("Fourier eigenvalues are not real")
     return SigmaAnalysis(
         n=n,
@@ -207,16 +202,17 @@ def sigma_spectrum_check(sa: SigmaAnalysis, ed: ErrorDistribution) -> float:
     conjugate-basis error distribution, index by index.
 
     Also cross-checks the Fourier eigenvalues against the Hermitian
-    eigensolver as multisets; disagreement beyond 1e-9 means the two
-    routes diverged and is raised as an internal error.
+    eigensolver as multisets; disagreement beyond TAU_FOURIER means the
+    two routes diverged and is raised as an internal error.  ``sa.sigma``
+    was checked when built, so the eigensolve skips the Hermitian check.
     """
     if sa.n != ed.n:
         raise DimensionMismatchError("qubit counts disagree")
     deviation = float(np.max(np.abs(sa.lambdas - ed.probs)))
-    solver = hermitian_eigenvalues(sa.sigma.matrix)
+    solver = _eigh(sa.sigma.matrix, want_vectors=False)[0][::-1]
     fourier = np.sort(sa.lambdas)[::-1]
     xcheck = float(np.max(np.abs(solver - fourier)))
-    if xcheck > _SPECTRUM_XCHECK_TOL:
+    if xcheck > TAU_FOURIER:
         raise TranslationInvarianceError(
             f"Fourier and eigensolver spectra disagree by {xcheck:.3e}"
         )

@@ -37,7 +37,7 @@ from mubeve.errors import (
     TheoremViolation,
     WrongBasisError,
 )
-from mubeve.linalg import DensityMatrix, hermitian_eigenvalues
+from mubeve.linalg import DensityMatrix, hermitian_eigenvalues, shannon_entropy
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
 from mubeve.symmetrize import (
     error_patterns,
@@ -297,7 +297,9 @@ class TestPgmStack:
         ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
         rho = eve_states(ch)
         stack = bounds._pgm_stack(ens.priors, rho)
-        got = bounds._measured_information(ens.priors, stack, rho)
+        bounds._check_povm_stack(stack)
+        h_label = shannon_entropy(ens.priors)
+        got = bounds._measured_information(ens.priors, h_label, stack, rho)
         want = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
         assert abs(got - want) <= 1e-12
 
@@ -510,6 +512,37 @@ class TestAuditAttack:
             "AttackChannel": 0, "symmetrize": 0,
             "purification_vectors": 0, "sigma_matrix": 0,
         }
+
+    def test_checks_each_distribution_once(self, monkeypatch):
+        # the probability rule runs once per validated array: the error
+        # distribution, the four spectrum stacks and the Fourier spectrum;
+        # the measured search scores with the unchecked entropy core
+        checked = []
+        linalg = importlib.import_module("mubeve.linalg")
+        rule = linalg._check_probabilities
+
+        def recording(p, error, *rest):
+            checked.append((p, error.__name__))
+            rule(p, error, *rest)
+
+        for module in (linalg, bounds, symmetrize_module,
+                       importlib.import_module("mubeve.channel")):
+            if hasattr(module, "_check_probabilities"):
+                monkeypatch.setattr(module, "_check_probabilities", recording)
+        entropy_calls = []
+        for name in ("shannon_entropies", "shannon_entropy"):
+            monkeypatch.setattr(
+                linalg, name, lambda *args: entropy_calls.append(args)
+            )
+        audit_attack(random_attack(3, 2, 19), 16, 2)
+        assert [name for _, name in checked] == [
+            "NotADistributionError",
+            "InvalidStateError", "InvalidStateError",   # kraus_holevo_chi
+            "InvalidStateError", "InvalidStateError",   # symmetrized_holevo_chi
+            "TranslationInvarianceError",               # SigmaAnalysis
+        ]
+        assert len({id(p) for p, _ in checked}) == len(checked)
+        assert entropy_calls == []
 
     def test_inflated_i_lower_violates_chain(self, monkeypatch):
         ch = random_attack(2, 2, 11)

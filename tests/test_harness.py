@@ -31,6 +31,10 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FROZEN = Path(__file__).resolve().parent / "data"
 
 
+# an array nested far beyond the interpreter's recursion limit
+DEEP_DOCUMENT = b'{"n_qubits": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+
+
 def minimal_scenario(**overrides):
     doc = {
         "n_qubits": 1,
@@ -64,6 +68,10 @@ class TestParseScenario:
     def test_bad_json(self):
         with pytest.raises(ParseError):
             parse_scenario(b"{not json")
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_scenario(DEEP_DOCUMENT)
 
     def test_non_object_document(self):
         with pytest.raises(ParseError):
@@ -172,6 +180,12 @@ class TestParseCampaign:
         doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0}
         with pytest.raises(ValidationError):
             parse_campaign(json.dumps(doc))
+
+    def test_output_with_nul_rejected(self):
+        doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": "x\0.csv"}
+        with pytest.raises(ValidationError) as err:
+            parse_campaign(json.dumps(doc))
+        assert err.value.field == "output"
 
     @pytest.mark.parametrize("output", ["x.json", "out/report.json", "."])
     def test_output_that_is_its_own_mirror_rejected(self, output):
@@ -406,6 +420,14 @@ class TestCli:
         bad.write_text("{")
         assert main(["audit", str(bad)]) == 2
 
+    def test_deep_nesting_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "deep.scenario"
+        bad.write_bytes(DEEP_DOCUMENT)
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid JSON: ")
+
     @pytest.mark.parametrize("command,text", [
         ("audit", '{"n_qubits": 1, "attack": {"kind": "probe_overlap", '
                   '"params": [NaN]}, "povm_samples": 2, "seed": 1}'),
@@ -446,6 +468,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: attack.{field}: ")
+
+    @pytest.mark.parametrize("field,value", [
+        ("unitary", {"re": 1.0, "im": 0.0}),
+        ("unitary", [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]),
+        ("unitary", [[[1, 0], [0]], [[0, 0], [1, 0]]]),
+        ("ancilla", {"re": 1.0, "im": 0.0}),
+        ("ancilla", [[1, 0, 0]]),
+    ])
+    def test_malformed_explicit_attack_exit_code(self, tmp_path, capsys, field, value):
+        attack = {"unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "ancilla": [[1, 0]]}
+        attack[field] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario(attack=attack))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: attack.{field}: complex entries")
+        assert captured.err.count("attack.") == 1  # the field is named once
+
+    @pytest.mark.parametrize("command, document, field", [
+        ("audit", "identity.scenario", "--out"),
+        ("sweep", "probe_sweep.scenario", "--out"),
+        ("campaign", "campaign_small.json", "output"),
+    ])
+    def test_nul_in_path_exit_code(self, capsys, command, document, field):
+        # a command line cannot carry NUL, but an in-process argv can
+        for argv, named in (
+            ([command, str(SCENARIOS / document), "--out", "r\0.csv"], field),
+            ([command, "doc\0.scenario"], "file"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {named}: ")
 
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
         calls = {"audit_attack": 0, "make_attack": 0, "symmetrized_sigma": 0}

@@ -20,6 +20,7 @@ from mubeve.errors import (
 )
 from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
 from mubeve.symmetrize import (
+    SigmaAnalysis,
     project_ancilla,
     purification_vectors,
     sigma_matrix,
@@ -267,6 +268,14 @@ class TestSigmaMatrix:
         pur = purification_vectors(symmetrize(random_attack(1, 2, 6)))
         with pytest.raises(InvalidStateError):
             sigma_matrix(1.1 * pur)
+
+    @pytest.mark.parametrize("lambdas", [
+        [np.nan, np.nan], [np.nan, 1.0], [1.5, -0.5], [0.7, 0.7],
+    ])
+    def test_fourier_spectrum_must_be_a_distribution(self, lambdas):
+        sigma = DensityMatrix(np.eye(2) / 2)
+        with pytest.raises(TranslationInvarianceError):
+            SigmaAnalysis(n=1, sigma=sigma, f_values=[1.0, 0.0], lambdas=lambdas)
 
 
 class TestSpectrumCheck:
