@@ -54,12 +54,12 @@ from .channel import (
 from .symmetrize import (
     SigmaAnalysis,
     error_patterns,
+    fourier_spectrum,
     project_ancilla,
     purification_vectors,
     sigma_matrix,
     sigma_spectrum_check,
     symmetrize,
-    symmetrized_sigma,
 )
 from .bounds import (
     BoundsReport,

@@ -31,7 +31,6 @@ from .channel import (
     AttackChannel,
     ErrorDistribution,
     eve_states,
-    require_basis_b,
     xor_error_distribution,
 )
 from .linalg import (
@@ -42,19 +41,19 @@ from .linalg import (
     TAU_SUPPORT,
     DensityMatrix,
     _check_probabilities,
+    _eigh,
     _entropy_bits,
     _min_eigenvalue_at_least,
     density_spectra,
-    hermitian_eigendecomposition,
     hermitian_residual,
     mixture_spectra,
     sign_grid,
     spectral_entropies,
     von_neumann_entropy,
-    xor_grid,
+    xor_regroup,
 )
 from .rng import SplitMix64, gram_schmidt_unitary
-from .symmetrize import error_patterns, sigma_spectrum_check, symmetrized_sigma
+from .symmetrize import error_patterns, fourier_spectrum
 
 _BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
 
@@ -184,7 +183,7 @@ def symmetrized_holevo_chi(patterns) -> float:
     signed = (s[:, :, None] * p).reshape(d, -1)   # row j: (-1)**(m.j) P[j, m]
     state = density_spectra((1.0 / d) * (signed @ signed.conj().T))
     walsh = s @ p                                 # walsh[c, x] = W[c, x]
-    blocks = walsh[np.arange(d)[None, :], xor_grid(n)]  # blocks[l, c] = W[c, l ^ c]
+    blocks = xor_regroup(walsh)                   # blocks[l, c] = W[c, l ^ c]
     average = mixture_spectra(blocks, 1.0 / d**2, union=True)
     chi = spectral_entropies(average.reshape(-1)) - spectral_entropies(state)
     return float(chi) + 0.0  # normalize -0.0
@@ -241,10 +240,11 @@ def _pgm_stack(priors: np.ndarray, rho: np.ndarray) -> np.ndarray:
     whole stack (``_check_povm_stack``, or ``Povm``).
     """
     weighted = priors[:, None, None] * rho
-    spec = hermitian_eigendecomposition(weighted.sum(axis=0))
-    keep = spec.eigenvalues > TAU_SUPPORT
-    vk = spec.eigenvectors[:, keep]
-    inv_sqrt = (vk * (1.0 / np.sqrt(spec.eigenvalues[keep]))) @ vk.conj().T
+    w, v = _eigh(weighted.sum(axis=0), want_vectors=True)  # Hermitian by construction
+    w, v = w[::-1], v[:, ::-1]                               # descending
+    keep = w > TAU_SUPPORT
+    vk = v[:, keep]
+    inv_sqrt = (vk * (1.0 / np.sqrt(w[keep]))) @ vk.conj().T
     complement = np.eye(rho.shape[-1]) - vk @ vk.conj().T
     x = inv_sqrt @ weighted @ inv_sqrt + complement / len(priors)
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
@@ -325,8 +325,9 @@ class BoundsReport:
     their slacks, plus the spectrum-identity residual.
 
     ``fourier_eigenvalues`` is the Fourier spectrum of the symmetrized
-    Gram profile that the residual compares with ``error_dist``; it is
-    kept for inspection and is not a report column.
+    Gram profile, read off the Walsh table (``fourier_spectrum``), that
+    the residual compares with ``error_dist``; it is kept for inspection
+    and is not a report column.
     """
 
     n: int
@@ -364,16 +365,14 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     mean an implementation bug.  ``chi_orig`` comes from Kraus Gram
     spectra (``kraus_holevo_chi``), which also checks the spectra of the
     original states; the measured search runs on their unvalidated stack
-    (``eve_states``) and checks its pretty good measurement once.  The
-    symmetrized attack is never built: ``chi_sym``
-    (``symmetrized_holevo_chi``) and the purification Gram of the
-    spectrum identity (``symmetrized_sigma``) come from the original
-    table regrouped by error pattern (``error_patterns``), while the
-    error distribution they are checked against comes independently from
-    the conjugate-basis table (``xor_error_distribution``).
+    (``eve_states``) and checks its pretty good measurement once.  Neither
+    the symmetrized attack nor its purification Gram is built: ``chi_sym``
+    (``symmetrized_holevo_chi``) and the Fourier spectrum of the identity
+    (``fourier_spectrum``) come from the original table regrouped by error
+    pattern (``error_patterns``), while the error distribution they are
+    checked against comes independently from the conjugate-basis table
+    (``xor_error_distribution``, which also refuses other bases).
     """
-    require_basis_b(ch)
-
     ed = xor_error_distribution(ch)
     delta_raw = ed.delta
     h_xor = xor_entropy_bound(ed)
@@ -385,8 +384,8 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     priors = np.full(ch.dim, 1.0 / ch.dim)
     i_lower = _accessible_info(priors, eve_states(ch), samples, seed)
 
-    sa = symmetrized_sigma(patterns)
-    spectrum_deviation = sigma_spectrum_check(sa, ed)
+    lambdas = fourier_spectrum(patterns)
+    spectrum_deviation = float(np.max(np.abs(lambdas - ed.probs)))
 
     report = BoundsReport(
         n=ch.n,
@@ -402,7 +401,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
         slack_main=h_xor - chi_sym,
         slack_measured=h_xor - i_lower,
         spectrum_deviation=spectrum_deviation,
-        fourier_eigenvalues=sa.lambdas,
+        fourier_eigenvalues=lambdas,
     )
     if (
         report.slack_main < -TAU_SLACK

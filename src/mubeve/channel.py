@@ -29,7 +29,7 @@ from .linalg import (
     as_index,
     mub_transform,
     sign_grid,
-    xor_grid,
+    xor_regroup,
 )
 
 
@@ -207,7 +207,6 @@ def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
     require_basis_b(ch)
     kbar = _conjugate_kraus(ch.n, ch.kraus)
     norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
-    idx = np.arange(ch.dim)
     # row c averages norms[i, i ^ c] over the inputs i
-    probs = norms[idx[None, :], xor_grid(ch.n)].mean(axis=1)
+    probs = xor_regroup(norms).mean(axis=1)
     return ErrorDistribution(n=ch.n, probs=probs)

@@ -25,6 +25,7 @@ from .harness import (
     sigma_spectrum_detail,
     write_report,
 )
+from .rng import MASK64
 from .zoo import KINDS
 
 _ZOO_NOTES = {
@@ -45,9 +46,12 @@ def _emit(payload: bytes, out: str | None) -> None:
 
 
 def _seed_override(args) -> int | None:
-    """The ``--seed`` value, held to the rule documents follow: >= 0."""
+    """The ``--seed`` value, held to the rule documents follow: a seed of
+    the 64-bit stream, 0 <= seed <= 2**64 - 1."""
     if args.seed is not None and args.seed < 0:
         raise ValidationError("--seed", f"must be >= 0, got {args.seed}")
+    if args.seed is not None and args.seed > MASK64:
+        raise ValidationError("--seed", f"must be <= {MASK64}, got {args.seed}")
     return args.seed
 
 

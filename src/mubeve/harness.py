@@ -27,7 +27,7 @@ from .errors import (
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
 from .linalg import N_MAX
-from .rng import mix
+from .rng import MASK64, mix
 from .zoo import AttackSpec, check_total_dim, make_attack, random_attack
 
 CSV_HEADER = (
@@ -81,6 +81,17 @@ def _finite_float(text):
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, or ParseError when a key repeats; ``json`` would keep
+    the last value silently."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_json(text) -> dict:
     if isinstance(text, bytes):
         try:
@@ -89,7 +100,8 @@ def _load_json(text) -> dict:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(
-            text, parse_constant=_finite_float, parse_float=_finite_float
+            text, parse_constant=_finite_float, parse_float=_finite_float,
+            object_pairs_hook=_unique_keys,
         )
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
         raise ParseError(f"invalid JSON: {exc}") from exc
@@ -128,14 +140,19 @@ def _float_list(raw, field) -> tuple[float, ...]:
 
 
 def _complex_array(raw, field) -> np.ndarray:
-    """Nested lists of [re, im] pairs as a complex array, else ValidationError."""
+    """Nested lists of [re, im] number pairs as a complex array, else
+    ValidationError.  ``numpy`` would also convert strings such as "1" and
+    booleans, so the parsed entries must be JSON numbers."""
     message = "complex entries must be [re, im] pairs"
     try:
-        arr = np.asarray(raw, dtype=float)
+        entries = np.asarray(raw, dtype=object)
+        arr = entries.astype(float)  # ragged or non-numeric entries fail here
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(field, f"{message}: {exc}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(field, message)
+    if not set(map(type, entries.ravel())) <= {int, float}:
+        raise ValidationError(field, f"{message} of numbers, not strings or booleans")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -165,7 +182,8 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
     params = _float_list(raw.get("params", []), "attack.params")
     eve_dim = _int_field(raw, "eve_dim", default=1, prefix="attack.")
-    seed = _int_field(raw, "seed", minimum=0, default=0, prefix="attack.")
+    seed = _int_field(raw, "seed", minimum=0, maximum=MASK64, default=0,
+                      prefix="attack.")
     try:
         return AttackSpec(kind=kind, n=n, params=params, eve_dim=eve_dim, seed=seed)
     except (UnsupportedCombinationError, OutOfRangeError,
@@ -183,7 +201,7 @@ def parse_scenario(text) -> ScenarioConfig:
     n_qubits = _int_field(doc, "n_qubits", minimum=1, maximum=N_MAX)
     attack = _parse_attack(doc, n_qubits)
     povm_samples = _int_field(doc, "povm_samples", minimum=0)
-    seed = _int_field(doc, "seed", minimum=0)
+    seed = _int_field(doc, "seed", minimum=0, maximum=MASK64)
 
     analyses = doc.get("analyses", ["audit"])
     if not isinstance(analyses, list) or not analyses:
@@ -229,7 +247,7 @@ def parse_campaign(text) -> CampaignConfig:
             raise ValidationError(field, str(exc)) from exc
         grid.append((n, eve_dim))
     count = _int_field(doc, "count", minimum=0)
-    master_seed = _int_field(doc, "master_seed", minimum=0)
+    master_seed = _int_field(doc, "master_seed", minimum=0, maximum=MASK64)
     output = doc.get("output")
     if not isinstance(output, str) or not output:
         raise ValidationError("output", "must be a nonempty path string")

@@ -369,6 +369,13 @@ def xor_grid(n: int) -> np.ndarray:
     return grid
 
 
+def xor_regroup(a) -> np.ndarray:
+    """``out[c, i] = a[i, i ^ c]`` over the two leading axes of ``a``, both
+    of length 2**n: row c gathers the entries whose indices differ by c."""
+    d = a.shape[0]
+    return a[np.arange(d)[None, :], xor_grid(d.bit_length() - 1)]
+
+
 def mub_transform(n: int) -> np.ndarray:
     """Change of basis between the computational basis and its conjugate.
 

@@ -12,13 +12,13 @@ profile reproduces the conjugate-basis error distribution.  That
 identity is the numerical engine behind the audit bounds and is
 re-verified on every audit.
 
-Audits never build the enlarged table.  Every symmetrized Kraus vector
-is a signed stack of the original vectors with one error pattern
-``c = i ^ j``, so the audit works on the original table regrouped by
-error pattern (``error_patterns``); ``symmetrized_sigma`` reads the
-purification Gram off it.  ``symmetrize``, ``purification_vectors`` and
-``sigma_matrix`` build the same objects densely and are the reference
-route.
+Audits build neither the enlarged table nor the purification Gram: every
+symmetrized Kraus vector is a signed stack of the original vectors with
+one error pattern ``c = i ^ j``, so the audit reads the Fourier spectrum
+off the Walsh transform of the original table regrouped by error pattern
+(``error_patterns``, ``fourier_spectrum``).  ``symmetrize``,
+``purification_vectors``, ``sigma_matrix`` and ``sigma_spectrum_check``
+build and check the Gram state densely and are the reference route.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .linalg import (
     as_index,
     sign_grid,
     xor_grid,
+    xor_regroup,
 )
 
 
@@ -115,10 +116,9 @@ def purification_vectors(sym: AttackChannel) -> np.ndarray:
     is normalized by row orthonormality of the table, and tracing out the
     reference recovers the apparatus state for input i.
     """
-    d = sym.dim
     # Reference slot p holds the Kraus vector with j = i ^ p.
-    by_slot = sym.kraus[np.arange(d)[:, None], xor_grid(sym.n)]  # (i, p, app)
-    return by_slot.transpose(0, 2, 1).reshape(d, -1)   # apparatus-major
+    by_slot = xor_regroup(sym.kraus)                   # (p, i, app)
+    return by_slot.transpose(1, 2, 0).reshape(sym.dim, -1)   # apparatus-major
 
 
 def sigma_matrix(vectors) -> SigmaAnalysis:
@@ -138,48 +138,8 @@ def sigma_matrix(vectors) -> SigmaAnalysis:
         raise DimensionMismatchError(
             f"purifications are {vecs.shape}, expected 2**n rows with n >= 1"
         )
-    return _sigma_analysis(n, vecs @ vecs.conj().T)
-
-
-def error_patterns(kraus) -> np.ndarray:
-    """A Kraus table regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``,
-    of shape (2**n, 2**n, eve_dim).
-
-    Row c holds the vectors that turn input a into output a XOR c.  The
-    symmetrized Kraus vectors are signed stacks of one such row,
-    ``symmetrize(ch).kraus[i, i ^ c] = 2**(-n/2) sum_m (-1)**(m.c) |m> (x)
-    P[c, i ^ m]``.
-    """
-    k = np.asarray(kraus, dtype=complex)
-    d = k.shape[0]
-    return k[np.arange(d)[None, :], xor_grid(d.bit_length() - 1)]
-
-
-def symmetrized_sigma(patterns) -> SigmaAnalysis:
-    """``sigma_matrix(purification_vectors(symmetrize(ch)))`` computed from
-    ``patterns = error_patterns(ch.kraus)``, without the enlarged table.
-
-    The signs of a symmetrized vector cancel in overlaps at equal error
-    pattern, so the purification Gram is the shift average
-    ``<phi_j|phi_i> = 2**-n sum_m Gamma[i ^ m, j ^ m]`` of the original
-    overlaps ``Gamma[a, b] = sum_p <P[p, b]|P[p, a]>``.  Every check of
-    ``sigma_matrix`` runs on it.
-    """
-    p = np.asarray(patterns, dtype=complex)
-    d = p.shape[0]
-    n = d.bit_length() - 1
-    by_input = p.transpose(1, 0, 2).reshape(d, -1)     # row a: every P[p, a]
-    gamma = by_input @ by_input.conj().T
-    x = xor_grid(n)                                    # x[m, i] = i ^ m
-    gram = gamma[x[:, :, None], x[:, None, :]].sum(axis=0) / float(d)
-    return _sigma_analysis(n, gram)
-
-
-def _sigma_analysis(n: int, gram: np.ndarray) -> SigmaAnalysis:
-    """Check a purification Gram ``gram[i, j] = <phi_j|phi_i>`` for
-    translation invariance and take the Fourier spectrum of its profile."""
-    d = 1 << n
-    reps = gram[np.arange(d)[None, :], xor_grid(n)]  # reps[t, i] = gram[i, i ^ t]
+    gram = vecs @ vecs.conj().T
+    reps = xor_regroup(gram)             # reps[t, i] = gram[i, i ^ t]
     spread = float(np.max(np.abs(reps - reps[:, :1])))
     if spread > TAU_SPREAD:
         raise TranslationInvarianceError(
@@ -195,6 +155,37 @@ def _sigma_analysis(n: int, gram: np.ndarray) -> SigmaAnalysis:
         f_values=f_values,
         lambdas=lambdas_c.real.copy(),
     )
+
+
+def error_patterns(kraus) -> np.ndarray:
+    """A Kraus table regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``,
+    of shape (2**n, 2**n, eve_dim).
+
+    Row c holds the vectors that turn input a into output a XOR c.  The
+    symmetrized Kraus vectors are signed stacks of one such row,
+    ``symmetrize(ch).kraus[i, i ^ c] = 2**(-n/2) sum_m (-1)**(m.c) |m> (x)
+    P[c, i ^ m]``.
+    """
+    return xor_regroup(np.asarray(kraus, dtype=complex))
+
+
+def fourier_spectrum(patterns) -> np.ndarray:
+    """``sigma_matrix(purification_vectors(symmetrize(ch))).lambdas``
+    computed from ``patterns = error_patterns(ch.kraus)``, without the
+    enlarged table or the purification Gram.
+
+    By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2`` with the Walsh
+    transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.  The result must
+    pass the probability rule, else TranslationInvarianceError; it is the
+    trace and the smallest eigenvalue of the Gram state.
+    """
+    p = np.asarray(patterns, dtype=complex)
+    d = p.shape[0]
+    walsh = sign_grid(d.bit_length() - 1) @ p      # walsh[c, x] = W[c, x]
+    lam = np.sum(walsh.real**2 + walsh.imag**2, axis=(0, 2)) / float(d * d)
+    _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
+    lam.setflags(write=False)
+    return lam
 
 
 def sigma_spectrum_check(sa: SigmaAnalysis, ed: ErrorDistribution) -> float:

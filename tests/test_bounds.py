@@ -40,12 +40,10 @@ from mubeve.errors import (
 from mubeve.linalg import DensityMatrix, hermitian_eigenvalues, shannon_entropy
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
 from mubeve.symmetrize import (
-    error_patterns,
     purification_vectors,
     sigma_matrix,
     sigma_spectrum_check,
     symmetrize,
-    symmetrized_sigma,
 )
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
@@ -470,9 +468,9 @@ class TestAuditAttack:
         assert rep.chi_orig > rep.chi_sym + 1e-9
         assert rep.slack_main >= -1e-9
 
-    def test_builds_no_povm_and_one_density_matrix(self, monkeypatch):
-        # every check runs on stacks; the only validated object left is the
-        # sigma Gram state of the spectrum identity
+    def test_builds_no_povm_and_no_density_matrix(self, monkeypatch):
+        # every check runs on stacks; the spectrum identity reads the Fourier
+        # spectrum off the Walsh table, without a sigma Gram state
         built = {"Povm": 0, "DensityMatrix": 0}
         for cls in (Povm, DensityMatrix):
             original = cls.__post_init__
@@ -483,7 +481,7 @@ class TestAuditAttack:
 
             monkeypatch.setattr(cls, "__post_init__", counting)
         audit_attack(random_attack(3, 2, 19), 16, 2)
-        assert built == {"Povm": 0, "DensityMatrix": 1}
+        assert built == {"Povm": 0, "DensityMatrix": 0}
 
     def test_builds_no_symmetrized_table(self, monkeypatch):
         # chi_sym and the sigma check come from the original table; the
@@ -539,7 +537,7 @@ class TestAuditAttack:
             "NotADistributionError",
             "InvalidStateError", "InvalidStateError",   # kraus_holevo_chi
             "InvalidStateError", "InvalidStateError",   # symmetrized_holevo_chi
-            "TranslationInvarianceError",               # SigmaAnalysis
+            "TranslationInvarianceError",               # fourier_spectrum
         ]
         assert len({id(p) for p, _ in checked}) == len(checked)
         assert entropy_calls == []
@@ -563,7 +561,7 @@ def dense_chi(ch):
 
 class TestKrausHolevo:
     """``audit_attack`` reads both Holevo quantities off Kraus Gram spectra
-    and the sigma check off the error-pattern table; the dense
+    and the Fourier spectrum off the error-pattern table; the dense
     ``holevo_chi`` route and the enlarged table are the oracle."""
 
     def assert_matches_dense(self, ch):
@@ -574,9 +572,6 @@ class TestKrausHolevo:
         assert kraus_holevo_chi(ch.kraus) == rep.chi_orig
         assert abs(rep.chi_sym - kraus_holevo_chi(sym.kraus)) <= 1e-12
         dense = sigma_matrix(purification_vectors(sym))
-        sa = symmetrized_sigma(error_patterns(ch.kraus))
-        assert np.max(np.abs(sa.sigma.matrix - dense.sigma.matrix)) <= 1e-12
-        assert np.max(np.abs(sa.f_values - dense.f_values)) <= 1e-12
         assert np.max(np.abs(rep.fourier_eigenvalues - dense.lambdas)) <= 1e-12
         ed = xor_error_distribution(ch)
         assert abs(rep.spectrum_deviation - sigma_spectrum_check(dense, ed)) <= 1e-12

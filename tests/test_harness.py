@@ -154,6 +154,34 @@ class TestParseScenario:
             parse_scenario(minimal_scenario(attack=attack))
         assert err.value.field == field
 
+    @pytest.mark.parametrize("text", [
+        # top level, inside the attack object, inside a nested list
+        '{"n_qubits": 1, "n_qubits": 2, "attack": {"kind": "identity"}, '
+        '"povm_samples": 2, "seed": 1}',
+        '{"n_qubits": 1, "attack": {"kind": "identity", "kind": "phase_conversion"}, '
+        '"povm_samples": 2, "seed": 1}',
+        '{"n_qubits": 1, "attack": {"kind": "identity"}, "povm_samples": 2, '
+        '"seed": 1, "sweep_thetas": [{"a": 1, "a": 2}]}',
+    ], ids=["top_level", "nested_object", "inside_list"])
+    def test_duplicate_key_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(text)
+        assert "duplicate key" in str(err.value)
+
+    def test_seed_beyond_64_bits_rejected(self):
+        # the stream keeps 64 bits of a seed, so a larger one would alias
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(minimal_scenario(seed=2**64))
+        assert err.value.field == "seed"
+        assert str(2**64 - 1) in str(err.value)
+
+    def test_largest_seed_accepted(self):
+        cfg = parse_scenario(minimal_scenario(
+            seed=2**64 - 1,
+            attack={"kind": "random_unitary", "eve_dim": 2, "seed": 2**64 - 1},
+        ))
+        assert cfg.seed == cfg.attack.seed == 2**64 - 1
+
     def test_sweep_thetas_parsed(self):
         cfg = parse_scenario(minimal_scenario(
             attack={"kind": "probe_overlap", "params": [0.0]},
@@ -186,6 +214,19 @@ class TestParseCampaign:
         with pytest.raises(ValidationError) as err:
             parse_campaign(json.dumps(doc))
         assert err.value.field == "output"
+
+    def test_master_seed_beyond_64_bits_rejected(self):
+        doc = {"grid": [[1, 1]], "count": 1, "master_seed": 2**64, "output": "x.csv"}
+        with pytest.raises(ValidationError) as err:
+            parse_campaign(json.dumps(doc))
+        assert err.value.field == "master_seed"
+        doc["master_seed"] = 2**64 - 1
+        assert parse_campaign(json.dumps(doc)).master_seed == 2**64 - 1
+
+    def test_duplicate_key_is_a_parse_error(self):
+        text = '{"grid": [[1, 1]], "count": 1, "count": 2, "master_seed": 0, "output": "x.csv"}'
+        with pytest.raises(ParseError):
+            parse_campaign(text)
 
     @pytest.mark.parametrize("output", ["x.json", "out/report.json", "."])
     def test_output_that_is_its_own_mirror_rejected(self, output):
@@ -420,6 +461,14 @@ class TestCli:
         bad.write_text("{")
         assert main(["audit", str(bad)]) == 2
 
+    def test_duplicate_key_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario().replace('"seed": 1', '"seed": 1, "seed": 2'))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate key 'seed'\n"
+
     def test_deep_nesting_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "deep.scenario"
         bad.write_bytes(DEEP_DOCUMENT)
@@ -458,6 +507,7 @@ class TestCli:
         ("seed", "x"),
         ("seed", -3),
         ("n", True),
+        ("seed", 2**64),
     ])
     def test_malformed_attack_field_exit_code(self, tmp_path, capsys, field, value):
         attack = {"kind": "random_unitary", "eve_dim": 2, "seed": 4}
@@ -475,6 +525,11 @@ class TestCli:
         ("unitary", [[[1, 0], [0]], [[0, 0], [1, 0]]]),
         ("ancilla", {"re": 1.0, "im": 0.0}),
         ("ancilla", [[1, 0, 0]]),
+        # numpy would read these as numbers; JSON strings and booleans are not
+        ("unitary", [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]),
+        ("unitary", [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]),
+        ("ancilla", [["1", 0]]),
+        ("ancilla", [[True, False]]),
     ])
     def test_malformed_explicit_attack_exit_code(self, tmp_path, capsys, field, value):
         attack = {"unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "ancilla": [[1, 0]]}
@@ -504,7 +559,7 @@ class TestCli:
             assert captured.err.startswith(f"error: {named}: ")
 
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
-        calls = {"audit_attack": 0, "make_attack": 0, "symmetrized_sigma": 0}
+        calls = {"audit_attack": 0, "make_attack": 0, "fourier_spectrum": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -517,10 +572,10 @@ class TestCli:
 
         counting(harness, "audit_attack")
         counting(harness, "make_attack")
-        counting(bounds, "symmetrized_sigma")
+        counting(bounds, "fourier_spectrum")
         rc = main(["audit", str(SCENARIOS / "phase_conversion.scenario")])
         assert rc == 0
-        assert calls == {"audit_attack": 1, "make_attack": 1, "symmetrized_sigma": 1}
+        assert calls == {"audit_attack": 1, "make_attack": 1, "fourier_spectrum": 1}
         err = capsys.readouterr().err
         detail = json.loads(err.removeprefix("sigma_spectrum "))
         assert detail["error_probs"] == [0.0, 1.0]
@@ -660,4 +715,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed: must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, document", [
+        ("audit", "identity.scenario"),
+        ("sweep", "probe_sweep.scenario"),
+        ("campaign", "campaign_small.json"),
+    ])
+    def test_seed_override_beyond_64_bits_rejected(self, tmp_path, capsys, command, document):
+        out = tmp_path / "r.csv"
+        argv = [command, str(SCENARIOS / document), "--seed", str(2**64), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seed: must be <= {2**64 - 1}, got {2**64}\n"
         assert not out.exists()

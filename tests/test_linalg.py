@@ -31,6 +31,7 @@ from mubeve.linalg import (
     tensor_product,
     von_neumann_entropy,
     xor_grid,
+    xor_regroup,
 )
 from mubeve.rng import random_unitary
 
@@ -71,6 +72,13 @@ class TestBitOps:
         xors = [[BitString(n, i).xor(BitString(n, j)).value for j in range(d)]
                 for i in range(d)]
         assert np.array_equal(xor_grid(n), xors)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_xor_regroup(self, n):
+        d = 1 << n
+        a = np.arange(d * d * 3).reshape(d, d, 3)
+        expected = [[a[i, i ^ c] for i in range(d)] for c in range(d)]
+        assert np.array_equal(xor_regroup(a), expected)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sign_grid(self, n):

@@ -21,6 +21,8 @@ from mubeve.errors import (
 from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
 from mubeve.symmetrize import (
     SigmaAnalysis,
+    error_patterns,
+    fourier_spectrum,
     project_ancilla,
     purification_vectors,
     sigma_matrix,
@@ -276,6 +278,15 @@ class TestSigmaMatrix:
         sigma = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(TranslationInvarianceError):
             SigmaAnalysis(n=1, sigma=sigma, f_values=[1.0, 0.0], lambdas=lambdas)
+
+
+class TestFourierSpectrum:
+    @pytest.mark.parametrize("scale", [1.1, np.nan])
+    def test_must_be_a_distribution(self, scale):
+        # the sum of the spectrum is the trace of the Gram state
+        patterns = scale * error_patterns(random_attack(2, 2, 5).kraus)
+        with pytest.raises(TranslationInvarianceError):
+            fourier_spectrum(patterns)
 
 
 class TestSpectrumCheck:
