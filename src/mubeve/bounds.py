@@ -160,30 +160,30 @@ def kraus_holevo_chi(kraus) -> float:
     return float(np.mean(mixed - individual)) + 0.0  # normalize -0.0
 
 
-def symmetrized_holevo_chi(patterns) -> float:
+def symmetrized_holevo_chi(walsh) -> float:
     """Holevo quantity of the shift-symmetrized attack, computed from the
-    original table regrouped by error pattern, ``patterns =
-    error_patterns(ch.kraus)``.
+    Walsh transform ``walsh = sign_grid(n) @ error_patterns(ch.kraus)`` of
+    the original table regrouped by error pattern, ``W[c, x] = sum_a
+    (-1)**(x.a) P[c, a]``.
 
     Equals ``kraus_holevo_chi(symmetrize(ch).kraus)``, but the enlarged
     table is never built.  The symmetrized states are XOR-covariant, so
     all share the nonzero spectrum of one ``2**n x 2**n`` Gram matrix
-    ``G0[j, k] = 2**-n sum_m (-1)**(m.(j^k)) <P[k, m]|P[j, m]>``, taken on
+    ``G0[j, k] = 2**-n sum_m (-1)**(m.(j^k)) <P[k, m]|P[j, m]>``, which
+    equals ``4**-n Y Y^H`` with ``Y[j, l] = W[j, l^j]``; it is taken on
     this side even when ``eve_dim = 1`` ties it.  Their average is
     block-circulant over the shift register, so its spectrum is the union
-    over l of the spectra of ``B_l = 4**-n sum_c |W[c, l^c]><W[c, l^c]|``
-    with the Walsh transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``: 2**n
-    eigenproblems of size ``min(2**n, eve_dim)``.  Both spectra get the
+    over l of the spectra of ``B_l = 4**-n sum_c |W[c, l^c]><W[c, l^c]|``:
+    2**n eigenproblems of size ``min(2**n, eve_dim)``.  ``Y`` and the
+    ``B_l`` are two readings of one regroup of ``W``.  Both spectra get the
     checks of ``density_spectra``, the average's as one union.
     """
-    p = np.asarray(patterns, dtype=complex)
-    d = p.shape[0]
-    n = d.bit_length() - 1
-    s = sign_grid(n)
-    signed = (s[:, :, None] * p).reshape(d, -1)   # row j: (-1)**(m.j) P[j, m]
-    state = density_spectra((1.0 / d) * (signed @ signed.conj().T))
-    walsh = s @ p                                 # walsh[c, x] = W[c, x]
-    blocks = xor_regroup(walsh)                   # blocks[l, c] = W[c, l ^ c]
+    w = np.asarray(walsh, dtype=complex)
+    d = w.shape[0]
+    blocks = xor_regroup(w)                       # blocks[l, c] = W[c, l ^ c]
+    # row j: Y[j, l] = W[j, l ^ j], apparatus-major like purification_vectors
+    rows = blocks.transpose(1, 2, 0).reshape(d, -1)
+    state = density_spectra((1.0 / d**2) * (rows @ rows.conj().T))
     average = mixture_spectra(blocks, 1.0 / d**2, union=True)
     chi = spectral_entropies(average.reshape(-1)) - spectral_entropies(state)
     return float(chi) + 0.0  # normalize -0.0
@@ -298,8 +298,11 @@ def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float
 
 
 def xor_entropy_bound(ed: ErrorDistribution) -> float:
-    """Entropy in bits of the conjugate-basis error pattern (checked by ``ed``)."""
-    return float(_entropy_bits(ed.probs))
+    """Entropy in bits of the conjugate-basis error pattern (checked by
+    ``ed``), with the positive-part policy of ``spectral_entropies``: the
+    positive entries renormalized to unit sum, so the value is never
+    negative, also where an accepted channel puts an entry a little above 1."""
+    return float(spectral_entropies(ed.probs))
 
 
 def boykin_bound(ed: ErrorDistribution) -> float:
@@ -368,23 +371,24 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     (``eve_states``) and checks its pretty good measurement once.  Neither
     the symmetrized attack nor its purification Gram is built: ``chi_sym``
     (``symmetrized_holevo_chi``) and the Fourier spectrum of the identity
-    (``fourier_spectrum``) come from the original table regrouped by error
-    pattern (``error_patterns``), while the error distribution they are
-    checked against comes independently from the conjugate-basis table
-    (``xor_error_distribution``, which also refuses other bases).
+    (``fourier_spectrum``) both take one Walsh transform ``W`` of the
+    original table regrouped by error pattern (``error_patterns``), while
+    the error distribution they are checked against comes independently
+    from the conjugate-basis table (``xor_error_distribution``, which also
+    refuses other bases).
     """
     ed = xor_error_distribution(ch)
     delta_raw = ed.delta
     h_xor = xor_entropy_bound(ed)
 
     chi_orig = kraus_holevo_chi(ch.kraus)
-    patterns = error_patterns(ch.kraus)
-    chi_sym = symmetrized_holevo_chi(patterns)
+    walsh = sign_grid(ch.n) @ error_patterns(ch.kraus)
+    chi_sym = symmetrized_holevo_chi(walsh)
 
     priors = np.full(ch.dim, 1.0 / ch.dim)
     i_lower = _accessible_info(priors, eve_states(ch), samples, seed)
 
-    lambdas = fourier_spectrum(patterns)
+    lambdas = fourier_spectrum(walsh)
     spectrum_deviation = float(np.max(np.abs(lambdas - ed.probs)))
 
     report = BoundsReport(

@@ -26,14 +26,15 @@ from .errors import (
 )
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
-from .linalg import N_MAX
 from .rng import MASK64, mix
-from .zoo import AttackSpec, check_total_dim, make_attack, random_attack
+from .zoo import AttackSpec, check_cell, make_attack, random_attack
 
+# Report columns: attack_id, then BoundsReport fields of the same names.
 CSV_HEADER = (
     "attack_id,n,eve_dim,delta,h_xor,chi_orig,chi_sym,i_lower,"
     "boykin_rhs,corollary_rhs,slack_main,slack_measured,spectrum_deviation"
 )
+_COLUMNS = CSV_HEADER.split(",")
 
 ANALYSES = ("audit", "sigma_spectrum", "sweep")
 
@@ -128,6 +129,21 @@ def _int_field(doc, key, minimum=None, maximum=None, default=None, prefix="") ->
     return value
 
 
+def seed_field(doc, key, default=None, prefix="") -> int:
+    """``_int_field`` for a seed of the 64-bit stream, ``0 <= seed <= MASK64``:
+    the stream keeps 64 bits, so a larger seed would alias a smaller one."""
+    return _int_field(doc, key, minimum=0, maximum=MASK64, default=default,
+                      prefix=prefix)
+
+
+def _checked_cell(field, n, eve_dim) -> None:
+    """``check_cell`` with its error reported as ValidationError(field)."""
+    try:
+        check_cell(n, eve_dim)
+    except (OutOfRangeError, DimensionTooLargeError) as exc:
+        raise ValidationError(field, str(exc)) from exc
+
+
 def _float_list(raw, field) -> tuple[float, ...]:
     if not isinstance(raw, list) or not all(
         isinstance(t, (int, float)) and not isinstance(t, bool) for t in raw
@@ -168,7 +184,7 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         ancilla = _complex_array(raw["ancilla"], "attack.ancilla")
         try:
             if unitary.ndim == 2:  # from_unitary rejects every other shape
-                check_total_dim(n_qubits, unitary.shape[0] >> n_qubits)
+                check_cell(n_qubits, unitary.shape[0] >> n_qubits)
             return from_unitary(unitary, ancilla, n_qubits)
         except (NotUnitaryError, DimensionMismatchError, OutOfRangeError,
                 DimensionTooLargeError) as exc:
@@ -182,8 +198,7 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
     params = _float_list(raw.get("params", []), "attack.params")
     eve_dim = _int_field(raw, "eve_dim", default=1, prefix="attack.")
-    seed = _int_field(raw, "seed", minimum=0, maximum=MASK64, default=0,
-                      prefix="attack.")
+    seed = seed_field(raw, "seed", default=0, prefix="attack.")
     try:
         return AttackSpec(kind=kind, n=n, params=params, eve_dim=eve_dim, seed=seed)
     except (UnsupportedCombinationError, OutOfRangeError,
@@ -198,10 +213,11 @@ def parse_scenario(text) -> ScenarioConfig:
     offending field otherwise.
     """
     doc = _load_json(text)
-    n_qubits = _int_field(doc, "n_qubits", minimum=1, maximum=N_MAX)
+    n_qubits = _int_field(doc, "n_qubits")
+    _checked_cell("n_qubits", n_qubits, 1)
     attack = _parse_attack(doc, n_qubits)
     povm_samples = _int_field(doc, "povm_samples", minimum=0)
-    seed = _int_field(doc, "seed", minimum=0, maximum=MASK64)
+    seed = seed_field(doc, "seed")
 
     analyses = doc.get("analyses", ["audit"])
     if not isinstance(analyses, list) or not analyses:
@@ -238,16 +254,10 @@ def parse_campaign(text) -> CampaignConfig:
             or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
         ):
             raise ValidationError(field, "must be an [n, eve_dim] integer pair")
-        n, eve_dim = cell
-        if not 1 <= n <= N_MAX:
-            raise ValidationError(field, f"n={n} outside [1, {N_MAX}]")
-        try:
-            check_total_dim(n, eve_dim)
-        except (OutOfRangeError, DimensionTooLargeError) as exc:
-            raise ValidationError(field, str(exc)) from exc
-        grid.append((n, eve_dim))
+        _checked_cell(field, *cell)
+        grid.append(tuple(cell))
     count = _int_field(doc, "count", minimum=0)
-    master_seed = _int_field(doc, "master_seed", minimum=0, maximum=MASK64)
+    master_seed = seed_field(doc, "master_seed")
     output = doc.get("output")
     if not isinstance(output, str) or not output:
         raise ValidationError("output", "must be a nonempty path string")
@@ -284,17 +294,17 @@ def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
     return audit_attack(build_attack(cfg), cfg.povm_samples, cfg.seed)
 
 
-def run_sweep(cfg: ScenarioConfig) -> list[tuple[float, BoundsReport]]:
-    """Audit the probe-overlap family across a grid of angles."""
+def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:
+    """Audit the probe-overlap family across a grid of angles; one
+    ``(attack_label, report)`` row per angle."""
     if not isinstance(cfg.attack, AttackSpec) or cfg.attack.kind != "probe_overlap":
         raise ValidationError("attack.kind", "sweep requires a probe_overlap attack")
     thetas = cfg.sweep_thetas if cfg.sweep_thetas is not None else DEFAULT_SWEEP_THETAS
-    results = []
+    rows = []
     for theta in thetas:
-        spec = replace(cfg.attack, params=(theta,))
-        report = audit_attack(make_attack(spec), cfg.povm_samples, cfg.seed)
-        results.append((theta, report))
-    return results
+        point = replace(cfg, attack=replace(cfg.attack, params=(theta,)))
+        rows.append((attack_label(point), run_scenario(point)))
+    return rows
 
 
 def sigma_spectrum_detail(report: BoundsReport) -> dict:
@@ -311,21 +321,7 @@ def _fmt(x: float) -> str:
 
 
 def _row_fields(attack_id: str, report: BoundsReport) -> list:
-    return [
-        attack_id,
-        report.n,
-        report.eve_dim,
-        report.delta,
-        report.h_xor,
-        report.chi_orig,
-        report.chi_sym,
-        report.i_lower,
-        report.boykin_rhs,
-        report.corollary_rhs,
-        report.slack_main,
-        report.slack_measured,
-        report.spectrum_deviation,
-    ]
+    return [attack_id] + [getattr(report, name) for name in _COLUMNS[1:]]
 
 
 def write_report(rows, fmt: str = "csv") -> bytes:
@@ -334,7 +330,6 @@ def write_report(rows, fmt: str = "csv") -> bytes:
     The CSV header and column order are fixed; reals carry 17 significant
     digits.  The JSON form mirrors the same field names.
     """
-    names = CSV_HEADER.split(",")
     if fmt == "csv":
         lines = [CSV_HEADER]
         for attack_id, report in rows:
@@ -349,7 +344,7 @@ def write_report(rows, fmt: str = "csv") -> bytes:
             fields = _row_fields(attack_id, report)
             records.append({
                 name: (v if isinstance(v, (str, int)) else float(v))
-                for name, v in zip(names, fields)
+                for name, v in zip(_COLUMNS, fields)
             })
         return (json.dumps(records, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

@@ -16,9 +16,10 @@ Audits build neither the enlarged table nor the purification Gram: every
 symmetrized Kraus vector is a signed stack of the original vectors with
 one error pattern ``c = i ^ j``, so the audit reads the Fourier spectrum
 off the Walsh transform of the original table regrouped by error pattern
-(``error_patterns``, ``fourier_spectrum``).  ``symmetrize``,
-``purification_vectors``, ``sigma_matrix`` and ``sigma_spectrum_check``
-build and check the Gram state densely and are the reference route.
+(``fourier_spectrum`` of ``sign_grid(n) @ error_patterns(kraus)``).
+``symmetrize``, ``purification_vectors``, ``sigma_matrix`` and
+``sigma_spectrum_check`` build and check the Gram state densely and are
+the reference route.
 """
 
 from __future__ import annotations
@@ -169,20 +170,20 @@ def error_patterns(kraus) -> np.ndarray:
     return xor_regroup(np.asarray(kraus, dtype=complex))
 
 
-def fourier_spectrum(patterns) -> np.ndarray:
+def fourier_spectrum(walsh) -> np.ndarray:
     """``sigma_matrix(purification_vectors(symmetrize(ch))).lambdas``
-    computed from ``patterns = error_patterns(ch.kraus)``, without the
-    enlarged table or the purification Gram.
+    computed from the Walsh table ``walsh = sign_grid(n) @
+    error_patterns(ch.kraus)``, without the enlarged table or the
+    purification Gram.
 
     By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2`` with the Walsh
     transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.  The result must
     pass the probability rule, else TranslationInvarianceError; it is the
     trace and the smallest eigenvalue of the Gram state.
     """
-    p = np.asarray(patterns, dtype=complex)
-    d = p.shape[0]
-    walsh = sign_grid(d.bit_length() - 1) @ p      # walsh[c, x] = W[c, x]
-    lam = np.sum(walsh.real**2 + walsh.imag**2, axis=(0, 2)) / float(d * d)
+    w = np.asarray(walsh, dtype=complex)
+    d = w.shape[0]
+    lam = np.sum(w.real**2 + w.imag**2, axis=(0, 2)) / float(d * d)
     _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
     lam.setflags(write=False)
     return lam

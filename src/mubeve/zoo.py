@@ -15,30 +15,26 @@ from .channel import AttackChannel, Basis
 from .linalg import N_MAX, bit_parity
 from .rng import random_isometry
 
-KINDS = (
-    "identity",
-    "phase_conversion",
-    "intercept_resend",
-    "cnot_probe",
-    "probe_overlap",
-    "random_unitary",
-)
-
-_PARAM_ARITY = {
-    "identity": 0,
-    "phase_conversion": 0,
-    "intercept_resend": 0,
-    "cnot_probe": 0,
-    "probe_overlap": 1,
-    "random_unitary": 0,
+# Named attacks: kind -> (parameter count, one-line note for ``mubeve zoo``).
+KINDS = {
+    "identity": (0, "no interaction; zero disturbance and zero information"),
+    "phase_conversion": (0, "per-qubit value flip; deterministic error, no gain"),
+    "intercept_resend": (0, "measure in basis b and resend; pointer per string"),
+    "cnot_probe": (0, "per-qubit copy into fresh ancilla qubits"),
+    "probe_overlap": (1, "n=1 probe pair with overlap cos(theta); params: [theta]"),
+    "random_unitary": (0, "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
 MAX_TOTAL_DIM = 512
 
 
-def check_total_dim(n: int, eve_dim: int) -> None:
-    """Reject an apparatus dimension below 1, or an (apparatus x system)
-    dimension ``eve_dim * 2**n`` above MAX_TOTAL_DIM."""
+def check_cell(n: int, eve_dim: int) -> None:
+    """Reject a (qubit count, apparatus dimension) cell outside the
+    supported limits: ``1 <= n <= N_MAX`` (OutOfRangeError), ``eve_dim >= 1``
+    (OutOfRangeError) and ``eve_dim * 2**n <= MAX_TOTAL_DIM``
+    (DimensionTooLargeError)."""
+    if not 1 <= n <= N_MAX:
+        raise OutOfRangeError(f"qubit count {n} outside [1, {N_MAX}]")
     if eve_dim < 1:
         raise OutOfRangeError(f"eve_dim {eve_dim} must be at least 1")
     total = eve_dim * (1 << n)
@@ -53,9 +49,10 @@ class AttackSpec:
     """Named attack with its parameters.
 
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
-    and ``seed`` are only meaningful for ``random_unitary``.  Construction
-    rejects every spec that ``make_attack`` could not build, so a spec can
-    be validated without building its channel.
+    and ``seed`` are only meaningful for ``random_unitary``, so only there
+    does ``check_cell`` see ``eve_dim``.  Construction rejects every spec
+    that ``make_attack`` could not build, so a spec can be validated
+    without building its channel.
     """
 
     kind: str
@@ -67,17 +64,14 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedCombinationError(f"unknown attack kind {self.kind!r}")
-        if not 1 <= self.n <= N_MAX:
-            raise OutOfRangeError(f"qubit count {self.n} outside [1, {N_MAX}]")
-        arity = _PARAM_ARITY[self.kind]
+        check_cell(self.n, self.eve_dim if self.kind == "random_unitary" else 1)
+        arity = KINDS[self.kind][0]
         if len(self.params) != arity:
             raise OutOfRangeError(
                 f"{self.kind} takes {arity} parameter(s), got {len(self.params)}"
             )
         if self.kind == "probe_overlap" and self.n != 1:
             raise UnsupportedCombinationError("probe_overlap is defined for n=1")
-        if self.kind == "random_unitary":
-            check_total_dim(self.n, self.eve_dim)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
 
@@ -132,9 +126,7 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
     ``kraus[i, j, a] = u[a * 2**n + j, i]``.  Bit-identical output for
     identical (n, eve_dim, seed).
     """
-    if not 1 <= n <= N_MAX:
-        raise DimensionTooLargeError(f"qubit count {n} outside [1, {N_MAX}]")
-    check_total_dim(n, eve_dim)
+    check_cell(n, eve_dim)
     d = 1 << n
     cols = random_isometry(eve_dim * d, d, seed)  # (apparatus, output) x input
     kraus = cols.reshape(eve_dim, d, d).transpose(2, 1, 0)

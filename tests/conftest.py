@@ -3,6 +3,7 @@
 import pytest
 
 import mubeve.bounds as bounds
+from mubeve.linalg import sign_grid
 from mubeve.symmetrize import error_patterns
 
 
@@ -10,14 +11,15 @@ from mubeve.symmetrize import error_patterns
 def swap_holevo(monkeypatch):
     """Make ``audit_attack`` read each Holevo quantity as the other one:
     the original Kraus table answers with the symmetrized value, and the
-    error-pattern table, asked next, with the original value."""
+    Walsh table of its error patterns, asked next, with the original value."""
     original = bounds.kraus_holevo_chi
     symmetrized = bounds.symmetrized_holevo_chi
     held = []
 
     def swapped_original(kraus):
         held.append(original(kraus))
-        return symmetrized(error_patterns(kraus))
+        n = kraus.shape[0].bit_length() - 1
+        return symmetrized(sign_grid(n) @ error_patterns(kraus))
 
     monkeypatch.setattr(bounds, "kraus_holevo_chi", swapped_original)
-    monkeypatch.setattr(bounds, "symmetrized_holevo_chi", lambda patterns: held.pop())
+    monkeypatch.setattr(bounds, "symmetrized_holevo_chi", lambda walsh: held.pop())

@@ -33,6 +33,7 @@ from mubeve.errors import (
     EigensolverError,
     InvalidPovmError,
     MubeveError,
+    NotUnitaryError,
     OutOfRangeError,
     TheoremViolation,
     WrongBasisError,
@@ -552,6 +553,61 @@ class TestAuditAttack:
         with pytest.raises(TheoremViolation) as info:
             audit_attack(ch, 4, 0)
         assert info.value.report.slack_measured >= -1e-9
+
+
+def unitarity_residual(kraus):
+    rows = kraus.reshape(kraus.shape[0], -1)
+    return float(np.max(np.abs(rows.conj() @ rows.T - np.eye(kraus.shape[0]))))
+
+
+def perturbed_table(rng):
+    """A named or random Kraus table, padded to a random apparatus size,
+    plus a random perturbation scaled to a unitarity residual of about
+    0.98e-9, just under the 1e-9 that ``AttackChannel`` accepts."""
+    n, eve_dim = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    kind = str(rng.choice(["identity", "phase_conversion", "intercept_resend", "random"]))
+    if kind == "random":
+        base = random_attack(n, eve_dim, int(rng.integers(2**32))).kraus
+    else:
+        base = make_attack(AttackSpec(kind, n)).kraus
+    kraus = np.zeros(base.shape[:2] + (max(eve_dim, base.shape[2]),), dtype=complex)
+    kraus[..., :base.shape[2]] = base
+    g = rng.normal(size=kraus.shape) + 1j * rng.normal(size=kraus.shape)
+    g *= 1e-9 / np.linalg.norm(g)
+    return kraus + (0.98e-9 / unitarity_residual(kraus + g)) * g
+
+
+class TestAcceptedMeansAuditable:
+    """A channel that ``AttackChannel`` accepts audits; the error
+    distribution adds no rule of its own beyond the probability rule."""
+
+    def test_identity_with_extra_apparatus_amplitude(self):
+        # residual 5e-10 puts p(0) at 1 + 5e-10, above 1 + TAU_PSD
+        kraus = np.zeros((2, 2, 2), dtype=complex)
+        kraus[0, 0, 0] = kraus[1, 1, 0] = 1.0
+        kraus[1, 1, 1] = math.sqrt(5e-10)
+        rep = audit_attack(AttackChannel(n=1, eve_dim=2, kraus=kraus), 4, 0)
+        assert rep.error_dist.probs[0] > 1.0 + 1e-10
+        assert 0.0 <= rep.h_xor <= 1e-8
+        assert rep.slack_main >= -1e-9 and rep.slack_measured >= -1e-9
+
+    def test_entry_above_one_within_sum_tolerance(self):
+        ed = ErrorDistribution(1, [1.0 + 5e-10, 0.0])
+        assert xor_entropy_bound(ed) == 0.0
+
+    def test_perturbed_tables_audit(self):
+        rng = np.random.default_rng(20261019)
+        audited = 0
+        for _ in range(120):
+            kraus = perturbed_table(rng)
+            n = kraus.shape[0].bit_length() - 1
+            try:
+                ch = AttackChannel(n=n, eve_dim=kraus.shape[2], kraus=kraus)
+            except NotUnitaryError:
+                continue  # refused at construction, with a named error
+            audit_attack(ch, 0, 0)
+            audited += 1
+        assert audited >= 100
 
 
 def dense_chi(ch):

@@ -24,7 +24,7 @@ from mubeve.harness import (
     run_sweep,
     write_report,
 )
-from mubeve.zoo import AttackSpec
+from mubeve.zoo import KINDS, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Reports computed by the former pure-Python Jacobi eigensolver.
@@ -182,6 +182,13 @@ class TestParseScenario:
         ))
         assert cfg.seed == cfg.attack.seed == 2**64 - 1
 
+    @pytest.mark.parametrize("n_qubits", [0, 5])
+    def test_qubit_count_outside_range(self, n_qubits):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(minimal_scenario(n_qubits=n_qubits))
+        assert err.value.field == "n_qubits"
+        assert f"qubit count {n_qubits} outside [1, 4]" in str(err.value)
+
     def test_sweep_thetas_parsed(self):
         cfg = parse_scenario(minimal_scenario(
             attack={"kind": "probe_overlap", "params": [0.0]},
@@ -203,6 +210,17 @@ class TestParseCampaign:
         with pytest.raises(ValidationError) as err:
             parse_campaign(json.dumps(doc))
         assert err.value.field == "grid[0]"
+
+    @pytest.mark.parametrize("cell, message", [
+        ([0, 1], "qubit count 0 outside [1, 4]"),
+        ([5, 1], "qubit count 5 outside [1, 4]"),
+        ([1, 0], "eve_dim 0 must be at least 1"),
+    ])
+    def test_cell_outside_limits(self, cell, message):
+        doc = {"grid": [[1, 1], cell], "count": 1, "master_seed": 0, "output": "x.csv"}
+        with pytest.raises(ValidationError) as err:
+            parse_campaign(json.dumps(doc))
+        assert str(err.value) == f"grid[1]: {message}"
 
     def test_missing_output(self):
         doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0}
@@ -262,8 +280,11 @@ class TestShippedScenarios:
         cfg = parse_scenario((SCENARIOS / "probe_sweep.scenario").read_bytes())
         rows = run_sweep(cfg)
         assert len(rows) == 7
-        for _theta, report in rows:
+        for _label, report in rows:
             assert abs(report.chi_orig - report.h_xor) <= 1e-8
+        # each row is labelled as an audit of that one angle would be
+        assert rows[0][0] == "probe_overlap[theta=0]"
+        assert rows[1][0] == f"probe_overlap[theta={cfg.sweep_thetas[1]:.17g}]"
 
     def test_sweep_requires_probe_overlap(self):
         cfg = parse_scenario(minimal_scenario())
@@ -414,9 +435,11 @@ class TestFrozenReports:
 class TestCli:
     def test_zoo_lists_kinds(self, capsys):
         assert main(["zoo"]) == 0
-        out = capsys.readouterr().out
-        for kind in ("identity", "phase_conversion", "probe_overlap"):
-            assert kind in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(KINDS)
+        assert lines[4] == (
+            "probe_overlap      n=1 probe pair with overlap cos(theta); params: [theta]"
+        )
 
     def test_audit_stdout_csv(self, capsys):
         rc = main(["audit", str(SCENARIOS / "identity.scenario")])
@@ -685,6 +708,16 @@ class TestCli:
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
         assert run(sequence[1]) == warm[1]
+
+    def test_campaign_has_no_format_option(self, tmp_path, capsys):
+        # a campaign always writes its CSV and the JSON mirror
+        argv = ["campaign", str(SCENARIOS / "campaign_small.json"),
+                "--format", "json", "--out", str(tmp_path / "r.csv")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_campaign_seed_override(self, tmp_path):
         cfg = tmp_path / "camp.json"

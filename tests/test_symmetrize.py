@@ -18,7 +18,7 @@ from mubeve.errors import (
     TranslationInvarianceError,
     WrongBasisError,
 )
-from mubeve.linalg import DensityMatrix, partial_trace, von_neumann_entropy
+from mubeve.linalg import DensityMatrix, partial_trace, sign_grid, von_neumann_entropy
 from mubeve.symmetrize import (
     SigmaAnalysis,
     error_patterns,
@@ -284,9 +284,9 @@ class TestFourierSpectrum:
     @pytest.mark.parametrize("scale", [1.1, np.nan])
     def test_must_be_a_distribution(self, scale):
         # the sum of the spectrum is the trace of the Gram state
-        patterns = scale * error_patterns(random_attack(2, 2, 5).kraus)
+        walsh = scale * (sign_grid(2) @ error_patterns(random_attack(2, 2, 5).kraus))
         with pytest.raises(TranslationInvarianceError):
-            fourier_spectrum(patterns)
+            fourier_spectrum(walsh)
 
 
 class TestSpectrumCheck:

@@ -15,7 +15,7 @@ from mubeve.errors import (
     UnsupportedCombinationError,
 )
 from mubeve.rng import SplitMix64, random_unitary
-from mubeve.zoo import KINDS, AttackSpec, make_attack, random_attack
+from mubeve.zoo import KINDS, AttackSpec, check_cell, make_attack, random_attack
 
 
 def binary_entropy(p):
@@ -45,6 +45,42 @@ class TestAttackSpec:
             AttackSpec("identity", 0)
         with pytest.raises(OutOfRangeError):
             AttackSpec("identity", 5)
+
+    def test_eve_dim_checked_only_for_random_unitary(self):
+        # the named kinds build their own apparatus and ignore eve_dim, so
+        # the documents accepted before check_cell stay accepted
+        assert AttackSpec("identity", 1, eve_dim=0).eve_dim == 0
+        with pytest.raises(OutOfRangeError):
+            AttackSpec("random_unitary", 1, eve_dim=0)
+        with pytest.raises(DimensionTooLargeError):
+            AttackSpec("random_unitary", 4, eve_dim=64)
+
+
+class TestCheckCell:
+    """One rule for the (qubit count, apparatus dimension) limits, with one
+    exception type per violated limit wherever a cell enters."""
+
+    @pytest.mark.parametrize("n, eve_dim", [(1, 1), (4, 32), (1, 256), (3, 64)])
+    def test_accepts_limit_cells(self, n, eve_dim):
+        check_cell(n, eve_dim)
+
+    @pytest.mark.parametrize("n, eve_dim, error", [
+        (0, 1, OutOfRangeError),
+        (5, 1, OutOfRangeError),
+        (-1, 1, OutOfRangeError),
+        (1, 0, OutOfRangeError),
+        (4, 33, DimensionTooLargeError),
+        (1, 257, DimensionTooLargeError),
+    ])
+    def test_rejects(self, n, eve_dim, error):
+        for check in (check_cell, lambda n, d: random_attack(n, d, 0),
+                      lambda n, d: AttackSpec("random_unitary", n, eve_dim=d)):
+            with pytest.raises(error):
+                check(n, eve_dim)
+
+    def test_every_kind_has_an_arity_and_a_note(self):
+        for arity, note in KINDS.values():
+            assert arity in (0, 1) and note
 
 
 class TestMakeAttack:
