@@ -26,6 +26,7 @@ from .linalg import (
     DensityMatrix,
     _check_probabilities,
     as_index,
+    factor_states,
     mub_transform,
     sign_grid,
     xor_regroup,
@@ -183,9 +184,7 @@ def eve_states(ch: AttackChannel) -> np.ndarray:
     and ``kraus_holevo_chi(ch.kraus)`` checks the unit trace and
     positivity of the same spectra.
     """
-    k = ch.kraus
-    out = np.empty((ch.dim, ch.eve_dim, ch.eve_dim), dtype=complex)
-    return np.einsum("ijd,ije->ide", k, k.conj(), out=out)
+    return factor_states(ch.kraus)
 
 
 def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:

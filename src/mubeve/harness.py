@@ -27,7 +27,17 @@ from .errors import (
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
 from .rng import MASK64, mix
-from .zoo import AttackSpec, check_cell, make_attack, random_attack
+from .zoo import (
+    MAX_COUNT,
+    MAX_GRID_CELLS,
+    MAX_POVM_SAMPLES,
+    MAX_SWEEP_THETAS,
+    KINDS,
+    AttackSpec,
+    check_cell,
+    make_attack,
+    random_attack,
+)
 
 # Report columns: attack_id, then BoundsReport fields of the same names.
 CSV_HEADER = (
@@ -197,6 +207,12 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
     if n != n_qubits:
         raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
     params = _float_list(raw.get("params", []), "attack.params")
+    if kind in KINDS and kind != "random_unitary":
+        for key in ("eve_dim", "seed"):
+            if key in raw:
+                raise ValidationError(
+                    f"attack.{key}", f"only random_unitary takes {key}, not {kind!r}"
+                )
     eve_dim = _int_field(raw, "eve_dim", default=1, prefix="attack.")
     seed = seed_field(raw, "seed", default=0, prefix="attack.")
     try:
@@ -216,7 +232,7 @@ def parse_scenario(text) -> ScenarioConfig:
     n_qubits = _int_field(doc, "n_qubits")
     _checked_cell("n_qubits", n_qubits, 1)
     attack = _parse_attack(doc, n_qubits)
-    povm_samples = _int_field(doc, "povm_samples", minimum=0)
+    povm_samples = _int_field(doc, "povm_samples", minimum=0, maximum=MAX_POVM_SAMPLES)
     seed = seed_field(doc, "seed")
 
     analyses = doc.get("analyses", ["audit"])
@@ -229,6 +245,11 @@ def parse_scenario(text) -> ScenarioConfig:
     sweep_thetas = None
     if "sweep_thetas" in doc:
         sweep_thetas = _float_list(doc["sweep_thetas"], "sweep_thetas")
+        if len(sweep_thetas) > MAX_SWEEP_THETAS:
+            raise ValidationError(
+                "sweep_thetas",
+                f"has {len(sweep_thetas)} angles, at most {MAX_SWEEP_THETAS}",
+            )
 
     return ScenarioConfig(
         n_qubits=n_qubits,
@@ -246,6 +267,10 @@ def parse_campaign(text) -> CampaignConfig:
     raw_grid = doc.get("grid")
     if not isinstance(raw_grid, list):
         raise ValidationError("grid", "must be a list of [n, eve_dim] pairs")
+    if len(raw_grid) > MAX_GRID_CELLS:
+        raise ValidationError(
+            "grid", f"has {len(raw_grid)} cells, at most {MAX_GRID_CELLS}"
+        )
     grid = []
     for pos, cell in enumerate(raw_grid):
         field = f"grid[{pos}]"
@@ -256,13 +281,14 @@ def parse_campaign(text) -> CampaignConfig:
             raise ValidationError(field, "must be an [n, eve_dim] integer pair")
         _checked_cell(field, *cell)
         grid.append(tuple(cell))
-    count = _int_field(doc, "count", minimum=0)
+    count = _int_field(doc, "count", minimum=0, maximum=MAX_COUNT)
     master_seed = seed_field(doc, "master_seed")
     output = doc.get("output")
     if not isinstance(output, str) or not output:
         raise ValidationError("output", "must be a nonempty path string")
     _campaign_paths(output)
-    povm_samples = _int_field(doc, "povm_samples", minimum=0, default=16)
+    povm_samples = _int_field(doc, "povm_samples", minimum=0,
+                              maximum=MAX_POVM_SAMPLES, default=16)
     return CampaignConfig(
         grid=tuple(grid),
         count=count,

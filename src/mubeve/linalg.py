@@ -294,6 +294,16 @@ def mixture_spectra(vectors, weight: float = 1.0, union: bool = False) -> np.nda
     return density_spectra(weight * m, union)
 
 
+def factor_states(factors) -> np.ndarray:
+    """``rho_i = sum_j |v_ij><v_ij|`` for each stack of column factors
+    ``factors[i, j, :] = v_ij``, as one unchecked, C-contiguous
+    ``(count, d, d)`` stack, Hermitian by construction."""
+    v = np.asarray(factors, dtype=complex)
+    count, _, d = v.shape
+    out = np.empty((count, d, d), dtype=complex)
+    return np.einsum("ijd,ije->ide", v, v.conj(), out=out)
+
+
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
     """``-sum p log2 p`` in bits over the last axis, unchecked.  An entry
     <= 0 adds a zero term, so rounding negatives read as 0 without a clip."""

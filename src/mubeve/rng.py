@@ -25,13 +25,15 @@ Derived quantities:
 
 Step k of a stream seeded with ``s`` has state ``s + k * GOLDEN mod 2**64``,
 so :meth:`SplitMix64.gaussian_matrix` computes a whole draw at once in
-numpy ``uint64`` arithmetic.  ``ln`` and the ``cos``/``sin`` pair stay
-scalar calls to the platform libm, because ``numpy.log`` can differ from
-it in the last bit; ``sqrt``, products and sums are correctly rounded
-either way.  ``cos t`` and ``sin t`` come from one ``cmath.exp(i t)``
-call, which CPython evaluates as ``exp(0) * cos t`` and ``exp(0) * sin t``
-with ``exp(0) = 1`` exactly.  A draw therefore equals, bit for bit, the
-same count of :meth:`SplitMix64.next_gaussian_pair` calls.
+numpy ``uint64`` arithmetic.  ``ln``, ``cos`` and ``sin`` are the numpy
+ufuncs ``np.log``, ``np.cos`` and ``np.sin``, in the block draw and in
+:meth:`SplitMix64.next_gaussian_pair` alike, and ``sqrt``, products and
+sums are correctly rounded.  A ufunc gives the same bits for one value
+as for any position of a vector, so a draw equals, bit for bit, the same
+count of :meth:`SplitMix64.next_gaussian_pair` calls on one machine.
+Across machines the last bit can move: numpy picks its ``log`` kernel by
+CPU features, and on AVX-512 hardware it differs from the platform
+``math.log`` in the last bit for a fraction of a percent of inputs.
 
 Unitaries orthonormalize such a matrix by Householder QR (LAPACK) with
 the phases fixed so that ``R`` has a positive real diagonal: column k is
@@ -46,7 +48,6 @@ Test vectors (first outputs for a given seed) are frozen in
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -98,9 +99,9 @@ class SplitMix64:
         """One Box-Muller pair of independent standard normals."""
         u1 = self.next_double()
         u2 = self.next_double()
-        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        r = math.sqrt(-2.0 * float(np.log(1.0 - u1)))
         t = 2.0 * math.pi * u2
-        return r * math.cos(t), r * math.sin(t)
+        return r * float(np.cos(t)), r * float(np.sin(t))
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Matrix of standard complex Gaussians, filled row-major.
@@ -120,20 +121,16 @@ def _gaussians_at(state: int, pairs: np.ndarray) -> np.ndarray:
     """Complex Gaussian entries number ``pairs`` (a ``uint64`` array) of a
     stream at ``state``: entry p is the Box-Muller pair of steps 2p + 1 and
     2p + 2, the value ``gaussian_matrix`` puts at flat position p."""
-    steps = (2 * pairs[:, None] + np.array([1, 2], dtype=np.uint64)).reshape(-1)
-    u = (mix64(state + steps * GOLDEN) >> 11) * 2.0**-53
-    count = pairs.size
-    # ln and exp(i t) = cos t + i sin t from the platform libm, as in
-    # next_gaussian_pair; exp(0) = 1 leaves cos and sin bit-exact
-    log = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), float, count)
-    t = np.zeros(count, dtype=complex)
-    t.imag = 2.0 * math.pi * u[1::2]
-    rot = np.fromiter(map(cmath.exp, t.tolist()), complex, count)
-    r = np.sqrt(-2.0 * log)
+    step1 = state + (2 * pairs + 1) * np.uint64(GOLDEN)
+    u1 = (mix64(step1) >> 11) * 2.0**-53
+    u2 = (mix64(step1 + np.uint64(GOLDEN)) >> 11) * 2.0**-53
+    # the same operations, in the same order, as next_gaussian_pair
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    t = 2.0 * math.pi * u2
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    out = np.empty(count, dtype=complex)
-    out.real = r * rot.real * inv_sqrt2
-    out.imag = r * rot.imag * inv_sqrt2
+    out = np.empty(pairs.size, dtype=complex)
+    out.real = r * np.cos(t) * inv_sqrt2
+    out.imag = r * np.sin(t) * inv_sqrt2
     return out
 
 

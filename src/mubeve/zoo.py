@@ -27,6 +27,14 @@ KINDS = {
 
 MAX_TOTAL_DIM = 512
 
+# Work limits of a document, beside the cell limits.  A (1, 256) basis of
+# the measured search takes about 15 ms (2-core x86 VM, one BLAS thread),
+# so the largest search takes about 15 s.
+MAX_POVM_SAMPLES = 1024
+MAX_COUNT = 1024         # attacks per campaign cell
+MAX_GRID_CELLS = 64
+MAX_SWEEP_THETAS = 1024
+
 
 def check_cell(n: int, eve_dim: int) -> None:
     """Reject a (qubit count, apparatus dimension) cell outside the
@@ -49,10 +57,11 @@ class AttackSpec:
     """Named attack with its parameters.
 
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
-    and ``seed`` are only meaningful for ``random_unitary``, so only there
-    does ``check_cell`` see ``eve_dim``.  Construction rejects every spec
-    that ``make_attack`` could not build, so a spec can be validated
-    without building its channel.
+    and ``seed`` belong to ``random_unitary`` alone, so only there does
+    ``check_cell`` see ``eve_dim``, and every other kind rejects values
+    other than the defaults.  Construction rejects every spec that
+    ``make_attack`` could not build or would ignore a field of, so a spec
+    can be validated without building its channel.
     """
 
     kind: str
@@ -64,7 +73,11 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedCombinationError(f"unknown attack kind {self.kind!r}")
-        check_cell(self.n, self.eve_dim if self.kind == "random_unitary" else 1)
+        if self.kind != "random_unitary" and (self.eve_dim, self.seed) != (1, 0):
+            raise UnsupportedCombinationError(
+                f"{self.kind} takes no eve_dim or seed, only random_unitary does"
+            )
+        check_cell(self.n, self.eve_dim)
         arity = KINDS[self.kind][0]
         if len(self.params) != arity:
             raise OutOfRangeError(

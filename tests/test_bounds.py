@@ -277,6 +277,33 @@ class TestAccessibleInfoLowerBound:
         got = accessible_info_lower_bound(ens, samples, seed + 100)
         assert abs(got - oracle) <= 1e-12
 
+    @pytest.mark.parametrize("n, eve_dim", [(1, 8), (2, 4), (3, 2), (4, 32), (1, 256)])
+    def test_kraus_columns_match_dense_ensemble(self, monkeypatch, n, eve_dim):
+        # the audit scores each basis against the Kraus vectors (reduced by
+        # QR where they outnumber eve_dim), the public route against the
+        # eigenvectors of validated dense states; both see the same
+        # outcome probabilities, whatever blocks each route draws in
+        scored = []
+        label_information = bounds._label_information
+
+        def recording(priors, h_label, cond):
+            if cond.ndim == 3:
+                scored[-1].append(cond)
+            return label_information(priors, h_label, cond)
+
+        monkeypatch.setattr(bounds, "_label_information", recording)
+        ch = random_attack(n, eve_dim, 40 + n)
+        ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
+        values = []
+        for route in (lambda: bounds._accessible_info(ens.priors, ch.kraus, 6, 3),
+                      lambda: accessible_info_lower_bound(ens, 6, 3)):
+            scored.append([])
+            values.append(route())
+        kraus, dense = (np.concatenate(c) for c in scored)
+        assert kraus.shape == dense.shape == (6, ch.dim, eve_dim)
+        assert np.max(np.abs(kraus - dense)) <= 1e-12
+        assert abs(values[0] - values[1]) <= 1e-12
+
     def test_negative_samples_rejected(self):
         ens = overlap_pair_ensemble(0.4)
         with pytest.raises(OutOfRangeError):
@@ -468,6 +495,11 @@ class TestAuditAttack:
         rep = info.value.report
         assert rep.chi_orig > rep.chi_sym + 1e-9
         assert rep.slack_main >= -1e-9
+        # the message names the failed link, and only it, with both values
+        assert str(info.value) == (
+            "audited bounds violated beyond 1e-09: "
+            f"chi_orig {rep.chi_orig:.17g} > chi_sym {rep.chi_sym:.17g}"
+        )
 
     def test_builds_no_povm_and_no_density_matrix(self, monkeypatch):
         # every check runs on stacks; the spectrum identity reads the Fourier
@@ -546,13 +578,16 @@ class TestAuditAttack:
     def test_inflated_i_lower_violates_chain(self, monkeypatch):
         ch = random_attack(2, 2, 11)
         chi_orig = audit_attack(ch, 4, 0).chi_orig
-        # the audit runs the measured search on the state stack directly
+        # the audit runs the measured search on the Kraus table directly
         monkeypatch.setattr(
-            bounds, "_accessible_info", lambda priors, rho, s, seed: chi_orig + 1e-6
+            bounds, "_accessible_info", lambda priors, factors, s, seed: chi_orig + 1e-6
         )
         with pytest.raises(TheoremViolation) as info:
             audit_attack(ch, 4, 0)
         assert info.value.report.slack_measured >= -1e-9
+        assert str(info.value).endswith(
+            f": i_lower {chi_orig + 1e-6:.17g} > chi_orig {chi_orig:.17g}"
+        )
 
 
 def unitarity_residual(kraus):

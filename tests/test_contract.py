@@ -31,8 +31,8 @@ DOCUMENTS = {
                  "probe_sweep.scenario", "campaign_small.json")
 }
 
-# Sizes without an upper bound in the schema, capped so that an example
-# stays small: the schema lets a document ask for unbounded work.
+# Sizes capped far below the parser's work limits (zoo.MAX_POVM_SAMPLES
+# and its neighbours), which still admit minutes of work per document.
 CAPS = {"povm_samples": 8, "count": 2}
 MAX_GRID = 3
 MAX_THETAS = 8

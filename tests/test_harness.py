@@ -189,6 +189,18 @@ class TestParseScenario:
         assert err.value.field == "n_qubits"
         assert f"qubit count {n_qubits} outside [1, 4]" in str(err.value)
 
+    @pytest.mark.parametrize("field, limit, value, huge", [
+        ("povm_samples", 1024, lambda k: k, 10**18),
+        ("sweep_thetas", 1024, lambda k: [0.0] * k, 10**5),
+    ])
+    def test_work_limits(self, field, limit, value, huge):
+        parse_scenario(minimal_scenario(**{field: value(limit)}))
+        for too_much in (limit + 1, huge):
+            with pytest.raises(ValidationError) as err:
+                parse_scenario(minimal_scenario(**{field: value(too_much)}))
+            assert err.value.field == field
+            assert str(limit) in str(err.value)
+
     def test_sweep_thetas_parsed(self):
         cfg = parse_scenario(minimal_scenario(
             attack={"kind": "probe_overlap", "params": [0.0]},
@@ -221,6 +233,20 @@ class TestParseCampaign:
         with pytest.raises(ValidationError) as err:
             parse_campaign(json.dumps(doc))
         assert str(err.value) == f"grid[1]: {message}"
+
+    @pytest.mark.parametrize("field, limit, value, huge", [
+        ("povm_samples", 1024, lambda k: k, 10**18),
+        ("count", 1024, lambda k: k, 10**12),
+        ("grid", 64, lambda k: [[1, 1]] * k, 10**5),
+    ])
+    def test_work_limits(self, field, limit, value, huge):
+        doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": "x.csv"}
+        parse_campaign(json.dumps({**doc, field: value(limit)}))
+        for too_much in (limit + 1, huge):
+            with pytest.raises(ValidationError) as err:
+                parse_campaign(json.dumps({**doc, field: value(too_much)}))
+            assert err.value.field == field
+            assert str(limit) in str(err.value)
 
     def test_missing_output(self):
         doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0}
@@ -542,6 +568,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: attack.{field}: ")
 
+    @pytest.mark.parametrize("attack, field", [
+        ({"kind": "identity", "eve_dim": -5, "seed": 3}, "eve_dim"),
+        ({"kind": "identity", "seed": 3}, "seed"),
+        ({"kind": "phase_conversion", "eve_dim": 1}, "eve_dim"),
+        ({"kind": "intercept_resend", "seed": 0}, "seed"),
+        ({"kind": "cnot_probe", "eve_dim": 2}, "eve_dim"),
+        ({"kind": "probe_overlap", "params": [0.5], "seed": 9}, "seed"),
+    ])
+    def test_named_kind_with_eve_dim_or_seed_exit_code(self, tmp_path, capsys,
+                                                        attack, field):
+        # only random_unitary reads these keys; any other kind would ignore them
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario(attack=attack))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: attack.{field}: only random_unitary")
+
     @pytest.mark.parametrize("field,value", [
         ("unitary", {"re": 1.0, "im": 0.0}),
         ("unitary", [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]),
@@ -677,6 +721,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "theorem violation" in captured.err
+        assert ": chi_orig " in captured.err and " > chi_sym " in captured.err
 
     def test_cached_parser_keeps_no_state(self, capsys):
         """Consecutive in-process commands share one parser; each must print

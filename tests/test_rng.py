@@ -10,6 +10,7 @@ from mubeve.rng import (
     GOLDEN,
     MASK64,
     SplitMix64,
+    _gaussians_at,
     gram_schmidt_unitary,
     mix,
     mix64,
@@ -103,6 +104,30 @@ class TestSplitMix64:
     def test_gaussian_matrix_bit_identical_to_scalar_pairs(self, seed):
         got = SplitMix64(seed).gaussian_matrix(256, 256)
         want = scalar_gaussian_matrix(SplitMix64(seed), 256, 256)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_draws_of_every_length_equal_the_flat_draw(self):
+        # lengths 1..33 cover every tail a vector kernel can leave, and
+        # drawn one after another they also start at every offset
+        lengths = range(1, 34)
+        flat = SplitMix64(WRAP_SEED).gaussian_matrix(1, sum(lengths))[0]
+        stream, start = SplitMix64(WRAP_SEED), 0
+        for length in lengths:
+            fresh = SplitMix64(WRAP_SEED).gaussian_matrix(1, length)[0]
+            assert np.array_equal(fresh.view(np.uint64), flat[:length].view(np.uint64))
+            got = stream.gaussian_matrix(1, length)[0]
+            want = flat[start:start + length]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            start += length
+        scalar = scalar_gaussian_matrix(SplitMix64(WRAP_SEED), 1, flat.size)[0]
+        assert np.array_equal(flat.view(np.uint64), scalar.view(np.uint64))
+
+    def test_strided_pairs_equal_the_flat_draw(self):
+        # random_isometry draws the leading columns, a strided set of pairs
+        flat = SplitMix64(WRAP_SEED).gaussian_matrix(1, 600)[0]
+        pairs = np.arange(7, 600, 13, dtype=np.uint64)
+        got = _gaussians_at(WRAP_SEED, pairs)
+        want = np.ascontiguousarray(flat[7::13])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gaussian_matrix_advances_state_by_two_steps_per_entry(self):
@@ -213,8 +238,9 @@ class TestRandomUnitary:
 
 @pytest.mark.slow
 def test_gaussian_draw_bit_exact_over_a_million_pairs():
-    """2**20 pairs of the vectorized draw (cmath.exp for cos and sin)
-    against the scalar math.cos/math.sin pairs.  Run with pytest -m slow."""
+    """2**20 pairs of the block draw against the same count of scalar
+    next_gaussian_pair calls, both through numpy's log, cos and sin.  Run
+    with pytest -m slow."""
     rows = cols = 1 << 10
     got = SplitMix64(WRAP_SEED).gaussian_matrix(rows, cols)
     want = scalar_gaussian_matrix(SplitMix64(WRAP_SEED), rows, cols)

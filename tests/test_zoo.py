@@ -46,10 +46,17 @@ class TestAttackSpec:
         with pytest.raises(OutOfRangeError):
             AttackSpec("identity", 5)
 
-    def test_eve_dim_checked_only_for_random_unitary(self):
-        # the named kinds build their own apparatus and ignore eve_dim, so
-        # the documents accepted before check_cell stay accepted
-        assert AttackSpec("identity", 1, eve_dim=0).eve_dim == 0
+    @pytest.mark.parametrize("kind", [k for k in KINDS if k != "random_unitary"])
+    @pytest.mark.parametrize("field", [{"eve_dim": 0}, {"eve_dim": 2}, {"seed": 3}],
+                             ids=["eve_dim0", "eve_dim2", "seed3"])
+    def test_named_kinds_reject_eve_dim_and_seed(self, kind, field):
+        # the named kinds build their own apparatus and would ignore them
+        params = (0.3,) * KINDS[kind][0]
+        with pytest.raises(UnsupportedCombinationError, match="random_unitary"):
+            AttackSpec(kind, 1, params=params, **field)
+        assert AttackSpec(kind, 1, params=params, eve_dim=1, seed=0).eve_dim == 1
+
+    def test_eve_dim_checked_for_random_unitary(self):
         with pytest.raises(OutOfRangeError):
             AttackSpec("random_unitary", 1, eve_dim=0)
         with pytest.raises(DimensionTooLargeError):
