@@ -35,12 +35,13 @@ from .linalg import (
     TAU_SLACK,
     TAU_SUPPORT,
     DensityMatrix,
+    _as_integer,
     _check_probabilities,
     _eigh,
     _entropy_bits,
     _min_eigenvalue_at_least,
+    _svd,
     density_spectra,
-    factor_states,
     hermitian_residual,
     mixture_spectra,
     sign_grid,
@@ -64,7 +65,9 @@ class Ensemble:
     def __post_init__(self):
         p = np.array(self.priors, dtype=float).reshape(-1)
         states = tuple(self.states)
-        if p.size != len(states) or not states:
+        if not states:
+            raise DimensionMismatchError("an ensemble needs at least one state")
+        if p.size != len(states):
             raise DimensionMismatchError("priors and states lengths disagree")
         _check_probabilities(p, OutOfRangeError, "priors")
         d = states[0].dim
@@ -81,7 +84,7 @@ class Ensemble:
     @classmethod
     def uniform(cls, states) -> "Ensemble":
         states = tuple(states)
-        return cls(np.full(len(states), 1.0 / len(states)), states)
+        return cls(np.ones(len(states)) / len(states), states)
 
     def average(self) -> np.ndarray:
         return sum(
@@ -225,36 +228,24 @@ def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
                                  np.stack(x.elements), _states(ens))
 
 
-def _pgm_stack(priors: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Elements of the pretty good measurement of the ensemble with label
-    priors ``priors`` and state stack ``rho[i]``, as one unchecked stack.
+def pretty_good_measurement(ens: Ensemble) -> Povm:
+    """Square-root measurement of an ensemble on its dense states, the
+    reference for the audit's route on the support (``_accessible_info``).
 
-    ``X = S (p rho) S + C / count`` for every label at once, where ``S`` is
-    the inverse square root of the average on its support and ``C`` the
-    projector onto the complement.  The Hermitian part is exact by
-    construction; callers check positivity and completeness once for the
-    whole stack (``_check_povm_stack``, or ``Povm``).
+    ``X_i = avg^(-1/2) (p_i rho_i) avg^(-1/2)`` with the inverse square
+    root taken on the support (eigenvalues up to TAU_SUPPORT dropped); the
+    complement of the support is split evenly across the elements so the
+    family is complete (Hausladen & Wootters, J. Mod. Opt. 41, 2385 (1994)).
     """
-    weighted = priors[:, None, None] * rho
+    weighted = ens.priors[:, None, None] * _states(ens)
     w, v = _eigh(weighted.sum(axis=0), want_vectors=True)  # Hermitian by construction
     w, v = w[::-1], v[:, ::-1]                               # descending
     keep = w > TAU_SUPPORT
     vk = v[:, keep]
     inv_sqrt = (vk * (1.0 / np.sqrt(w[keep]))) @ vk.conj().T
-    complement = np.eye(rho.shape[-1]) - vk @ vk.conj().T
-    x = inv_sqrt @ weighted @ inv_sqrt + complement / len(priors)
-    return 0.5 * (x + x.conj().swapaxes(-1, -2))
-
-
-def pretty_good_measurement(ens: Ensemble) -> Povm:
-    """Square-root measurement of an ensemble.
-
-    ``X_i = avg^(-1/2) (p_i rho_i) avg^(-1/2)`` with the inverse square
-    root taken on the support (eigenvalues up to TAU_SUPPORT dropped); the
-    complement of the support is split evenly across the elements so the
-    family is complete.
-    """
-    return Povm(tuple(_pgm_stack(ens.priors, _states(ens))))
+    complement = np.eye(ens.dim) - vk @ vk.conj().T
+    x = inv_sqrt @ weighted @ inv_sqrt + complement / len(ens.priors)
+    return Povm(tuple(0.5 * (x + x.conj().swapaxes(-1, -2))))
 
 
 def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
@@ -263,27 +254,34 @@ def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
     ``priors`` and states ``rho_i = sum_j |v_ij><v_ij|`` given by column
     factors ``factors[i, j] = v_ij``; the audit passes ``ch.kraus``.
 
-    The pretty good measurement is built on the dense states.  A random
-    basis is scored through the factors, ``p(a|i) = sum_j |<b_a|v_ij>|**2``,
-    never through a dense ``rho_i @ B``.  A state with more factors than
-    its dimension ``d`` is first reduced to ``d`` by QR, so a basis costs
-    at most ``count * d**3`` products and at most ``(total dim)**2`` for a
-    Kraus table.  A block holds at most ``2**16`` entries of the draw and
-    of the amplitudes.
+    No state is formed densely: a state with more factors than its
+    dimension ``d`` is first reduced to ``d`` rows ``A_i`` by QR.  The pretty
+    good measurement lives on the support of the average (Hausladen &
+    Wootters, J. Mod. Opt. 41, 2385 (1994)).  With the thin SVD
+    ``sqrt(p_i) A_i = U_i S V^H`` (``s**2 > TAU_SUPPORT``), its elements are
+    ``U_i^H U_i`` and the states ``C_i^H C_i`` for ``C_i = A_i V`` (``S U_i^H
+    U_i S / p_i`` where ``p_i > 0``), at most ``min(4**n, eve_dim)`` wide for
+    a Kraus table.  A random basis is scored through the rows, ``p(a|i) = sum_j
+    |<b_a|v_ij>|**2``, in at most ``count * d**3`` products.  A block holds
+    at most ``2**16`` entries of the draw and of the amplitudes.
     """
+    samples = _as_integer(samples, "samples")
     if samples < 0:
         raise OutOfRangeError("samples must be nonnegative")
-    rho = factor_states(factors)
     h_label = float(_entropy_bits(priors))
-    pgm = _pgm_stack(priors, rho)
-    _check_povm_stack(pgm)
-    best = _measured_information(priors, h_label, pgm, rho)
     count, rank, d = factors.shape
     if rank > d:
         # rho_i = A^T conj(A) for the rows A of state i, and A = QR gives
         # rho_i = R^T conj(R): the d rows of R are factors too
         factors, rank = np.linalg.qr(factors, mode="r"), d
     rows = factors.reshape(count * rank, d)
+    u, s, vh = _svd(rows, np.repeat(np.sqrt(np.clip(priors, 0.0, None)), rank))
+    keep = s**2 > TAU_SUPPORT
+    u = u[:, keep].reshape(count, rank, -1)
+    c = factors @ vh[keep].conj().T
+    pgm = u.conj().swapaxes(-1, -2) @ u
+    _check_povm_stack(pgm)
+    best = _measured_information(priors, h_label, pgm, c.conj().swapaxes(-1, -2) @ c)
     block = max(1, _BLOCK_ENTRIES // (d * max(d, count * rank)))
     stream = SplitMix64(seed)
     for start in range(0, samples, block):
@@ -384,9 +382,9 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     with its two values) if one fails, which can only mean an
     implementation bug.  ``chi_orig`` comes from Kraus Gram
     spectra (``kraus_holevo_chi``), which also checks the spectra of the
-    original states; the measured search scores its random bases against
-    the Kraus vectors themselves and checks its pretty good measurement,
-    built on the unvalidated state stack, once.  Neither
+    original states; the measured search reads the Kraus vectors
+    themselves, for its random bases and for its pretty good measurement,
+    built on the support of the average and checked once.  Neither
     the symmetrized attack nor its purification Gram is built: ``chi_sym``
     (``symmetrized_holevo_chi``) and the Fourier spectrum of the identity
     (``fourier_spectrum``) both take one Walsh transform ``W`` of the

@@ -26,7 +26,6 @@ from .linalg import (
     DensityMatrix,
     _check_probabilities,
     as_index,
-    factor_states,
     mub_transform,
     sign_grid,
     xor_regroup,
@@ -184,7 +183,9 @@ def eve_states(ch: AttackChannel) -> np.ndarray:
     and ``kraus_holevo_chi(ch.kraus)`` checks the unit trace and
     positivity of the same spectra.
     """
-    return factor_states(ch.kraus)
+    k = ch.kraus
+    out = np.empty((ch.dim, ch.eve_dim, ch.eve_dim), dtype=complex)
+    return np.einsum("ijd,ije->ide", k, k.conj(), out=out)
 
 
 def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:

@@ -50,6 +50,15 @@ ANALYSES = ("audit", "sigma_spectrum", "sweep")
 
 DEFAULT_SWEEP_THETAS = tuple(k * math.pi / 12.0 for k in range(7))
 
+# The keys each document object takes; any other key is a ValidationError
+# naming it, since a misspelt or inapplicable field would be ignored.
+SCENARIO_KEYS = (
+    "n_qubits", "attack", "povm_samples", "seed", "analyses", "sweep_thetas",
+)
+CAMPAIGN_KEYS = ("grid", "count", "master_seed", "output", "povm_samples")
+NAMED_ATTACK_KEYS = ("kind", "n", "params", "eve_dim", "seed")
+EXPLICIT_ATTACK_KEYS = ("unitary", "ancilla")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -121,6 +130,15 @@ def _load_json(text) -> dict:
     return doc
 
 
+def _known_keys(doc, keys, prefix="") -> None:
+    """Raise ValidationError naming the first key of ``doc`` outside ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ValidationError(
+                prefix + key, f"unknown field; expected one of {', '.join(keys)}"
+            )
+
+
 def _int_field(doc, key, minimum=None, maximum=None, default=None, prefix="") -> int:
     """Integer ``doc[key]``, or ``default`` when the key is absent and a
     default is given.  Errors name the field as ``prefix + key``."""
@@ -188,6 +206,7 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
         raise ValidationError("attack", "must be an object")
 
     if "unitary" in raw:
+        _known_keys(raw, EXPLICIT_ATTACK_KEYS, "attack.")
         unitary = _complex_array(raw["unitary"], "attack.unitary")
         if "ancilla" not in raw:
             raise ValidationError("attack.ancilla", "missing required field")
@@ -200,6 +219,7 @@ def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
                 DimensionTooLargeError) as exc:
             raise ValidationError("attack.unitary", str(exc)) from exc
 
+    _known_keys(raw, NAMED_ATTACK_KEYS, "attack.")
     kind = raw.get("kind")
     if not isinstance(kind, str):
         raise ValidationError("attack.kind", "missing or not a string")
@@ -229,6 +249,7 @@ def parse_scenario(text) -> ScenarioConfig:
     offending field otherwise.
     """
     doc = _load_json(text)
+    _known_keys(doc, SCENARIO_KEYS)
     n_qubits = _int_field(doc, "n_qubits")
     _checked_cell("n_qubits", n_qubits, 1)
     attack = _parse_attack(doc, n_qubits)
@@ -264,6 +285,7 @@ def parse_scenario(text) -> ScenarioConfig:
 def parse_campaign(text) -> CampaignConfig:
     """Parse and validate one campaign document."""
     doc = _load_json(text)
+    _known_keys(doc, CAMPAIGN_KEYS)
     raw_grid = doc.get("grid")
     if not isinstance(raw_grid, list):
         raise ValidationError("grid", "must be a list of [n, eve_dim] pairs")

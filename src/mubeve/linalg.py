@@ -14,6 +14,7 @@ other builds may differ in the last digits.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ TAU_TR = 1e-9        # |trace - 1| of a state, |sum - 1| of a probability row
 TAU_PSD = 1e-10      # lowest admitted eigenvalue or probability is -TAU_PSD
 TAU_UNIT = 1e-9      # unitarity residual of a unitary or a Kraus table
 TAU_POVM = 1e-8      # completeness residual |sum_a X_a - I| of a POVM
-TAU_SUPPORT = 1e-12  # eigenvalues above this span the support of a PGM average
+TAU_SUPPORT = 1e-12  # a PGM average's eigenvalues (factor s**2) above this span its support
 TAU_RANK = 1e-12     # |R_kk| below this makes QR columns numerically dependent
 TAU_SPREAD = 1e-10   # spread of a purification overlap over pairs with one i XOR j
 TAU_FOURIER = 1e-9   # Fourier eigenvalues: imaginary part, and gap to the eigensolver
@@ -44,6 +45,15 @@ TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 
 # Largest supported qubit count for basis transforms and channels.
 N_MAX = 4
+
+
+def _as_integer(value, what: str) -> int:
+    """``value`` as a Python int, or OutOfRangeError naming ``what`` unless
+    it is an integer (a Python or numpy one).  Called before a range
+    check, which a float would pass only to fail later as a TypeError."""
+    if not isinstance(value, numbers.Integral):
+        raise OutOfRangeError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def bit_parity(x: int) -> int:
@@ -148,6 +158,18 @@ def _eigh(a: np.ndarray, want_vectors: bool):
         return np.linalg.eigvalsh(a), None
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
+
+
+def _svd(a: np.ndarray, row_weights: np.ndarray):
+    """Thin LAPACK SVD ``(u, s, vh)`` of ``row_weights[:, None] * a``.  Both
+    non-finite entries of ``a``, rejected before the weighting could turn
+    them into NaN with a warning, and a LAPACK failure raise EigensolverError."""
+    if not np.isfinite(a).all():
+        raise EigensolverError("matrix has non-finite entries")
+    try:
+        return np.linalg.svd(row_weights[:, None] * a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
 def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
@@ -294,16 +316,6 @@ def mixture_spectra(vectors, weight: float = 1.0, union: bool = False) -> np.nda
     return density_spectra(weight * m, union)
 
 
-def factor_states(factors) -> np.ndarray:
-    """``rho_i = sum_j |v_ij><v_ij|`` for each stack of column factors
-    ``factors[i, j, :] = v_ij``, as one unchecked, C-contiguous
-    ``(count, d, d)`` stack, Hermitian by construction."""
-    v = np.asarray(factors, dtype=complex)
-    count, _, d = v.shape
-    out = np.empty((count, d, d), dtype=complex)
-    return np.einsum("ijd,ije->ide", v, v.conj(), out=out)
-
-
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
     """``-sum p log2 p`` in bits over the last axis, unchecked.  An entry
     <= 0 adds a zero term, so rounding negatives read as 0 without a clip."""
@@ -392,6 +404,7 @@ def mub_transform(n: int) -> np.ndarray:
     Real orthogonal, symmetric, involutive: entry (i, k) equals
     ``2**(-n/2) * (-1)**(i.k)``, so the two bases are mutually unbiased.
     """
+    _as_integer(n, "qubit count")
     if n < 1:
         raise OutOfRangeError("qubit count must be at least 1")
     if n > N_MAX:

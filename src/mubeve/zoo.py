@@ -12,7 +12,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .channel import AttackChannel, Basis
-from .linalg import N_MAX, bit_parity
+from .linalg import N_MAX, _as_integer, bit_parity
 from .rng import random_isometry
 
 # Named attacks: kind -> (parameter count, one-line note for ``mubeve zoo``).
@@ -40,7 +40,9 @@ def check_cell(n: int, eve_dim: int) -> None:
     """Reject a (qubit count, apparatus dimension) cell outside the
     supported limits: ``1 <= n <= N_MAX`` (OutOfRangeError), ``eve_dim >= 1``
     (OutOfRangeError) and ``eve_dim * 2**n <= MAX_TOTAL_DIM``
-    (DimensionTooLargeError)."""
+    (DimensionTooLargeError).  A non-integer is an OutOfRangeError."""
+    _as_integer(n, "qubit count")
+    _as_integer(eve_dim, "eve_dim")
     if not 1 <= n <= N_MAX:
         raise OutOfRangeError(f"qubit count {n} outside [1, {N_MAX}]")
     if eve_dim < 1:

@@ -26,10 +26,10 @@ from mubeve.channel import (
     AttackChannel,
     ErrorDistribution,
     eve_state,
-    eve_states,
     xor_error_distribution,
 )
 from mubeve.errors import (
+    DimensionMismatchError,
     EigensolverError,
     InvalidPovmError,
     MubeveError,
@@ -38,7 +38,7 @@ from mubeve.errors import (
     TheoremViolation,
     WrongBasisError,
 )
-from mubeve.linalg import DensityMatrix, hermitian_eigenvalues, shannon_entropy
+from mubeve.linalg import DensityMatrix, hermitian_eigenvalues
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
 from mubeve.symmetrize import (
     purification_vectors,
@@ -88,6 +88,10 @@ class TestEnsemblePovmTypes:
     def test_priors_must_be_finite(self, p):
         with pytest.raises(OutOfRangeError):
             Ensemble(p, (DensityMatrix(np.eye(2) / 2),) * 2)
+
+    def test_empty_ensemble(self):
+        with pytest.raises(DimensionMismatchError, match="at least one state"):
+            Ensemble.uniform([])
 
     def test_states_must_share_dimension(self):
         with pytest.raises(Exception):
@@ -309,25 +313,85 @@ class TestAccessibleInfoLowerBound:
         with pytest.raises(OutOfRangeError):
             accessible_info_lower_bound(ens, -1, 0)
 
+    def test_non_integer_samples_rejected(self):
+        ens = overlap_pair_ensemble(0.4)
+        ch = random_attack(1, 2, 3)
+        for route in (lambda s: accessible_info_lower_bound(ens, s, 1),
+                      lambda s: audit_attack(ch, s, 1)):
+            with pytest.raises(OutOfRangeError, match="samples 2.5 is not an integer"):
+                route(2.5)
+        # a numpy integer is a count like any other
+        assert audit_attack(ch, np.int64(3), 1).i_lower == audit_attack(ch, 3, 1).i_lower
 
-PGM_CELLS = [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5), (1, 64, 9)]
+
+PGM_CELLS = [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5), (1, 64, 9),
+             (3, 2, 6), (4, 32, 7), (1, 256, 10), (1, 1, 11)]
 
 
 class TestPgmStack:
-    """The audit builds the pretty good measurement as one stack and checks
-    it once; the validated ``Povm`` route is the oracle."""
+    """The audit builds the pretty good measurement on the support of the
+    ensemble average and checks it once; the dense, validated ``Povm``
+    route is the oracle."""
 
     @pytest.mark.parametrize("n, eve_dim, seed", PGM_CELLS)
     def test_matches_validated_povm(self, n, eve_dim, seed):
+        # no random basis: the measured value is the PGM's alone
         ch = random_attack(n, eve_dim, seed)
         ens = Ensemble.uniform([eve_state(ch, i) for i in range(ch.dim)])
-        rho = eve_states(ch)
-        stack = bounds._pgm_stack(ens.priors, rho)
-        bounds._check_povm_stack(stack)
-        h_label = shannon_entropy(ens.priors)
-        got = bounds._measured_information(ens.priors, h_label, stack, rho)
+        got = bounds._accessible_info(ens.priors, ch.kraus, 0, seed)
         want = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
         assert abs(got - want) <= 1e-12
+
+    @pytest.mark.parametrize("priors", [[0.5, 0.3, 0.2], [0.7, 0.0, 0.3]])
+    def test_non_uniform_priors_match_validated_povm(self, priors):
+        # dense mixed states of rank 2 in dimension 3 through the public
+        # route, which factors them by eigendecomposition; a zero prior
+        # leaves its state outside the weighted rows
+        stream = SplitMix64(29)
+        states = []
+        for _ in priors:
+            g = stream.gaussian_matrix(3, 2)
+            rho = g @ g.conj().T
+            states.append(DensityMatrix(rho / np.trace(rho).real))
+        ens = Ensemble(np.array(priors), tuple(states))
+        got = accessible_info_lower_bound(ens, 0, 4)
+        want = mutual_information_of_measurement(ens, pretty_good_measurement(ens))
+        assert abs(got - want) <= 1e-12
+
+    def test_negative_rounding_prior_reads_as_zero(self):
+        # priors may dip to -TAU_PSD; the weighted rows take them as 0
+        states = (DensityMatrix.pure([1.0, 0.0]), DensityMatrix(np.eye(2) / 2))
+        got = accessible_info_lower_bound(Ensemble([1.0 + 5e-11, -5e-11], states), 0, 1)
+        want = accessible_info_lower_bound(Ensemble([1.0, 0.0], states), 0, 1)
+        assert abs(got - want) <= 1e-9
+
+    @pytest.mark.parametrize("n, eve_dim, width", [(1, 256, 4), (3, 2, 2)])
+    def test_audit_measures_on_the_support(self, monkeypatch, n, eve_dim, width):
+        # the audit's PGM stack is as wide as the support of the average,
+        # at most min(4**n, eve_dim), and no eigensolve is eve_dim wide
+        checked, solved = [], []
+        check = bounds._check_povm_stack
+        linalg = importlib.import_module("mubeve.linalg")
+        eigh = linalg._eigh
+
+        def recording_check(elements):
+            checked.append(elements.shape)
+            check(elements)
+
+        def recording_eigh(a, want_vectors):
+            solved.append(a.shape[-1])
+            return eigh(a, want_vectors)
+
+        monkeypatch.setattr(bounds, "_check_povm_stack", recording_check)
+        monkeypatch.setattr(linalg, "_eigh", recording_eigh)
+        monkeypatch.setattr(bounds, "_eigh", recording_eigh)
+        audit_attack(random_attack(n, eve_dim, 13), 4, 2)
+        assert len(checked) == 1
+        count, rows, cols = checked[0]
+        assert count == 1 << n and rows == cols <= width
+        if eve_dim > 4**n:
+            assert rows == width
+            assert max(solved) < eve_dim
 
     def projectors(self, d):
         return np.stack([np.diag(np.eye(d)[k]).astype(complex) for k in range(d)])
@@ -362,10 +426,16 @@ class TestPgmStack:
             bounds._check_povm_stack(stack)
 
     def test_nan_state(self):
-        rho = eve_states(random_attack(1, 2, 4))
-        rho[1, 0, 0] = np.nan
-        with pytest.raises(EigensolverError):
-            bounds._pgm_stack(np.full(2, 0.5), rho)
+        # non-finite Kraus entries stop the measured search with the
+        # eigensolver's error, with or without the QR reduction, and
+        # before any arithmetic on them could warn
+        for n, eve_dim in ((1, 2), (3, 2)):
+            kraus = random_attack(n, eve_dim, 4).kraus.copy()
+            priors = np.full(1 << n, 1.0 / (1 << n))
+            for bad in (np.nan, np.inf):
+                kraus[1, 0, 0] = bad
+                with pytest.raises(EigensolverError):
+                    bounds._accessible_info(priors, kraus, 2, 0)
 
 
 class TestClosedFormBounds:

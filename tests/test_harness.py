@@ -586,6 +586,30 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: attack.{field}: only random_unitary")
 
+    @pytest.mark.parametrize("command, document, field", [
+        # a misspelt analysis would silently drop sigma_spectrum
+        ("audit", minimal_scenario(analysis=["sigma_spectrum"]), "analysis"),
+        ("audit", minimal_scenario(attack={"kind": "identity", "bogus": 3}),
+         "attack.bogus"),
+        # an explicit unitary would ignore the kind beside it
+        ("audit", minimal_scenario(attack={
+            "kind": "bogus", "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "ancilla": [[1, 0]],
+        }), "attack.kind"),
+        # a misspelt povm_samples would fall back to the default of 16
+        ("campaign", json.dumps({
+            "grid": [[1, 1]], "count": 1, "master_seed": 0, "output": "x.csv",
+            "povm_sample": 3,
+        }), "povm_sample"),
+    ], ids=["scenario", "named-attack", "explicit-attack", "campaign"])
+    def test_unknown_key_exit_code(self, tmp_path, capsys, command, document, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(document)
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: unknown field")
+
     @pytest.mark.parametrize("field,value", [
         ("unitary", {"re": 1.0, "im": 0.0}),
         ("unitary", [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]),

@@ -448,3 +448,8 @@ class TestMubTransform:
     def test_too_small(self):
         with pytest.raises(OutOfRangeError):
             mub_transform(0)
+
+    def test_not_an_integer(self):
+        with pytest.raises(OutOfRangeError, match="not an integer"):
+            mub_transform(2.5)
+        assert np.array_equal(mub_transform(np.int64(2)), mub_transform(2))

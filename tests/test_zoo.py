@@ -78,6 +78,9 @@ class TestCheckCell:
         (1, 0, OutOfRangeError),
         (4, 33, DimensionTooLargeError),
         (1, 257, DimensionTooLargeError),
+        # a float would pass the range checks and fail later as a TypeError
+        (1, 2.5, OutOfRangeError),
+        (1.0, 2, OutOfRangeError),
     ])
     def test_rejects(self, n, eve_dim, error):
         for check in (check_cell, lambda n, d: random_attack(n, d, 0),
