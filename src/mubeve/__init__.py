@@ -19,7 +19,6 @@ from .errors import (
     TranslationInvarianceError,
     UnsupportedCombinationError,
     ValidationError,
-    WrongBasisError,
 )
 from .linalg import (
     N_MAX,
@@ -27,52 +26,30 @@ from .linalg import (
     TAU_PSD,
     TAU_TR,
     TAU_UNIT,
-    BitString,
     DensityMatrix,
     Spectrum,
-    bit_dot,
     bit_parity,
     hermitian_eigendecomposition,
-    hermitian_eigenvalues,
     mub_transform,
     partial_trace,
-    shannon_entropy,
     tensor_product,
-    von_neumann_entropy,
 )
 from .channel import (
     AttackChannel,
-    Basis,
     ErrorDistribution,
-    bob_conjugate_state,
     eve_state,
-    eve_states,
     from_unitary,
-    to_conjugate_basis,
     xor_error_distribution,
 )
-from .symmetrize import (
-    SigmaAnalysis,
-    error_patterns,
-    fourier_spectrum,
-    project_ancilla,
-    purification_vectors,
-    sigma_matrix,
-    sigma_spectrum_check,
-    symmetrize,
-)
+# ``symmetrize`` itself is not re-exported, so that the package attribute
+# ``mubeve.symmetrize`` is the module, not the function.
+from .symmetrize import error_patterns, fourier_spectrum, project_ancilla
 from .bounds import (
     BoundsReport,
-    Ensemble,
-    Povm,
-    accessible_info_lower_bound,
     audit_attack,
     boykin_bound,
     corollary_bound,
-    holevo_chi,
     kraus_holevo_chi,
-    mutual_information_of_measurement,
-    pretty_good_measurement,
     symmetrized_holevo_chi,
     xor_entropy_bound,
 )

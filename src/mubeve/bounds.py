@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InvalidPovmError,
     NotADistributionError,
     OutOfRangeError,
@@ -34,10 +33,7 @@ from .linalg import (
     TAU_PSD,
     TAU_SLACK,
     TAU_SUPPORT,
-    DensityMatrix,
     _as_integer,
-    _check_probabilities,
-    _eigh,
     _entropy_bits,
     _min_eigenvalue_at_least,
     _svd,
@@ -46,73 +42,12 @@ from .linalg import (
     mixture_spectra,
     sign_grid,
     spectral_entropies,
-    von_neumann_entropy,
     xor_regroup,
 )
 from .rng import SplitMix64, gram_schmidt_unitary
 from .symmetrize import error_patterns, fourier_spectrum
 
 _BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Prior-weighted family of density matrices of a common dimension."""
-
-    priors: np.ndarray
-    states: tuple[DensityMatrix, ...]
-
-    def __post_init__(self):
-        p = np.array(self.priors, dtype=float).reshape(-1)
-        states = tuple(self.states)
-        if not states:
-            raise DimensionMismatchError("an ensemble needs at least one state")
-        if p.size != len(states):
-            raise DimensionMismatchError("priors and states lengths disagree")
-        _check_probabilities(p, OutOfRangeError, "priors")
-        d = states[0].dim
-        if any(s.dim != d for s in states):
-            raise DimensionMismatchError("states have mixed dimensions")
-        p.setflags(write=False)
-        object.__setattr__(self, "priors", p)
-        object.__setattr__(self, "states", states)
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
-
-    @classmethod
-    def uniform(cls, states) -> "Ensemble":
-        states = tuple(states)
-        return cls(np.ones(len(states)) / len(states), states)
-
-    def average(self) -> np.ndarray:
-        return sum(
-            p * s.matrix for p, s in zip(self.priors, self.states)
-        )
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Positive operators summing to the identity."""
-
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not elems:
-            raise InvalidPovmError("POVM needs at least one element")
-        d = elems[0].shape[0]
-        if any(e.shape != (d, d) for e in elems):
-            raise InvalidPovmError("elements have mixed dimensions")
-        stack = np.array(elems)
-        _check_povm_stack(stack)
-        stack.setflags(write=False)
-        object.__setattr__(self, "elements", tuple(stack))
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
 
 
 def _check_povm_stack(elements: np.ndarray) -> None:
@@ -130,22 +65,12 @@ def _check_povm_stack(elements: np.ndarray) -> None:
         raise InvalidPovmError(f"completeness residual {res:.3e} exceeds {TAU_POVM}")
 
 
-def holevo_chi(ens: Ensemble) -> float:
-    """Entropy of the ensemble average minus the average entropy, in bits."""
-    avg = ens.average()
-    mixed = von_neumann_entropy(avg)
-    individual = sum(
-        p * von_neumann_entropy(s) for p, s in zip(ens.priors, ens.states)
-    )
-    return float(mixed - individual) + 0.0  # normalize -0.0
-
-
 def kraus_holevo_chi(kraus) -> float:
     """Holevo quantity of the uniform ensemble of apparatus states
     ``rho_i = sum_j |K_ij><K_ij|`` of a Kraus table ``kraus[i, j]``.
 
-    Equals ``holevo_chi(Ensemble.uniform(eve_state(ch, i) ...))`` for
-    ``kraus = ch.kraus``, but no dense state is built: the state spectra
+    Equals the Holevo quantity of the dense states ``eve_state(ch, i)``
+    for ``kraus = ch.kraus``, but no dense state is built: the state spectra
     and the spectrum of the average (all ``d**2`` vectors at weight
     ``1/d``) come from ``mixture_spectra``, which eigensolves the smaller
     side of each Gram/ensemble pair and checks every spectrum.  The value
@@ -180,7 +105,7 @@ def symmetrized_holevo_chi(walsh) -> float:
     w = np.asarray(walsh, dtype=complex)
     d = w.shape[0]
     blocks = xor_regroup(w)                       # blocks[l, c] = W[c, l ^ c]
-    # row j: Y[j, l] = W[j, l ^ j], apparatus-major like purification_vectors
+    # row j: Y[j, l] = W[j, l ^ j], apparatus-major like the purification rows
     rows = blocks.transpose(1, 2, 0).reshape(d, -1)
     state = density_spectra((1.0 / d**2) * (rows @ rows.conj().T))
     average = mixture_spectra(blocks, 1.0 / d**2, union=True)
@@ -206,10 +131,6 @@ def _label_information(priors, h_label, cond) -> np.ndarray:
     return h_label + h_outcome - h_joint
 
 
-def _states(ens: Ensemble) -> np.ndarray:
-    return np.stack([s.matrix for s in ens.states])
-
-
 def _measured_information(priors, h_label, elements, rho) -> float:
     """Mutual information of measuring the stack of POVM elements on the
     stack of states, ``p(a|i) = tr(X_a rho_i)``."""
@@ -217,43 +138,17 @@ def _measured_information(priors, h_label, elements, rho) -> float:
     return float(_label_information(priors, h_label, cond.real))
 
 
-def mutual_information_of_measurement(ens: Ensemble, x: Povm) -> float:
-    """Mutual information in bits between the ensemble label and the
-    measurement outcome, ``H(A) + H(E) - H(A, E)``."""
-    if x.dim != ens.dim:
-        raise InvalidPovmError(
-            f"POVM dimension {x.dim} does not match ensemble dimension {ens.dim}"
-        )
-    return _measured_information(ens.priors, float(_entropy_bits(ens.priors)),
-                                 np.stack(x.elements), _states(ens))
-
-
-def pretty_good_measurement(ens: Ensemble) -> Povm:
-    """Square-root measurement of an ensemble on its dense states, the
-    reference for the audit's route on the support (``_accessible_info``).
-
-    ``X_i = avg^(-1/2) (p_i rho_i) avg^(-1/2)`` with the inverse square
-    root taken on the support (eigenvalues up to TAU_SUPPORT dropped); the
-    complement of the support is split evenly across the elements so the
-    family is complete (Hausladen & Wootters, J. Mod. Opt. 41, 2385 (1994)).
-    """
-    weighted = ens.priors[:, None, None] * _states(ens)
-    w, v = _eigh(weighted.sum(axis=0), want_vectors=True)  # Hermitian by construction
-    w, v = w[::-1], v[:, ::-1]                               # descending
-    keep = w > TAU_SUPPORT
-    vk = v[:, keep]
-    inv_sqrt = (vk * (1.0 / np.sqrt(w[keep]))) @ vk.conj().T
-    complement = np.eye(ens.dim) - vk @ vk.conj().T
-    x = inv_sqrt @ weighted @ inv_sqrt + complement / len(ens.priors)
-    return Povm(tuple(0.5 * (x + x.conj().swapaxes(-1, -2))))
-
-
 def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
                      seed: int) -> float:
-    """``accessible_info_lower_bound`` of the ensemble with label priors
-    ``priors`` and states ``rho_i = sum_j |v_ij><v_ij|`` given by column
-    factors ``factors[i, j] = v_ij``; the audit passes ``ch.kraus``.
+    """Best measured mutual information over the pretty good measurement
+    and ``samples`` seeded random orthonormal-basis measurements, for the
+    ensemble with label priors ``priors`` and states ``rho_i = sum_j
+    |v_ij><v_ij|`` given by column factors ``factors[i, j] = v_ij``; the
+    audit passes ``ch.kraus``.
 
+    Monotone nondecreasing in ``samples`` for a fixed seed, since the
+    bases come from one sequential stream, drawn, orthonormalized and
+    scored in blocks that equal the same bases drawn one at a time.
     No state is formed densely: a state with more factors than its
     dimension ``d`` is first reduced to ``d`` rows ``A_i`` by QR.  The pretty
     good measurement lives on the support of the average (Hausladen &
@@ -291,24 +186,6 @@ def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
         cond = (amp.real**2 + amp.imag**2).reshape(m, count, rank, d).sum(axis=2)
         best = max(best, float(_label_information(priors, h_label, cond).max()))
     return best
-
-
-def accessible_info_lower_bound(ens: Ensemble, samples: int, seed: int) -> float:
-    """Best measured mutual information over the pretty good measurement
-    and ``samples`` seeded random orthonormal-basis measurements.
-
-    Monotone nondecreasing in ``samples`` for a fixed seed, since the
-    bases are drawn from one sequential stream.  Bases are drawn,
-    orthonormalized and scored in blocks; a block draw equals the same
-    bases drawn one at a time.  Each basis is orthonormal by construction,
-    so ``p(a|i) = <b_a|rho_i|b_a>`` is read off directly rather than
-    through a validated projector ``Povm``, and through the eigenvectors
-    of each state, ``rho_i = sum_k w_ik |e_ik><e_ik|``, as column factors
-    ``sqrt(w_ik) e_ik`` (negative rounding in ``w_ik`` read as 0).
-    """
-    w, v = _eigh(_states(ens), want_vectors=True)
-    factors = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    return _accessible_info(ens.priors, factors.swapaxes(-1, -2), samples, seed)
 
 
 def xor_entropy_bound(ed: ErrorDistribution) -> float:
@@ -390,8 +267,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     (``fourier_spectrum``) both take one Walsh transform ``W`` of the
     original table regrouped by error pattern (``error_patterns``), while
     the error distribution they are checked against comes independently
-    from the conjugate-basis table (``xor_error_distribution``, which also
-    refuses other bases).
+    from the conjugate-basis table (``xor_error_distribution``).
     """
     ed = xor_error_distribution(ch)
     delta_raw = ed.delta

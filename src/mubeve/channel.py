@@ -10,7 +10,6 @@ acting on the fixed apparatus start vector is ever stored.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,24 +18,16 @@ from .errors import (
     DimensionMismatchError,
     NotADistributionError,
     NotUnitaryError,
-    WrongBasisError,
 )
 from .linalg import (
     TAU_UNIT,
     DensityMatrix,
+    _as_integer,
     _check_probabilities,
     as_index,
-    mub_transform,
     sign_grid,
     xor_regroup,
 )
-
-
-class Basis(enum.Enum):
-    """Which encoding basis the Kraus table is expressed in."""
-
-    B = "b"
-    B_CONJUGATE = "b_conjugate"
 
 
 @dataclass(frozen=True)
@@ -44,19 +35,20 @@ class AttackChannel:
     """Kraus-vector family of one fixed eavesdropping interaction.
 
     ``kraus`` has shape (2**n, 2**n, eve_dim); the apparatus dimension
-    ``eve_dim`` may be 1 (the eavesdropper keeps nothing).
+    ``eve_dim`` may be 1 (the eavesdropper keeps nothing).  ``n`` and
+    ``eve_dim`` must be integers (OutOfRangeError otherwise).
     """
 
     n: int
     eve_dim: int
     kraus: np.ndarray
-    basis_label: Basis = Basis.B
 
     def __post_init__(self):
         k = np.array(self.kraus, dtype=complex)
-        d = 1 << self.n
-        if self.n < 1 or self.eve_dim < 1:
+        n = _as_integer(self.n, "qubit count")
+        if n < 1 or _as_integer(self.eve_dim, "eve_dim") < 1:
             raise DimensionMismatchError("n and eve_dim must be positive")
+        d = 1 << n
         if k.shape != (d, d, self.eve_dim):
             raise DimensionMismatchError(
                 f"kraus table is {k.shape}, expected {(d, d, self.eve_dim)}"
@@ -104,12 +96,6 @@ class ErrorDistribution:
         return float(np.sum(self.probs[1:]))
 
 
-def require_basis_b(ch: AttackChannel) -> None:
-    """Raise WrongBasisError unless the table is expressed in basis b."""
-    if ch.basis_label is not Basis.B:
-        raise WrongBasisError("channel must be expressed in basis b")
-
-
 def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     """Extract the Kraus table of a unitary acting on apparatus x system.
 
@@ -118,6 +104,8 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     """
     u = np.asarray(u, dtype=complex)
     anc = np.asarray(ancilla, dtype=complex).reshape(-1)
+    if _as_integer(n, "qubit count") < 1:
+        raise DimensionMismatchError("n must be positive")
     d = 1 << n
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError("unitary must be square")
@@ -140,7 +128,7 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     ins = np.kron(anc[:, None], np.eye(d, dtype=complex))
     outs = u @ ins                       # (eve_dim * d, d), column i
     kraus = outs.reshape(eve_dim, d, d).transpose(2, 1, 0)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus, basis_label=Basis.B)
+    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
 
 
 def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:
@@ -152,21 +140,6 @@ def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:
     return s @ half / float(d)                               # sums over j
 
 
-def to_conjugate_basis(ch: AttackChannel) -> AttackChannel:
-    """Re-express the same interaction in the conjugate encoding basis.
-
-    ``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``; the
-    transform is an involution and preserves unitarity.
-    """
-    label = Basis.B_CONJUGATE if ch.basis_label is Basis.B else Basis.B
-    return AttackChannel(
-        n=ch.n,
-        eve_dim=ch.eve_dim,
-        kraus=_conjugate_kraus(ch.n, ch.kraus),
-        basis_label=label,
-    )
-
-
 def eve_state(ch: AttackChannel, i) -> DensityMatrix:
     """Apparatus state held by the eavesdropper for input string i."""
     i = as_index(i, ch.n)
@@ -174,38 +147,9 @@ def eve_state(ch: AttackChannel, i) -> DensityMatrix:
     return DensityMatrix(np.einsum("jd,je->de", k, k.conj()))
 
 
-def eve_states(ch: AttackChannel) -> np.ndarray:
-    """All apparatus states as one ``(2**n, eve_dim, eve_dim)`` stack,
-    ``rho_i = sum_j |K_ij><K_ij|``, entry for entry equal to the matrices
-    of ``eve_state(ch, i)``.
-
-    Not validated one by one: each ``rho_i`` is Hermitian by construction,
-    and ``kraus_holevo_chi(ch.kraus)`` checks the unit trace and
-    positivity of the same spectra.
-    """
-    k = ch.kraus
-    out = np.empty((ch.dim, ch.eve_dim, ch.eve_dim), dtype=complex)
-    return np.einsum("ijd,ije->ide", k, k.conj(), out=out)
-
-
-def bob_conjugate_state(ch: AttackChannel, i) -> DensityMatrix:
-    """State reaching the receiver when string i is sent in the basis
-    conjugate to the one the table is expressed in.
-
-    Returned in the computational representation; its diagonal in the
-    conjugate basis carries the receiver's outcome probabilities.
-    """
-    i = as_index(i, ch.n)
-    kbar = _conjugate_kraus(ch.n, ch.kraus)[i]
-    comps = np.einsum("ld,jd->jl", kbar.conj(), kbar)
-    h = mub_transform(ch.n)
-    return DensityMatrix(h @ comps @ h)
-
-
 def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
     """Distribution of (outcome XOR input) for conjugate-basis encoding,
     averaged over uniform input strings."""
-    require_basis_b(ch)
     kbar = _conjugate_kraus(ch.n, ch.kraus)
     norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
     # row c averages norms[i, i ^ c] over the inputs i

@@ -37,10 +37,6 @@ class DependentColumnsError(MubeveError, ValueError):
     """Columns to orthonormalize are numerically linearly dependent."""
 
 
-class WrongBasisError(MubeveError, ValueError):
-    """Channel is expressed in the conjugate basis where basis b is needed."""
-
-
 class InvalidStateError(MubeveError):
     """Density matrix violates its type invariants."""
 
@@ -54,8 +50,9 @@ class UnsupportedCombinationError(MubeveError):
 
 
 class TranslationInvarianceError(MubeveError):
-    """The Gram profile of the purification family is not a function of
-    i XOR j alone.  Signals an implementation bug, not a bad input."""
+    """The Fourier spectrum of the purification Gram profile is not a
+    probability vector, or the profile is not a function of i XOR j
+    alone.  Signals an implementation bug, not a bad input."""
 
 
 class TheoremViolation(MubeveError):

@@ -25,7 +25,6 @@ from .errors import (
     EigensolverError,
     InvalidStateError,
     MubeveError,
-    NotADistributionError,
     NotHermitianError,
     OutOfRangeError,
 )
@@ -39,8 +38,6 @@ TAU_UNIT = 1e-9      # unitarity residual of a unitary or a Kraus table
 TAU_POVM = 1e-8      # completeness residual |sum_a X_a - I| of a POVM
 TAU_SUPPORT = 1e-12  # a PGM average's eigenvalues (factor s**2) above this span its support
 TAU_RANK = 1e-12     # |R_kk| below this makes QR columns numerically dependent
-TAU_SPREAD = 1e-10   # spread of a purification overlap over pairs with one i XOR j
-TAU_FOURIER = 1e-9   # Fourier eigenvalues: imaginary part, and gap to the eigensolver
 TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 
 # Largest supported qubit count for basis transforms and channels.
@@ -61,50 +58,10 @@ def bit_parity(x: int) -> int:
     return int(x).bit_count() & 1
 
 
-def bit_dot(a: int, b: int) -> int:
-    """Bit-wise product of two indices, summed mod 2."""
-    return (int(a) & int(b)).bit_count() & 1
-
-
-@dataclass(frozen=True)
-class BitString:
-    """An n-bit string stored as an unsigned integer."""
-
-    n: int
-    value: int
-
-    def __post_init__(self):
-        if self.n < 0 or not 0 <= self.value < (1 << self.n):
-            raise OutOfRangeError(
-                f"value {self.value} does not fit in {self.n} bits"
-            )
-
-    def xor(self, other: "BitString") -> "BitString":
-        if self.n != other.n:
-            raise DimensionMismatchError("bit strings have different lengths")
-        return BitString(self.n, self.value ^ other.value)
-
-    def dot(self, other: "BitString") -> int:
-        if self.n != other.n:
-            raise DimensionMismatchError("bit strings have different lengths")
-        return bit_dot(self.value, other.value)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __index__(self) -> int:
-        return self.value
-
-
 def as_index(i, n: int) -> int:
-    """Coerce an int or BitString to a validated index for n qubits."""
-    if isinstance(i, BitString):
-        if i.n != n:
-            raise DimensionMismatchError(
-                f"bit string has {i.n} bits, channel has {n}"
-            )
-        return i.value
-    i = int(i)
+    """``i`` as an index for n qubits, else OutOfRangeError: not an
+    integer, or outside [0, 2**n)."""
+    i = _as_integer(i, "index")
     if not 0 <= i < (1 << n):
         raise OutOfRangeError(f"index {i} out of range for {n} qubits")
     return i
@@ -184,13 +141,6 @@ def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, sorted descending."""
-    a = _check_hermitian(a)
-    w, _ = _eigh(a, want_vectors=False)
-    return w[::-1]
-
-
 def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
     """True when the smallest eigenvalue of Hermitian ``a``, or of every
     matrix in a stack ``a[..., m, m]``, is >= -floor.
@@ -263,7 +213,7 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     elif keep == "right":
         red = np.einsum("kakb->ab", t)
     else:
-        raise ValueError("keep must be 'left' or 'right'")
+        raise OutOfRangeError(f"keep must be 'left' or 'right', not {keep!r}")
     return DensityMatrix(red)
 
 
@@ -337,29 +287,6 @@ def spectral_entropies(w) -> np.ndarray:
     p = np.where(w > 0.0, w, 0.0)
     total = p.sum(axis=-1, keepdims=True)
     return _entropy_bits(np.divide(p, total, out=np.zeros_like(p), where=total > 0.0))
-
-
-def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of one density matrix; the one-matrix case of
-    :func:`spectral_entropies`, with the same positive-part policy."""
-    return float(spectral_entropies(hermitian_eigenvalues(_matrix_of(rho))))
-
-
-def shannon_entropies(p) -> np.ndarray:
-    """Shannon entropy in bits of each row (last axis) of a probability table.
-
-    Every row must pass ``_check_probabilities``, else NotADistributionError
-    is raised; entries in [-TAU_PSD, 0) count as 0.
-    """
-    arr = np.asarray(p, dtype=float)
-    _check_probabilities(arr, NotADistributionError)
-    return _entropy_bits(arr)
-
-
-def shannon_entropy(p) -> float:
-    """Shannon entropy in bits of one probability sequence; the one-row
-    case of :func:`shannon_entropies`, with the same checks."""
-    return float(shannon_entropies(np.reshape(p, (1, -1)))[0])
 
 
 @functools.cache

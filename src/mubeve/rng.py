@@ -52,8 +52,8 @@ import math
 
 import numpy as np
 
-from .errors import DependentColumnsError, DimensionMismatchError
-from .linalg import TAU_RANK
+from .errors import DependentColumnsError, DimensionMismatchError, OutOfRangeError
+from .linalg import TAU_RANK, _as_integer
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -68,24 +68,36 @@ def mix64(z):
     return z ^ (z >> 31)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, or OutOfRangeError unless it is an integer
+    in [0, MASK64]: the stream keeps 64 bits, so any other value would
+    alias a seed in that range."""
+    seed = _as_integer(seed, "seed")
+    if not 0 <= seed <= MASK64:
+        raise OutOfRangeError(f"seed {seed} outside [0, 2**64 - 1]")
+    return seed
+
+
 def mix(seed: int, *parts: int) -> int:
     """Fold integers into a 64-bit sub-seed.
 
-    ``mix(s, p1, p2, ...)`` starts from ``s`` and absorbs each part with
-    ``h = mix64(((h ^ p) + GOLDEN) mod 2**64)``.  Used to derive one
-    independent stream per campaign cell and per audited attack.
+    ``mix(s, p1, p2, ...)`` starts from the seed ``s``, checked like a
+    stream's, and absorbs each part with ``h = mix64(((h ^ p) + GOLDEN)
+    mod 2**64)``.  Used to derive one independent stream per campaign cell
+    and per audited attack.
     """
-    h = seed & MASK64
+    h = _checked_seed(seed)
     for p in parts:
         h = mix64(((h ^ (int(p) & MASK64)) + GOLDEN) & MASK64)
     return h
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream."""
+    """Sequential SplitMix64 stream from a seed in [0, 2**64 - 1]; any
+    other seed raises OutOfRangeError."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & MASK64
+        self._state = _checked_seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
@@ -166,7 +178,7 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
     """
     flat = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(rows)
     pairs = (flat + np.arange(cols, dtype=np.uint64)).reshape(-1)
-    g = _gaussians_at(int(seed) & MASK64, pairs).reshape(rows, cols)
+    g = _gaussians_at(_checked_seed(seed), pairs).reshape(rows, cols)
     return gram_schmidt_unitary(g)
 
 

@@ -17,57 +17,24 @@ symmetrized Kraus vector is a signed stack of the original vectors with
 one error pattern ``c = i ^ j``, so the audit reads the Fourier spectrum
 off the Walsh transform of the original table regrouped by error pattern
 (``fourier_spectrum`` of ``sign_grid(n) @ error_patterns(kraus)``).
-``symmetrize``, ``purification_vectors``, ``sigma_matrix`` and
-``sigma_spectrum_check`` build and check the Gram state densely and are
-the reference route.
+``symmetrize`` builds the enlarged table itself, and ``project_ancilla``
+reads its shift register.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, TranslationInvarianceError
-from .channel import AttackChannel, ErrorDistribution, require_basis_b
+from .channel import AttackChannel
 from .linalg import (
-    TAU_FOURIER,
-    TAU_SPREAD,
     DensityMatrix,
     _check_probabilities,
-    _eigh,
     as_index,
     sign_grid,
     xor_grid,
     xor_regroup,
 )
-
-
-@dataclass(frozen=True)
-class SigmaAnalysis:
-    """Gram state of the purification family and its Fourier spectrum.
-
-    ``f_values[t]`` is the common overlap of purification pairs with
-    i XOR j = t; ``lambdas[l]`` is its Fourier transform, the eigenvalue
-    attached to the sign vector with character l.
-    """
-
-    n: int
-    sigma: DensityMatrix
-    f_values: np.ndarray
-    lambdas: np.ndarray
-
-    def __post_init__(self):
-        d = 1 << self.n
-        f = np.array(self.f_values, dtype=complex).reshape(-1)
-        lam = np.array(self.lambdas, dtype=float).reshape(-1)
-        if self.sigma.dim != d or f.size != d or lam.size != d:
-            raise DimensionMismatchError("component sizes disagree")
-        _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
-        f.setflags(write=False)
-        lam.setflags(write=False)
-        object.__setattr__(self, "f_values", f)
-        object.__setattr__(self, "lambdas", lam)
 
 
 def symmetrize(ch: AttackChannel) -> AttackChannel:
@@ -77,7 +44,6 @@ def symmetrize(ch: AttackChannel) -> AttackChannel:
     |m> (x) kraus[i^m, j^m]``, with ``eve_dim' = 2**n * eve_dim``; the
     shift register owns the most significant bits of the apparatus index.
     """
-    require_basis_b(ch)
     d = ch.dim
     x = xor_grid(ch.n)                       # x[i, m] = i ^ m, symmetric
     # (i, j, m): 2**(-n/2) * (-1)**(m.(i^j))
@@ -109,55 +75,6 @@ def project_ancilla(sym: AttackChannel, i, m) -> tuple[float, DensityMatrix]:
     return prob, DensityMatrix(raw / prob)
 
 
-def purification_vectors(sym: AttackChannel) -> np.ndarray:
-    """Attach an n-qubit reference recording i XOR j to each Kraus vector.
-
-    Row i is ``sum_j kraus[i, j] (x) |i^j>`` in (apparatus) x (reference),
-    with the reference owning the least significant index bits.  Each row
-    is normalized by row orthonormality of the table, and tracing out the
-    reference recovers the apparatus state for input i.
-    """
-    # Reference slot p holds the Kraus vector with j = i ^ p.
-    by_slot = xor_regroup(sym.kraus)                   # (p, i, app)
-    return by_slot.transpose(1, 2, 0).reshape(sym.dim, -1)   # apparatus-major
-
-
-def sigma_matrix(vectors) -> SigmaAnalysis:
-    """Gram state of a purification family and its Fourier spectrum.
-
-    ``vectors`` holds one purification per row, 2**n rows for n qubits.
-    The Gram matrix is authoritative: ``sigma[i, j] = 2**-n <phi_j|phi_i>``,
-    so unnormalized rows fail its unit-trace check.  The overlap profile
-    must depend on i XOR j only; the representative spread is checked to
-    TAU_SPREAD and a violation raises TranslationInvarianceError (an
-    implementation bug, not a bad input).
-    """
-    vecs = np.asarray(vectors, dtype=complex)
-    d = vecs.shape[0] if vecs.ndim == 2 else 0
-    n = d.bit_length() - 1
-    if n < 1 or d != 1 << n:
-        raise DimensionMismatchError(
-            f"purifications are {vecs.shape}, expected 2**n rows with n >= 1"
-        )
-    gram = vecs @ vecs.conj().T
-    reps = xor_regroup(gram)             # reps[t, i] = gram[i, i ^ t]
-    spread = float(np.max(np.abs(reps - reps[:, :1])))
-    if spread > TAU_SPREAD:
-        raise TranslationInvarianceError(
-            f"overlap profile varies by {spread:.3e} across representatives"
-        )
-    f_values = gram[0, :].copy()         # representative i = 0
-    lambdas_c = sign_grid(n) @ f_values / float(d)
-    if float(np.max(np.abs(lambdas_c.imag))) > TAU_FOURIER:
-        raise TranslationInvarianceError("Fourier eigenvalues are not real")
-    return SigmaAnalysis(
-        n=n,
-        sigma=DensityMatrix(gram / float(d)),
-        f_values=f_values,
-        lambdas=lambdas_c.real.copy(),
-    )
-
-
 def error_patterns(kraus) -> np.ndarray:
     """A Kraus table regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``,
     of shape (2**n, 2**n, eve_dim).
@@ -171,10 +88,10 @@ def error_patterns(kraus) -> np.ndarray:
 
 
 def fourier_spectrum(walsh) -> np.ndarray:
-    """``sigma_matrix(purification_vectors(symmetrize(ch))).lambdas``
-    computed from the Walsh table ``walsh = sign_grid(n) @
-    error_patterns(ch.kraus)``, without the enlarged table or the
-    purification Gram.
+    """Fourier spectrum of the purification Gram profile of
+    ``symmetrize(ch)``, computed from the Walsh table ``walsh =
+    sign_grid(n) @ error_patterns(ch.kraus)``, without the enlarged table
+    or the purification Gram.
 
     By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2`` with the Walsh
     transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.  The result must
@@ -187,25 +104,3 @@ def fourier_spectrum(walsh) -> np.ndarray:
     _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
     lam.setflags(write=False)
     return lam
-
-
-def sigma_spectrum_check(sa: SigmaAnalysis, ed: ErrorDistribution) -> float:
-    """Largest deviation between the Fourier eigenvalues and the
-    conjugate-basis error distribution, index by index.
-
-    Also cross-checks the Fourier eigenvalues against the Hermitian
-    eigensolver as multisets; disagreement beyond TAU_FOURIER means the
-    two routes diverged and is raised as an internal error.  ``sa.sigma``
-    was checked when built, so the eigensolve skips the Hermitian check.
-    """
-    if sa.n != ed.n:
-        raise DimensionMismatchError("qubit counts disagree")
-    deviation = float(np.max(np.abs(sa.lambdas - ed.probs)))
-    solver = _eigh(sa.sigma.matrix, want_vectors=False)[0][::-1]
-    fourier = np.sort(sa.lambdas)[::-1]
-    xcheck = float(np.max(np.abs(solver - fourier)))
-    if xcheck > TAU_FOURIER:
-        raise TranslationInvarianceError(
-            f"Fourier and eigensolver spectra disagree by {xcheck:.3e}"
-        )
-    return deviation

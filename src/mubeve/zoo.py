@@ -11,7 +11,7 @@ from .errors import (
     OutOfRangeError,
     UnsupportedCombinationError,
 )
-from .channel import AttackChannel, Basis
+from .channel import AttackChannel
 from .linalg import N_MAX, _as_integer, bit_parity
 from .rng import random_isometry
 
@@ -97,7 +97,7 @@ def _diagonal_channel(n: int, eve_dim: int, pointer) -> AttackChannel:
     kraus = np.zeros((d, d, eve_dim), dtype=complex)
     for i in range(d):
         kraus[i, i] = pointer(i)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus, basis_label=Basis.B)
+    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
 
 
 def make_attack(spec: AttackSpec) -> AttackChannel:
@@ -145,4 +145,4 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
     d = 1 << n
     cols = random_isometry(eve_dim * d, d, seed)  # (apparatus, output) x input
     kraus = cols.reshape(eve_dim, d, d).transpose(2, 1, 0)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus, basis_label=Basis.B)
+    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mubeve.errors import DependentColumnsError, MubeveError
+from mubeve.errors import DependentColumnsError, MubeveError, OutOfRangeError
 from mubeve.rng import (
     GOLDEN,
     MASK64,
@@ -157,6 +157,22 @@ class TestMix:
 
     def test_order_matters(self):
         assert mix(0, 1, 2) != mix(0, 2, 1)
+
+
+class TestSeedRule:
+    """A stream starts only from an integer seed in [0, 2**64 - 1]; any
+    other value would be truncated or wrapped onto a seed in that range."""
+
+    @pytest.mark.parametrize("seed", [2.5, -1.0, "7", "x", -1, 2**64])
+    def test_rejected_where_a_stream_starts(self, seed):
+        for start in (SplitMix64, lambda s: mix(s, 1), lambda s: random_isometry(4, 2, s)):
+            with pytest.raises(OutOfRangeError, match="seed"):
+                start(seed)
+
+    def test_limits_and_numpy_integers_accepted(self):
+        assert SplitMix64(np.uint64(MASK64)).next_u64() == SplitMix64(MASK64).next_u64()
+        assert mix(np.int64(5), 1) == mix(5, 1)
+        assert np.array_equal(random_isometry(4, 2, 0), random_isometry(4, 2, np.int8(0)))
 
 
 class TestGramSchmidt:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import mubeve.rng as rng
-from mubeve.bounds import audit_attack, holevo_chi, Ensemble, xor_entropy_bound
-from mubeve.channel import eve_state, from_unitary, xor_error_distribution
+import oracle
+from mubeve.bounds import audit_attack, xor_entropy_bound
+from mubeve.channel import from_unitary, xor_error_distribution
 from mubeve.errors import (
     DependentColumnsError,
     DimensionTooLargeError,
@@ -127,8 +128,7 @@ class TestMakeAttack:
 
     def test_probe_overlap_zero_angle_is_informationless(self):
         ch = make_attack(AttackSpec("probe_overlap", 1, params=(0.0,)))
-        ens = Ensemble.uniform([eve_state(ch, i) for i in range(2)])
-        assert holevo_chi(ens) == pytest.approx(0.0, abs=1e-12)
+        assert oracle.holevo_chi(*oracle.uniform_ensemble(ch)) == pytest.approx(0.0, abs=1e-12)
         assert xor_entropy_bound(xor_error_distribution(ch)) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -141,8 +141,7 @@ class TestMakeAttack:
         for k in range(7):
             theta = k * math.pi / 12
             ch = make_attack(AttackSpec("probe_overlap", 1, params=(theta,)))
-            ens = Ensemble.uniform([eve_state(ch, i) for i in range(2)])
-            chi = holevo_chi(ens)
+            chi = oracle.holevo_chi(*oracle.uniform_ensemble(ch))
             h_xor = xor_entropy_bound(xor_error_distribution(ch))
             expected = binary_entropy((1 + math.cos(theta)) / 2)
             assert abs(chi - expected) <= 1e-8
@@ -151,8 +150,7 @@ class TestMakeAttack:
     def test_intercept_resend_and_cnot_saturate_at_one_qubit(self):
         for kind in ("intercept_resend", "cnot_probe"):
             ch = make_attack(AttackSpec(kind, 1))
-            ens = Ensemble.uniform([eve_state(ch, i) for i in range(2)])
-            assert holevo_chi(ens) == pytest.approx(1.0, abs=1e-10)
+            assert oracle.holevo_chi(*oracle.uniform_ensemble(ch)) == pytest.approx(1.0, abs=1e-10)
             assert xor_entropy_bound(
                 xor_error_distribution(ch)
             ) == pytest.approx(1.0, abs=1e-12)
@@ -176,6 +174,11 @@ class TestRandomAttack:
     def test_audit_respects_main_bound(self):
         rep = audit_attack(random_attack(2, 4, 7), 8, 1)
         assert rep.slack_main >= -1e-9
+
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_seed_must_be_a_stream_seed(self, seed):
+        with pytest.raises(OutOfRangeError, match="seed"):
+            random_attack(1, 2, seed)
 
     def test_size_guard(self):
         with pytest.raises(DimensionTooLargeError):
