@@ -160,9 +160,7 @@ def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
     |<b_a|v_ij>|**2``, in at most ``count * d**3`` products.  A block holds
     at most ``2**16`` entries of the draw and of the amplitudes.
     """
-    samples = _as_integer(samples, "samples")
-    if samples < 0:
-        raise OutOfRangeError("samples must be nonnegative")
+    samples = _as_integer(samples, "samples", 0)
     h_label = float(_entropy_bits(priors))
     count, rank, d = factors.shape
     if rank > d:

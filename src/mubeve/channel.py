@@ -82,7 +82,7 @@ class ErrorDistribution:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float).reshape(-1)
-        if p.shape != (1 << self.n,):
+        if p.shape != (1 << _as_integer(self.n, "qubit count", 1),):
             raise DimensionMismatchError(
                 f"distribution has {p.size} entries, expected {1 << self.n}"
             )

@@ -22,10 +22,10 @@ from .harness import (
     checked_path,
     parse_campaign,
     parse_scenario,
+    read_seed,
     run_campaign,
     run_scenario,
     run_sweep,
-    seed_field,
     sigma_spectrum_detail,
     write_report,
 )
@@ -43,7 +43,7 @@ def _load(args, parse, seed_key):
     """The document named on the command line, parsed by ``parse``, with a
     ``--seed`` override put in its ``seed_key`` field.  The override obeys
     the rule of document seeds and is checked before the document is read."""
-    seed = None if args.seed is None else seed_field(vars(args), "seed", prefix="--")
+    seed = None if args.seed is None else read_seed(args.seed, "--seed")
     cfg = parse(checked_path(args.file, "file").read_bytes())
     return cfg if seed is None else replace(cfg, **{seed_key: seed})
 
@@ -78,8 +78,8 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    for kind, (_, note) in KINDS.items():
-        print(f"{kind:18s} {note}")
+    for kind, entry in KINDS.items():
+        print(f"{kind:18s} {entry.note}")
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,9 +33,9 @@ from .zoo import (
     MAX_GRID_CELLS,
     MAX_POVM_SAMPLES,
     MAX_SWEEP_THETAS,
-    KINDS,
     AttackSpec,
     check_cell,
+    check_takes,
     make_attack,
     random_attack,
 )
@@ -48,17 +49,6 @@ _COLUMNS = CSV_HEADER.split(",")
 
 ANALYSES = ("audit", "sigma_spectrum", "sweep")
 
-DEFAULT_SWEEP_THETAS = tuple(k * math.pi / 12.0 for k in range(7))
-
-# The keys each document object takes; any other key is a ValidationError
-# naming it, since a misspelt or inapplicable field would be ignored.
-SCENARIO_KEYS = (
-    "n_qubits", "attack", "povm_samples", "seed", "analyses", "sweep_thetas",
-)
-CAMPAIGN_KEYS = ("grid", "count", "master_seed", "output", "povm_samples")
-NAMED_ATTACK_KEYS = ("kind", "n", "params", "eve_dim", "seed")
-EXPLICIT_ATTACK_KEYS = ("unitary", "ancilla")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -69,8 +59,8 @@ class ScenarioConfig:
     attack: AttackSpec | AttackChannel
     povm_samples: int
     seed: int
-    analyses: tuple[str, ...]
-    sweep_thetas: tuple[float, ...] | None = None
+    analyses: tuple[str, ...] = ("audit",)
+    sweep_thetas: tuple[float, ...] = tuple(k * math.pi / 12.0 for k in range(7))
 
 
 @dataclass(frozen=True)
@@ -130,66 +120,91 @@ def _load_json(text) -> dict:
     return doc
 
 
-def _known_keys(doc, keys, prefix="") -> None:
-    """Raise ValidationError naming the first key of ``doc`` outside ``keys``."""
+def _read_fields(doc, table, prefix="", got=None) -> dict:
+    """Read ``doc`` through its field ``table``: a key outside it (it would be
+    ignored), then a missing required key, is a ValidationError naming it;
+    each present key goes to its reader.  Returns the values, added to ``got``."""
     for key in doc:
-        if key not in keys:
+        if key not in table:
             raise ValidationError(
-                prefix + key, f"unknown field; expected one of {', '.join(keys)}"
+                prefix + key, f"unknown field; expected one of {', '.join(table)}"
             )
+    got = {} if got is None else got
+    for key, (reader, required) in table.items():
+        if key in doc:
+            got[key] = reader(doc[key], prefix + key, got)
+        elif required:
+            raise ValidationError(prefix + key, "missing required field")
+    return got
 
 
-def _int_field(doc, key, minimum=None, maximum=None, default=None, prefix="") -> int:
-    """Integer ``doc[key]``, or ``default`` when the key is absent and a
-    default is given.  Errors name the field as ``prefix + key``."""
-    field = prefix + key
-    if key not in doc:
-        if default is None:
-            raise ValidationError(field, "missing required field")
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(field, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(field, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def seed_field(doc, key, default=None, prefix="") -> int:
-    """``_int_field`` for a seed of the 64-bit stream, ``0 <= seed <= MASK64``:
-    the stream keeps 64 bits, so a larger seed would alias a smaller one."""
-    return _int_field(doc, key, minimum=0, maximum=MASK64, default=default,
-                      prefix=prefix)
-
-
-def _checked_cell(field, n, eve_dim) -> None:
-    """``check_cell`` with its error reported as ValidationError(field)."""
+@contextmanager
+def _naming(field):
+    """Report a library validation error raised inside as ValidationError(field)."""
     try:
-        check_cell(n, eve_dim)
-    except (OutOfRangeError, DimensionTooLargeError) as exc:
+        yield
+    except (DimensionMismatchError, DimensionTooLargeError, NotUnitaryError,
+            OutOfRangeError, UnsupportedCombinationError) as exc:
         raise ValidationError(field, str(exc)) from exc
 
 
-def _float_list(raw, field) -> tuple[float, ...]:
-    if not isinstance(raw, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in raw
+def _integer(minimum=None, maximum=None):
+    """Reader of an integer, not a boolean, in [minimum, maximum] (None: open)."""
+    def read(value, field, got=None) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(field, f"expected an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValidationError(field, f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValidationError(field, f"must be <= {maximum}, got {value}")
+        return value
+    return read
+
+
+# The stream keeps 64 bits of a seed, so a larger one would alias a smaller.
+read_seed = _integer(0, MASK64)
+
+
+def _qubit_count(value, field, got) -> int:
+    with _naming(field):
+        check_cell(_integer()(value, field), 1)
+    return value
+
+
+def _float_list(value, field, got=None) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) for t in value
     ):
         raise ValidationError(field, "must be a list of numbers")
     try:
-        return tuple(float(t) for t in raw)
+        return tuple(float(t) for t in value)
     except OverflowError as exc:
         raise ValidationError(field, str(exc)) from exc
 
 
-def _complex_array(raw, field) -> np.ndarray:
+def _sweep_thetas(value, field, got) -> tuple[float, ...]:
+    thetas = _float_list(value, field)
+    if len(thetas) > MAX_SWEEP_THETAS:
+        raise ValidationError(field, f"has {len(thetas)} angles, at most {MAX_SWEEP_THETAS}")
+    return thetas
+
+
+def _analyses(value, field, got) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(field, "must be a nonempty list")
+    for a in value:
+        if a not in ANALYSES:
+            raise ValidationError(field, f"unknown analysis {a!r}")
+    return tuple(value)
+
+
+def _complex_array(value, field, got) -> np.ndarray:
     """Nested lists of [re, im] number pairs as a complex array, else
     ValidationError.  ``numpy`` would also convert strings such as "1" and
     booleans, so the parsed entries must be JSON numbers."""
     message = "complex entries must be [re, im] pairs"
     try:
-        entries = np.asarray(raw, dtype=object)
+        entries = np.asarray(value, dtype=object)
         arr = entries.astype(float)  # ragged or non-numeric entries fail here
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(field, f"{message}: {exc}") from exc
@@ -200,46 +215,96 @@ def _complex_array(raw, field) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _parse_attack(doc, n_qubits) -> AttackSpec | AttackChannel:
-    raw = doc.get("attack")
-    if not isinstance(raw, dict):
-        raise ValidationError("attack", "must be an object")
+def _kind(value, field, got) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(field, "must be a string")
+    return value
 
-    if "unitary" in raw:
-        _known_keys(raw, EXPLICIT_ATTACK_KEYS, "attack.")
-        unitary = _complex_array(raw["unitary"], "attack.unitary")
-        if "ancilla" not in raw:
-            raise ValidationError("attack.ancilla", "missing required field")
-        ancilla = _complex_array(raw["ancilla"], "attack.ancilla")
-        try:
-            if unitary.ndim == 2:  # from_unitary rejects every other shape
-                check_cell(n_qubits, unitary.shape[0] >> n_qubits)
-            return from_unitary(unitary, ancilla, n_qubits)
-        except (NotUnitaryError, DimensionMismatchError, OutOfRangeError,
-                DimensionTooLargeError) as exc:
-            raise ValidationError("attack.unitary", str(exc)) from exc
 
-    _known_keys(raw, NAMED_ATTACK_KEYS, "attack.")
-    kind = raw.get("kind")
-    if not isinstance(kind, str):
-        raise ValidationError("attack.kind", "missing or not a string")
-    n = _int_field(raw, "n", default=n_qubits, prefix="attack.")
-    if n != n_qubits:
-        raise ValidationError("attack.n", f"disagrees with n_qubits={n_qubits}")
-    params = _float_list(raw.get("params", []), "attack.params")
-    if kind in KINDS and kind != "random_unitary":
-        for key in ("eve_dim", "seed"):
-            if key in raw:
-                raise ValidationError(
-                    f"attack.{key}", f"only random_unitary takes {key}, not {kind!r}"
-                )
-    eve_dim = _int_field(raw, "eve_dim", default=1, prefix="attack.")
-    seed = seed_field(raw, "seed", default=0, prefix="attack.")
-    try:
-        return AttackSpec(kind=kind, n=n, params=params, eve_dim=eve_dim, seed=seed)
-    except (UnsupportedCombinationError, OutOfRangeError,
-            DimensionTooLargeError) as exc:
-        raise ValidationError("attack", str(exc)) from exc
+def _attack_n(value, field, got) -> int:
+    """``attack.n``, which must equal ``n_qubits``, preset in ``got["n"]``."""
+    if _integer()(value, field) != got["n"]:
+        raise ValidationError(field, f"disagrees with n_qubits={got['n']}")
+    return value
+
+
+def _kind_field(read):
+    """Reader of a ``zoo.KIND_FIELDS`` field, an error on a kind not taking it."""
+    def reader(value, field, got):
+        with _naming(field):
+            check_takes(got["kind"], field.rpartition(".")[2])
+        return read(value, field)
+    return reader
+
+
+def _attack(value, field, got) -> AttackSpec | AttackChannel:
+    """A named attack spec, or the channel of an explicit unitary, built once."""
+    if not isinstance(value, dict):
+        raise ValidationError(field, "must be an object")
+    n_qubits, prefix = got["n_qubits"], field + "."
+    if "unitary" in value:
+        arrays = _read_fields(value, EXPLICIT_ATTACK_FIELDS, prefix)
+        with _naming(prefix + "unitary"):
+            if arrays["unitary"].ndim == 2:  # from_unitary rejects every other shape
+                check_cell(n_qubits, arrays["unitary"].shape[0] >> n_qubits)
+            return from_unitary(arrays["unitary"], arrays["ancilla"], n_qubits)
+    spec = _read_fields(value, NAMED_ATTACK_FIELDS, prefix, {"n": n_qubits})
+    with _naming(field):
+        return AttackSpec(**spec)
+
+
+def _grid(value, field, got) -> tuple[tuple[int, int], ...]:
+    if not isinstance(value, list):
+        raise ValidationError(field, "must be a list of [n, eve_dim] pairs")
+    if len(value) > MAX_GRID_CELLS:
+        raise ValidationError(field, f"has {len(value)} cells, at most {MAX_GRID_CELLS}")
+    for pos, cell in enumerate(value):
+        if (
+            not isinstance(cell, list) or len(cell) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
+        ):
+            raise ValidationError(f"{field}[{pos}]", "must be an [n, eve_dim] integer pair")
+        with _naming(f"{field}[{pos}]"):
+            check_cell(*cell)
+    return tuple(map(tuple, value))
+
+
+def _output(value, field, got) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(field, "must be a nonempty path string")
+    _campaign_paths(value)
+    return value
+
+
+# Each document object's fields in the order they are read: key -> (reader,
+# required).  A reader takes a field's raw value, its name and the fields
+# read before it, and returns the checked value or raises
+# ValidationError(field).  An absent optional key is not passed on, so its
+# default is the one of the dataclass the fields build.
+NAMED_ATTACK_FIELDS = {  # AttackSpec; attack.n defaults to n_qubits
+    "kind": (_kind, True),
+    "n": (_attack_n, False),
+    "params": (_float_list, False),
+    "eve_dim": (_kind_field(_integer()), False),
+    "seed": (_kind_field(read_seed), False),
+}
+EXPLICIT_ATTACK_FIELDS = {"unitary": (_complex_array, True),
+                          "ancilla": (_complex_array, True)}
+SCENARIO_FIELDS = {  # ScenarioConfig
+    "n_qubits": (_qubit_count, True),
+    "attack": (_attack, True),
+    "povm_samples": (_integer(0, MAX_POVM_SAMPLES), True),
+    "seed": (read_seed, True),
+    "analyses": (_analyses, False),
+    "sweep_thetas": (_sweep_thetas, False),
+}
+CAMPAIGN_FIELDS = {  # CampaignConfig
+    "grid": (_grid, True),
+    "count": (_integer(0, MAX_COUNT), True),
+    "master_seed": (read_seed, True),
+    "output": (_output, True),
+    "povm_samples": (_integer(0, MAX_POVM_SAMPLES), False),
+}
 
 
 def parse_scenario(text) -> ScenarioConfig:
@@ -248,82 +313,12 @@ def parse_scenario(text) -> ScenarioConfig:
     Raises ParseError for malformed JSON and ValidationError naming the
     offending field otherwise.
     """
-    doc = _load_json(text)
-    _known_keys(doc, SCENARIO_KEYS)
-    n_qubits = _int_field(doc, "n_qubits")
-    _checked_cell("n_qubits", n_qubits, 1)
-    attack = _parse_attack(doc, n_qubits)
-    povm_samples = _int_field(doc, "povm_samples", minimum=0, maximum=MAX_POVM_SAMPLES)
-    seed = seed_field(doc, "seed")
-
-    analyses = doc.get("analyses", ["audit"])
-    if not isinstance(analyses, list) or not analyses:
-        raise ValidationError("analyses", "must be a nonempty list")
-    for a in analyses:
-        if a not in ANALYSES:
-            raise ValidationError("analyses", f"unknown analysis {a!r}")
-
-    sweep_thetas = None
-    if "sweep_thetas" in doc:
-        sweep_thetas = _float_list(doc["sweep_thetas"], "sweep_thetas")
-        if len(sweep_thetas) > MAX_SWEEP_THETAS:
-            raise ValidationError(
-                "sweep_thetas",
-                f"has {len(sweep_thetas)} angles, at most {MAX_SWEEP_THETAS}",
-            )
-
-    return ScenarioConfig(
-        n_qubits=n_qubits,
-        attack=attack,
-        povm_samples=povm_samples,
-        seed=seed,
-        analyses=tuple(analyses),
-        sweep_thetas=sweep_thetas,
-    )
+    return ScenarioConfig(**_read_fields(_load_json(text), SCENARIO_FIELDS))
 
 
 def parse_campaign(text) -> CampaignConfig:
     """Parse and validate one campaign document."""
-    doc = _load_json(text)
-    _known_keys(doc, CAMPAIGN_KEYS)
-    raw_grid = doc.get("grid")
-    if not isinstance(raw_grid, list):
-        raise ValidationError("grid", "must be a list of [n, eve_dim] pairs")
-    if len(raw_grid) > MAX_GRID_CELLS:
-        raise ValidationError(
-            "grid", f"has {len(raw_grid)} cells, at most {MAX_GRID_CELLS}"
-        )
-    grid = []
-    for pos, cell in enumerate(raw_grid):
-        field = f"grid[{pos}]"
-        if (
-            not isinstance(cell, list) or len(cell) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
-        ):
-            raise ValidationError(field, "must be an [n, eve_dim] integer pair")
-        _checked_cell(field, *cell)
-        grid.append(tuple(cell))
-    count = _int_field(doc, "count", minimum=0, maximum=MAX_COUNT)
-    master_seed = seed_field(doc, "master_seed")
-    output = doc.get("output")
-    if not isinstance(output, str) or not output:
-        raise ValidationError("output", "must be a nonempty path string")
-    _campaign_paths(output)
-    povm_samples = _int_field(doc, "povm_samples", minimum=0,
-                              maximum=MAX_POVM_SAMPLES, default=16)
-    return CampaignConfig(
-        grid=tuple(grid),
-        count=count,
-        master_seed=master_seed,
-        output=output,
-        povm_samples=povm_samples,
-    )
-
-
-def build_attack(cfg: ScenarioConfig) -> AttackChannel:
-    if isinstance(cfg.attack, AttackChannel):
-        return cfg.attack
-    return make_attack(cfg.attack)
+    return CampaignConfig(**_read_fields(_load_json(text), CAMPAIGN_FIELDS))
 
 
 def attack_label(cfg: ScenarioConfig) -> str:
@@ -339,7 +334,8 @@ def attack_label(cfg: ScenarioConfig) -> str:
 
 def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
     """Audit the configured attack."""
-    return audit_attack(build_attack(cfg), cfg.povm_samples, cfg.seed)
+    ch = cfg.attack if isinstance(cfg.attack, AttackChannel) else make_attack(cfg.attack)
+    return audit_attack(ch, cfg.povm_samples, cfg.seed)
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:
@@ -347,9 +343,8 @@ def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:
     ``(attack_label, report)`` row per angle."""
     if not isinstance(cfg.attack, AttackSpec) or cfg.attack.kind != "probe_overlap":
         raise ValidationError("attack.kind", "sweep requires a probe_overlap attack")
-    thetas = cfg.sweep_thetas if cfg.sweep_thetas is not None else DEFAULT_SWEEP_THETAS
     rows = []
-    for theta in thetas:
+    for theta in cfg.sweep_thetas:
         point = replace(cfg, attack=replace(cfg.attack, params=(theta,)))
         rows.append((attack_label(point), run_scenario(point)))
     return rows

@@ -44,13 +44,18 @@ TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 N_MAX = 4
 
 
-def _as_integer(value, what: str) -> int:
-    """``value`` as a Python int, or OutOfRangeError naming ``what`` unless
-    it is an integer (a Python or numpy one).  Called before a range
-    check, which a float would pass only to fail later as a TypeError."""
+def _as_integer(value, what: str, minimum=None, maximum=None) -> int:
+    """``value`` as a Python int, or OutOfRangeError naming ``what`` unless it
+    is an integer (Python or numpy) in [minimum, maximum], None being open: a
+    float would pass a range check only to fail later as a TypeError."""
     if not isinstance(value, numbers.Integral):
         raise OutOfRangeError(f"{what} {value!r} is not an integer")
-    return int(value)
+    value = int(value)
+    if maximum is not None and not minimum <= value <= maximum:
+        raise OutOfRangeError(f"{what} {value} outside [{minimum}, {maximum}]")
+    if minimum is not None and value < minimum:
+        raise OutOfRangeError(f"{what} {value} must be at least {minimum}")
+    return value
 
 
 def bit_parity(x: int) -> int:
@@ -61,10 +66,7 @@ def bit_parity(x: int) -> int:
 def as_index(i, n: int) -> int:
     """``i`` as an index for n qubits, else OutOfRangeError: not an
     integer, or outside [0, 2**n)."""
-    i = _as_integer(i, "index")
-    if not 0 <= i < (1 << n):
-        raise OutOfRangeError(f"index {i} out of range for {n} qubits")
-    return i
+    return _as_integer(i, "index", 0, (1 << n) - 1)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,6 +204,7 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     factor owns the most significant bits.
     """
     m = _matrix_of(rho)
+    dim_left, dim_right = (_as_integer(x, "dimension", 1) for x in (dim_left, dim_right))
     d = dim_left * dim_right
     if m.shape != (d, d):
         raise DimensionMismatchError(
@@ -331,9 +334,6 @@ def mub_transform(n: int) -> np.ndarray:
     Real orthogonal, symmetric, involutive: entry (i, k) equals
     ``2**(-n/2) * (-1)**(i.k)``, so the two bases are mutually unbiased.
     """
-    _as_integer(n, "qubit count")
-    if n < 1:
-        raise OutOfRangeError("qubit count must be at least 1")
-    if n > N_MAX:
+    if _as_integer(n, "qubit count", 1) > N_MAX:
         raise DimensionTooLargeError(f"qubit count {n} exceeds {N_MAX}")
     return sign_grid(n) * 2.0 ** (-n / 2.0)

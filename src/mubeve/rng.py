@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .errors import DependentColumnsError, DimensionMismatchError, OutOfRangeError
+from .errors import DependentColumnsError, DimensionMismatchError
 from .linalg import TAU_RANK, _as_integer
 
 MASK64 = (1 << 64) - 1
@@ -72,23 +72,20 @@ def _checked_seed(seed) -> int:
     """``seed`` as a Python int, or OutOfRangeError unless it is an integer
     in [0, MASK64]: the stream keeps 64 bits, so any other value would
     alias a seed in that range."""
-    seed = _as_integer(seed, "seed")
-    if not 0 <= seed <= MASK64:
-        raise OutOfRangeError(f"seed {seed} outside [0, 2**64 - 1]")
-    return seed
+    return _as_integer(seed, "seed", 0, MASK64)
 
 
 def mix(seed: int, *parts: int) -> int:
     """Fold integers into a 64-bit sub-seed.
 
     ``mix(s, p1, p2, ...)`` starts from the seed ``s``, checked like a
-    stream's, and absorbs each part with ``h = mix64(((h ^ p) + GOLDEN)
-    mod 2**64)``.  Used to derive one independent stream per campaign cell
-    and per audited attack.
+    stream's, and absorbs each part, an integer in [0, 2**64 - 1], with
+    ``h = mix64(((h ^ p) + GOLDEN) mod 2**64)``.  Used to derive one
+    independent stream per campaign cell and per audited attack.
     """
     h = _checked_seed(seed)
     for p in parts:
-        h = mix64(((h ^ (int(p) & MASK64)) + GOLDEN) & MASK64)
+        h = mix64(((h ^ _as_integer(p, "mix part", 0, MASK64)) + GOLDEN) & MASK64)
     return h
 
 
@@ -176,6 +173,8 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
     the ``rows x rows`` draw is pair ``r * rows + c`` of the stream), and
     QR keeps column k a function of input columns 0..k.
     """
+    rows = _as_integer(rows, "row count", 1)
+    cols = _as_integer(cols, "column count", 1)
     flat = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(rows)
     pairs = (flat + np.arange(cols, dtype=np.uint64)).reshape(-1)
     g = _gaussians_at(_checked_seed(seed), pairs).reshape(rows, cols)

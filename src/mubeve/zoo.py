@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -13,16 +16,32 @@ from .errors import (
 )
 from .channel import AttackChannel
 from .linalg import N_MAX, _as_integer, bit_parity
-from .rng import random_isometry
+from .rng import _checked_seed, random_isometry
 
-# Named attacks: kind -> (parameter count, one-line note for ``mubeve zoo``).
+
+class Kind(NamedTuple):
+    arity: int                            # number of params
+    takes: tuple[str, ...]                # the KIND_FIELDS it reads
+    apparatus: Callable[[int, int], int]  # apparatus dimension of (n, eve_dim)
+    note: str                             # one line for ``mubeve zoo``
+
+
+# Optional fields of ``AttackSpec`` read only by the kinds that take them.
+KIND_FIELDS = ("eve_dim", "seed")
+
 KINDS = {
-    "identity": (0, "no interaction; zero disturbance and zero information"),
-    "phase_conversion": (0, "per-qubit value flip; deterministic error, no gain"),
-    "intercept_resend": (0, "measure in basis b and resend; pointer per string"),
-    "cnot_probe": (0, "per-qubit copy into fresh ancilla qubits"),
-    "probe_overlap": (1, "n=1 probe pair with overlap cos(theta); params: [theta]"),
-    "random_unitary": (0, "seeded Haar-style interaction; fields: eve_dim, seed"),
+    "identity": Kind(0, (), lambda n, d: 1,
+                     "no interaction; zero disturbance and zero information"),
+    "phase_conversion": Kind(0, (), lambda n, d: 1,
+                             "per-qubit value flip; deterministic error, no gain"),
+    "intercept_resend": Kind(0, (), lambda n, d: 1 << n,
+                             "measure in basis b and resend; pointer per string"),
+    "cnot_probe": Kind(0, (), lambda n, d: 1 << n,
+                       "per-qubit copy into fresh ancilla qubits"),
+    "probe_overlap": Kind(1, (), lambda n, d: 2,
+                          "n=1 probe pair with overlap cos(theta); params: [theta]"),
+    "random_unitary": Kind(0, KIND_FIELDS, lambda n, d: d,
+                           "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
 MAX_TOTAL_DIM = 512
@@ -41,12 +60,8 @@ def check_cell(n: int, eve_dim: int) -> None:
     supported limits: ``1 <= n <= N_MAX`` (OutOfRangeError), ``eve_dim >= 1``
     (OutOfRangeError) and ``eve_dim * 2**n <= MAX_TOTAL_DIM``
     (DimensionTooLargeError).  A non-integer is an OutOfRangeError."""
-    _as_integer(n, "qubit count")
-    _as_integer(eve_dim, "eve_dim")
-    if not 1 <= n <= N_MAX:
-        raise OutOfRangeError(f"qubit count {n} outside [1, {N_MAX}]")
-    if eve_dim < 1:
-        raise OutOfRangeError(f"eve_dim {eve_dim} must be at least 1")
+    _as_integer(n, "qubit count", 1, N_MAX)
+    _as_integer(eve_dim, "eve_dim", 1)
     total = eve_dim * (1 << n)
     if total > MAX_TOTAL_DIM:
         raise DimensionTooLargeError(
@@ -54,16 +69,24 @@ def check_cell(n: int, eve_dim: int) -> None:
         )
 
 
+def check_takes(kind: str, key: str) -> None:
+    """UnsupportedCombinationError when a known ``kind`` does not take the
+    ``KIND_FIELDS`` field ``key``; an unknown kind is left to the kind check."""
+    if kind in KINDS and key not in KINDS[kind].takes:
+        takers = " or ".join(k for k, entry in KINDS.items() if key in entry.takes)
+        raise UnsupportedCombinationError(f"only {takers} takes {key}, not {kind!r}")
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     """Named attack with its parameters.
 
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
-    and ``seed`` belong to ``random_unitary`` alone, so only there does
-    ``check_cell`` see ``eve_dim``, and every other kind rejects values
-    other than the defaults.  Construction rejects every spec that
-    ``make_attack`` could not build or would ignore a field of, so a spec
-    can be validated without building its channel.
+    and ``seed`` belong to the kinds whose ``KINDS`` entry takes them, and
+    every other kind rejects values other than the defaults.  The cell is
+    checked at the apparatus size the kind builds.  Construction rejects
+    every spec that ``make_attack`` could not build or would ignore a field
+    of, so a spec can be validated without building its channel.
     """
 
     kind: str
@@ -75,61 +98,46 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise UnsupportedCombinationError(f"unknown attack kind {self.kind!r}")
-        if self.kind != "random_unitary" and (self.eve_dim, self.seed) != (1, 0):
-            raise UnsupportedCombinationError(
-                f"{self.kind} takes no eve_dim or seed, only random_unitary does"
-            )
-        check_cell(self.n, self.eve_dim)
-        arity = KINDS[self.kind][0]
-        if len(self.params) != arity:
+        kind = KINDS[self.kind]
+        for key in KIND_FIELDS:  # the class attribute is the field's default
+            if getattr(self, key) != getattr(AttackSpec, key):
+                check_takes(self.kind, key)
+        _checked_seed(self.seed)
+        check_cell(self.n, 1)  # the apparatus size is a function of a valid n
+        check_cell(self.n, kind.apparatus(self.n, self.eve_dim))
+        if len(self.params) != kind.arity:
             raise OutOfRangeError(
-                f"{self.kind} takes {arity} parameter(s), got {len(self.params)}"
+                f"{self.kind} takes {kind.arity} parameter(s), got {len(self.params)}"
             )
         if self.kind == "probe_overlap" and self.n != 1:
             raise UnsupportedCombinationError("probe_overlap is defined for n=1")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-
-
-def _diagonal_channel(n: int, eve_dim: int, pointer) -> AttackChannel:
-    """Channel that forwards the string unchanged; ``pointer(i)`` gives the
-    apparatus vector kept for input i."""
-    d = 1 << n
-    kraus = np.zeros((d, d, eve_dim), dtype=complex)
-    for i in range(d):
-        kraus[i, i] = pointer(i)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
+        try:
+            params = tuple(float(p) for p in self.params if isinstance(p, numbers.Real))
+        except OverflowError:
+            params = ()
+        if len(params) != len(self.params) or not all(map(math.isfinite, params)):
+            raise OutOfRangeError(f"params {self.params!r} must be finite real numbers")
+        object.__setattr__(self, "params", params)
 
 
 def make_attack(spec: AttackSpec) -> AttackChannel:
     """Construct the channel for a named attack."""
-    n = spec.n
-    d = 1 << n
-    if spec.kind == "identity":
-        return _diagonal_channel(n, 1, lambda i: np.array([1.0 + 0.0j]))
-    if spec.kind == "phase_conversion":
-        # Per-qubit value flip |i> -> (-1)**i |i>; no apparatus is kept.
-        return _diagonal_channel(
-            n, 1, lambda i: np.array([(-1.0) ** bit_parity(i) + 0.0j])
-        )
-    if spec.kind in ("intercept_resend", "cnot_probe"):
-        # Measure-and-resend in basis b and the per-qubit copy probe leave
-        # the same table: the string is forwarded and a pointer records it.
-        def pointer(i):
-            v = np.zeros(d, dtype=complex)
-            v[i] = 1.0
-            return v
-
-        return _diagonal_channel(n, d, pointer)
-    if spec.kind == "probe_overlap":
-        theta = spec.params[0]
-        vectors = {
-            0: np.array([1.0, 0.0], dtype=complex),
-            1: np.array([np.cos(theta), np.sin(theta)], dtype=complex),
-        }
-        return _diagonal_channel(1, 2, lambda i: vectors[i])
+    n, d = spec.n, 1 << spec.n
     if spec.kind == "random_unitary":
         return random_attack(n, spec.eve_dim, spec.seed)
-    raise UnsupportedCombinationError(f"unknown attack kind {spec.kind!r}")
+    # Every other kind forwards the string and keeps pointers[i] for input i.
+    if spec.kind == "identity":
+        pointers = np.ones((d, 1))
+    elif spec.kind == "phase_conversion":  # per-qubit value flip |i> -> (-1)**i |i>
+        pointers = np.array([[(-1.0) ** bit_parity(i)] for i in range(d)])
+    elif spec.kind == "probe_overlap":
+        theta = spec.params[0]
+        pointers = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
+    else:  # intercept_resend and cnot_probe: a pointer records the string
+        pointers = np.eye(d)
+    kraus = np.zeros((d, d, pointers.shape[1]), dtype=complex)
+    kraus[np.arange(d), np.arange(d)] = pointers
+    return AttackChannel(n=n, eve_dim=pointers.shape[1], kraus=kraus)
 
 
 def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:

@@ -1,6 +1,7 @@
 """Contract fuzzer for the command line: mutated documents never crash it.
 
-Each example takes a shipped scenario or campaign document, applies one to
+Each example takes a shipped scenario or campaign document, or one of two
+in-test scenarios with a random_unitary or an explicit attack, applies up to
 three mutations (a value swapped for another type, wrapped in a list or an
 object, replaced by a huge, negative, non-finite, empty or NUL-bearing
 value, or deleted) and runs ``cli.main`` on it in-process.  The contract:
@@ -29,6 +30,24 @@ DOCUMENTS = {
     name: json.loads((SCENARIOS / name).read_text())
     for name in ("identity.scenario", "phase_conversion.scenario",
                  "probe_sweep.scenario", "campaign_small.json")
+}
+# No shipped document has attack.eve_dim, attack.seed or an explicit
+# unitary, so these two put the named- and explicit-attack fields in reach.
+DOCUMENTS["random_unitary.scenario"] = {
+    "n_qubits": 1,
+    "attack": {"kind": "random_unitary", "n": 1, "eve_dim": 2, "seed": 11},
+    "povm_samples": 4,
+    "seed": 3,
+}
+DOCUMENTS["explicit.scenario"] = {
+    "n_qubits": 1,
+    "attack": {  # CNOT from the qubit to a one-qubit apparatus at |0>
+        "unitary": [[[int(r == c), 0] for c in (0, 3, 2, 1)] for r in range(4)],
+        "ancilla": [[1, 0], [0, 0]],
+    },
+    "povm_samples": 4,
+    "seed": 3,
+    "analyses": ["audit", "sigma_spectrum"],
 }
 
 # Sizes capped far below the parser's work limits (zoo.MAX_POVM_SAMPLES
@@ -94,7 +113,7 @@ def mutated(draw, doc):
             "swap": lambda: swap_type(node),
             "list": lambda: [node],
             "object": lambda: {"v": node},
-        }.get(op, lambda: draw(VALUES))()
+        }.get(op, lambda: copy.deepcopy(draw(VALUES)))()  # never alias VALUES
         if parent is None:
             doc = new
         else:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from mubeve.errors import ParseError, ValidationError
 from mubeve.harness import (
     CSV_HEADER,
     CampaignConfig,
+    ScenarioConfig,
     attack_label,
     parse_campaign,
     parse_scenario,
@@ -285,6 +287,62 @@ class TestParseCampaign:
     def test_output_with_distinct_mirror_accepted(self, output):
         doc = {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": output}
         assert parse_campaign(json.dumps(doc)).output == output
+
+
+class TestFieldTables:
+    """Every document object is read through one field table."""
+
+    @pytest.mark.parametrize("parse, doc, error", [
+        (parse_scenario, {"n_qubits": 1, "povm_samples": 2, "seed": 1},
+         "attack: missing required field"),
+        (parse_scenario, {"n_qubits": 1, "attack": {"n": 1}, "povm_samples": 2,
+                          "seed": 1}, "attack.kind: missing required field"),
+        (parse_scenario, {"n_qubits": 1, "attack": {"kind": 3}, "povm_samples": 2,
+                          "seed": 1}, "attack.kind: must be a string"),
+        (parse_scenario, {"attack": {"kind": "identity"}, "povm_samples": 2,
+                          "seed": 1}, "n_qubits: missing required field"),
+        (parse_campaign, {"count": 1, "master_seed": 0, "output": "x.csv"},
+         "grid: missing required field"),
+        (parse_campaign, {"grid": [[1, 1]], "count": 1, "master_seed": 0},
+         "output: missing required field"),
+    ], ids=["attack", "attack.kind", "attack.kind-type", "n_qubits", "grid", "output"])
+    def test_missing_or_mistyped_field(self, parse, doc, error):
+        with pytest.raises(ValidationError) as err:
+            parse(json.dumps(doc))
+        assert str(err.value) == error
+
+    def test_absent_optional_fields_take_the_dataclass_defaults(self):
+        cfg = parse_scenario(minimal_scenario(attack={"kind": "random_unitary"}))
+        assert cfg.attack == AttackSpec("random_unitary", 1)
+        defaults = {f.name: f.default for f in fields(ScenarioConfig)}
+        assert cfg.analyses == defaults["analyses"] == ("audit",)
+        assert cfg.sweep_thetas == defaults["sweep_thetas"]
+        campaign = parse_campaign(json.dumps(
+            {"grid": [[1, 1]], "count": 1, "master_seed": 0, "output": "x.csv"}
+        ))
+        assert campaign.povm_samples == CampaignConfig(
+            grid=(), count=0, master_seed=0, output="x.csv"
+        ).povm_samples == 16
+
+    @pytest.mark.parametrize("parse, table, bad, good", [
+        (parse_scenario, harness.SCENARIO_FIELDS,
+         {"sweep_thetas": "x", "analyses": [], "seed": -1, "povm_samples": -1,
+          "attack": 3, "n_qubits": 0},
+         json.loads(minimal_scenario(analyses=["audit"], sweep_thetas=[0.0]))),
+        (parse_campaign, harness.CAMPAIGN_FIELDS,
+         {"povm_samples": -1, "output": "", "master_seed": -1, "count": -1,
+          "grid": [[0, 1]]},
+         {"povm_samples": 1, "output": "x.csv", "master_seed": 0, "count": 1,
+          "grid": [[1, 1]]}),
+    ], ids=["scenario", "campaign"])
+    def test_fields_are_read_in_table_order(self, parse, table, bad, good):
+        # with every field bad, the error names the first in table order
+        for field in table:
+            with pytest.raises(ValidationError) as err:
+                parse(json.dumps(bad))
+            assert err.value.field in (field, f"{field}[0]")
+            bad[field] = good[field]
+        parse(json.dumps(bad))
 
 
 class TestShippedScenarios:

@@ -27,7 +27,8 @@ from mubeve.linalg import (
     xor_grid,
     xor_regroup,
 )
-from mubeve.rng import random_unitary
+from mubeve.channel import ErrorDistribution
+from mubeve.rng import mix, random_isometry, random_unitary
 from oracle import (
     bit_dot,
     hermitian_eigenvalues,
@@ -443,3 +444,26 @@ class TestMubTransform:
         with pytest.raises(OutOfRangeError, match="not an integer"):
             mub_transform(2.5)
         assert np.array_equal(mub_transform(np.int64(2)), mub_transform(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ErrorDistribution(2.5, [1.0, 0.0]),
+    lambda: ErrorDistribution(-1, [1.0]),
+    lambda: random_unitary(2.5, 1),
+    lambda: random_unitary(-1, 1),
+    lambda: random_isometry(4.0, 2, 1),
+    lambda: partial_trace(np.eye(4) / 4, 2.0, 2.0),
+    lambda: partial_trace(np.eye(4) / 4, -2, -2),
+    lambda: mix(3, "a"),
+    lambda: mix(3, 2.5),
+    lambda: mix(3, -1),
+    lambda: mix(3, 2**64),
+], ids=["distribution-float-n", "distribution-negative-n", "unitary-float-dim",
+        "unitary-negative-dim", "isometry-float-rows", "partial-trace-float-dims",
+        "partial-trace-negative-dims", "mix-string-part", "mix-float-part",
+        "mix-negative-part", "mix-65-bit-part"])
+def test_public_sizes_and_stream_parts_raise_named_errors(call):
+    # each would reach 1 << n, np.arange or int() unchecked: a raw TypeError,
+    # ValueError or OverflowError, or (mix(3, 2.5)) a silent mix(3, 2)
+    with pytest.raises(OutOfRangeError):
+        call()

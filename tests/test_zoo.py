@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mubeve.rng as rng
+import mubeve.zoo as zoo
 import oracle
 from mubeve.bounds import audit_attack, xor_entropy_bound
 from mubeve.channel import from_unitary, xor_error_distribution
@@ -16,7 +17,14 @@ from mubeve.errors import (
     UnsupportedCombinationError,
 )
 from mubeve.rng import SplitMix64, random_unitary
-from mubeve.zoo import KINDS, AttackSpec, check_cell, make_attack, random_attack
+from mubeve.zoo import (
+    KIND_FIELDS,
+    KINDS,
+    AttackSpec,
+    check_cell,
+    make_attack,
+    random_attack,
+)
 
 
 def binary_entropy(p):
@@ -57,6 +65,24 @@ class TestAttackSpec:
             AttackSpec(kind, 1, params=params, **field)
         assert AttackSpec(kind, 1, params=params, eve_dim=1, seed=0).eve_dim == 1
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 2**64, "3"])
+    def test_seed_checked_at_construction(self, seed):
+        # the stream would reject it only when make_attack builds the channel
+        with pytest.raises(OutOfRangeError, match="seed"):
+            AttackSpec("random_unitary", 1, eve_dim=2, seed=seed)
+
+    @pytest.mark.parametrize("param", [math.nan, math.inf, -math.inf, "x", "0.5",
+                                       None, 10**400])
+    def test_params_must_be_finite_reals(self, param):
+        # NaN would fail later as NotUnitaryError, "x" as a raw ValueError
+        with pytest.raises(OutOfRangeError, match="finite real"):
+            AttackSpec("probe_overlap", 1, params=(param,))
+
+    def test_params_become_floats(self):
+        spec = AttackSpec("probe_overlap", 1, params=[np.float32(0.5)])
+        assert spec.params == (0.5,) and type(spec.params[0]) is float
+        assert AttackSpec("probe_overlap", 1, params=(1,)).params == (1.0,)
+
     def test_eve_dim_checked_for_random_unitary(self):
         with pytest.raises(OutOfRangeError):
             AttackSpec("random_unitary", 1, eve_dim=0)
@@ -89,9 +115,28 @@ class TestCheckCell:
             with pytest.raises(error):
                 check(n, eve_dim)
 
+    @pytest.mark.parametrize("kind, n", [
+        (kind, n) for kind in KINDS for n in (1, 2, 3, 4)
+        if kind != "probe_overlap" or n == 1
+    ])
+    def test_kind_builds_its_declared_apparatus(self, kind, n):
+        spec = AttackSpec(kind, n, params=(0.3,) * KINDS[kind].arity,
+                          **({"eve_dim": 3} if "eve_dim" in KINDS[kind].takes else {}))
+        assert make_attack(spec).eve_dim == KINDS[kind].apparatus(n, spec.eve_dim)
+
+    @pytest.mark.parametrize("kind", ["intercept_resend", "cnot_probe"])
+    def test_pointer_kinds_checked_at_their_apparatus_size(self, kind, monkeypatch):
+        # a pointer kind keeps a 2**n apparatus: at n = 5 the table would be
+        # 32 x 32 = 1024 > MAX_TOTAL_DIM, which N_MAX = 4 alone hides
+        monkeypatch.setattr(zoo, "N_MAX", 5)
+        AttackSpec("identity", 5)
+        with pytest.raises(DimensionTooLargeError, match="1024"):
+            AttackSpec(kind, 5)
+
     def test_every_kind_has_an_arity_and_a_note(self):
-        for arity, note in KINDS.values():
-            assert arity in (0, 1) and note
+        for kind in KINDS.values():
+            assert kind.arity in (0, 1) and kind.note
+            assert set(kind.takes) <= set(KIND_FIELDS)
 
 
 class TestMakeAttack:
