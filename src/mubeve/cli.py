@@ -19,6 +19,7 @@ from dataclasses import replace
 from .errors import MubeveError, TheoremViolation
 from .harness import (
     attack_label,
+    check_analyses,
     checked_path,
     parse_campaign,
     parse_scenario,
@@ -50,6 +51,7 @@ def _load(args, parse, seed_key):
 
 def _cmd_audit(args) -> int:
     cfg = _load(args, parse_scenario, "seed")
+    check_analyses(cfg, "audit")
     report = run_scenario(cfg)
     _emit(write_report([(attack_label(cfg), report)], args.format), args.out)
     if "sigma_spectrum" in cfg.analyses:
@@ -60,6 +62,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args, parse_scenario, "seed")
+    check_analyses(cfg, "sweep")
     _emit(write_report(run_sweep(cfg), args.format), args.out)
     return 0
 

@@ -27,8 +27,10 @@ from .errors import (
 )
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
-from .rng import MASK64, mix
+from .linalg import _as_integer, _as_reals
+from .rng import _checked_seed, mix
 from .zoo import (
+    KINDS,
     MAX_COUNT,
     MAX_GRID_CELLS,
     MAX_POVM_SAMPLES,
@@ -113,7 +115,8 @@ def _load_json(text) -> dict:
             text, parse_constant=_finite_float, parse_float=_finite_float,
             object_pairs_hook=_unique_keys,
         )
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+    # deep nesting recurses; an integer literal of over 4300 digits is a ValueError
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
@@ -148,42 +151,26 @@ def _naming(field):
         raise ValidationError(field, str(exc)) from exc
 
 
-def _integer(minimum=None, maximum=None):
-    """Reader of an integer, not a boolean, in [minimum, maximum] (None: open)."""
-    def read(value, field, got=None) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(field, f"expected an integer, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValidationError(field, f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValidationError(field, f"must be <= {maximum}, got {value}")
-        return value
+def _rule(check, *args):
+    """Reader of the value ``check(value, *args)`` returns, by a library rule
+    such as ``linalg._as_integer``, whose errors name the field."""
+    def read(value, field, got=None):
+        with _naming(field):
+            return check(value, *args)
     return read
 
 
-# The stream keeps 64 bits of a seed, so a larger one would alias a smaller.
-read_seed = _integer(0, MASK64)
+read_seed = _rule(_checked_seed)  # the stream's seed rule
 
 
 def _qubit_count(value, field, got) -> int:
     with _naming(field):
-        check_cell(_integer()(value, field), 1)
+        check_cell(value, 1)
     return value
 
 
-def _float_list(value, field, got=None) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in value
-    ):
-        raise ValidationError(field, "must be a list of numbers")
-    try:
-        return tuple(float(t) for t in value)
-    except OverflowError as exc:
-        raise ValidationError(field, str(exc)) from exc
-
-
 def _sweep_thetas(value, field, got) -> tuple[float, ...]:
-    thetas = _float_list(value, field)
+    thetas = _rule(_as_reals, "sweep_thetas")(value, field)
     if len(thetas) > MAX_SWEEP_THETAS:
         raise ValidationError(field, f"has {len(thetas)} angles, at most {MAX_SWEEP_THETAS}")
     return thetas
@@ -223,7 +210,7 @@ def _kind(value, field, got) -> str:
 
 def _attack_n(value, field, got) -> int:
     """``attack.n``, which must equal ``n_qubits``, preset in ``got["n"]``."""
-    if _integer()(value, field) != got["n"]:
+    if _rule(_as_integer, "qubit count")(value, field) != got["n"]:
         raise ValidationError(field, f"disagrees with n_qubits={got['n']}")
     return value
 
@@ -259,10 +246,7 @@ def _grid(value, field, got) -> tuple[tuple[int, int], ...]:
     if len(value) > MAX_GRID_CELLS:
         raise ValidationError(field, f"has {len(value)} cells, at most {MAX_GRID_CELLS}")
     for pos, cell in enumerate(value):
-        if (
-            not isinstance(cell, list) or len(cell) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in cell)
-        ):
+        if not isinstance(cell, list) or len(cell) != 2:
             raise ValidationError(f"{field}[{pos}]", "must be an [n, eve_dim] integer pair")
         with _naming(f"{field}[{pos}]"):
             check_cell(*cell)
@@ -284,8 +268,8 @@ def _output(value, field, got) -> str:
 NAMED_ATTACK_FIELDS = {  # AttackSpec; attack.n defaults to n_qubits
     "kind": (_kind, True),
     "n": (_attack_n, False),
-    "params": (_float_list, False),
-    "eve_dim": (_kind_field(_integer()), False),
+    "params": (_rule(_as_reals, "params"), False),
+    "eve_dim": (_kind_field(_rule(_as_integer, "eve_dim")), False),
     "seed": (_kind_field(read_seed), False),
 }
 EXPLICIT_ATTACK_FIELDS = {"unitary": (_complex_array, True),
@@ -293,17 +277,17 @@ EXPLICIT_ATTACK_FIELDS = {"unitary": (_complex_array, True),
 SCENARIO_FIELDS = {  # ScenarioConfig
     "n_qubits": (_qubit_count, True),
     "attack": (_attack, True),
-    "povm_samples": (_integer(0, MAX_POVM_SAMPLES), True),
+    "povm_samples": (_rule(_as_integer, "samples", 0, MAX_POVM_SAMPLES), True),
     "seed": (read_seed, True),
     "analyses": (_analyses, False),
     "sweep_thetas": (_sweep_thetas, False),
 }
 CAMPAIGN_FIELDS = {  # CampaignConfig
     "grid": (_grid, True),
-    "count": (_integer(0, MAX_COUNT), True),
+    "count": (_rule(_as_integer, "count", 0, MAX_COUNT), True),
     "master_seed": (read_seed, True),
     "output": (_output, True),
-    "povm_samples": (_integer(0, MAX_POVM_SAMPLES), False),
+    "povm_samples": (_rule(_as_integer, "samples", 0, MAX_POVM_SAMPLES), False),
 }
 
 
@@ -324,12 +308,18 @@ def parse_campaign(text) -> CampaignConfig:
 def attack_label(cfg: ScenarioConfig) -> str:
     if isinstance(cfg.attack, AttackChannel):
         return "explicit"
-    spec = cfg.attack
-    if spec.kind == "probe_overlap":
-        return f"probe_overlap[theta={spec.params[0]:.17g}]"
-    if spec.kind == "random_unitary":
-        return f"random_unitary[n={spec.n};d={spec.eve_dim};seed={spec.seed}]"
-    return spec.kind
+    return KINDS[cfg.attack.kind].label.format_map(vars(cfg.attack))
+
+
+def check_analyses(cfg: ScenarioConfig, command: str) -> None:
+    """ValidationError("analyses") unless the scenario lists the analysis
+    ``command`` (``audit`` or ``sweep``) runs; a sweep prints no
+    ``sigma_spectrum`` line, so it also rejects that analysis."""
+    if command not in cfg.analyses:
+        raise ValidationError(
+            "analyses", f"{list(cfg.analyses)} does not list {command!r}, which this command runs")
+    if command == "sweep" and "sigma_spectrum" in cfg.analyses:
+        raise ValidationError("analyses", "sweep does not print sigma_spectrum; audit does")
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
@@ -339,9 +329,9 @@ def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:
-    """Audit the probe-overlap family across a grid of angles; one
-    ``(attack_label, report)`` row per angle."""
-    if not isinstance(cfg.attack, AttackSpec) or cfg.attack.kind != "probe_overlap":
+    """Audit the one-parameter family of the configured kind across a grid
+    of angles; one ``(attack_label, report)`` row per angle."""
+    if not isinstance(cfg.attack, AttackSpec) or KINDS[cfg.attack.kind].arity != 1:
         raise ValidationError("attack.kind", "sweep requires a probe_overlap attack")
     rows = []
     for theta in cfg.sweep_thetas:
@@ -390,7 +380,7 @@ def write_report(rows, fmt: str = "csv") -> bytes:
                 for name, v in zip(_COLUMNS, fields)
             })
         return (json.dumps(records, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+    raise OutOfRangeError(f"unknown report format {fmt!r}; expected 'csv' or 'json'")
 
 
 def checked_path(path: str, field: str) -> Path:

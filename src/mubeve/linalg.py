@@ -14,7 +14,7 @@ other builds may differ in the last digits.
 from __future__ import annotations
 
 import functools
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +46,9 @@ N_MAX = 4
 
 def _as_integer(value, what: str, minimum=None, maximum=None) -> int:
     """``value`` as a Python int, or OutOfRangeError naming ``what`` unless it
-    is an integer (Python or numpy) in [minimum, maximum], None being open: a
-    float would pass a range check only to fail later as a TypeError."""
-    if not isinstance(value, numbers.Integral):
+    is an integer (Python or numpy, not a bool) in [minimum, maximum], None
+    being open: a float would fail later as a TypeError, and True read as 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise OutOfRangeError(f"{what} {value!r} is not an integer")
     value = int(value)
     if maximum is not None and not minimum <= value <= maximum:
@@ -56,6 +56,27 @@ def _as_integer(value, what: str, minimum=None, maximum=None) -> int:
     if minimum is not None and value < minimum:
         raise OutOfRangeError(f"{what} {value} must be at least {minimum}")
     return value
+
+
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _as_reals(values, what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, or OutOfRangeError naming ``what``
+    unless it is a list, tuple or array of finite real numbers (Python or
+    numpy, not bools); a bad entry is named by its position."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise OutOfRangeError(f"{what} must be a list of numbers, not {type(values).__name__}")
+    reals = []
+    for pos, value in enumerate(values):
+        try:
+            real = float(value) if isinstance(value, _REAL_TYPES) else math.nan
+        except OverflowError:  # an int beyond the double range
+            real = math.inf
+        if isinstance(value, bool) or not math.isfinite(real):
+            raise OutOfRangeError(f"{what}[{pos}] {value!r} is not a finite real number")
+        reals.append(real)
+    return tuple(reals)
 
 
 def bit_parity(x: int) -> int:

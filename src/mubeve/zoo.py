@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -15,33 +13,40 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .channel import AttackChannel
-from .linalg import N_MAX, _as_integer, bit_parity
+from .linalg import N_MAX, _as_integer, _as_reals, sign_grid
 from .rng import _checked_seed, random_isometry
 
 
 class Kind(NamedTuple):
-    arity: int                            # number of params
-    takes: tuple[str, ...]                # the KIND_FIELDS it reads
-    apparatus: Callable[[int, int], int]  # apparatus dimension of (n, eve_dim)
-    note: str                             # one line for ``mubeve zoo``
+    arity: int              # number of params
+    takes: tuple[str, ...]  # the KIND_FIELDS it reads
+    # (n, params) -> the table whose row i is the pointer kept for input i,
+    # or None for the kind whose interaction is drawn
+    pointers: Callable[[int, tuple[float, ...]], np.ndarray] | None
+    label: str              # attack_id, a format string over the AttackSpec fields
+    note: str               # one line for ``mubeve zoo``
 
 
 # Optional fields of ``AttackSpec`` read only by the kinds that take them.
 KIND_FIELDS = ("eve_dim", "seed")
 
 KINDS = {
-    "identity": Kind(0, (), lambda n, d: 1,
+    "identity": Kind(0, (), lambda n, p: np.ones((1 << n, 1)), "identity",
                      "no interaction; zero disturbance and zero information"),
-    "phase_conversion": Kind(0, (), lambda n, d: 1,
+    # per-qubit value flip |i> -> (-1)**|i| |i>, the last column of sign_grid
+    "phase_conversion": Kind(0, (), lambda n, p: sign_grid(n)[:, -1:], "phase_conversion",
                              "per-qubit value flip; deterministic error, no gain"),
-    "intercept_resend": Kind(0, (), lambda n, d: 1 << n,
+    "intercept_resend": Kind(0, (), lambda n, p: np.eye(1 << n), "intercept_resend",
                              "measure in basis b and resend; pointer per string"),
-    "cnot_probe": Kind(0, (), lambda n, d: 1 << n,
+    "cnot_probe": Kind(0, (), lambda n, p: np.eye(1 << n), "cnot_probe",
                        "per-qubit copy into fresh ancilla qubits"),
-    "probe_overlap": Kind(1, (), lambda n, d: 2,
-                          "n=1 probe pair with overlap cos(theta); params: [theta]"),
-    "random_unitary": Kind(0, KIND_FIELDS, lambda n, d: d,
-                           "seeded Haar-style interaction; fields: eve_dim, seed"),
+    "probe_overlap": Kind(
+        1, (), lambda n, p: np.array([[1.0, 0.0], [np.cos(p[0]), np.sin(p[0])]]),
+        "probe_overlap[theta={params[0]:.17g}]",
+        "n=1 probe pair with overlap cos(theta); params: [theta]"),
+    "random_unitary": Kind(
+        0, KIND_FIELDS, None, "random_unitary[n={n};d={eve_dim};seed={seed}]",
+        "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
 MAX_TOTAL_DIM = 512
@@ -84,9 +89,10 @@ class AttackSpec:
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
     and ``seed`` belong to the kinds whose ``KINDS`` entry takes them, and
     every other kind rejects values other than the defaults.  The cell is
-    checked at the apparatus size the kind builds.  Construction rejects
-    every spec that ``make_attack`` could not build or would ignore a field
-    of, so a spec can be validated without building its channel.
+    checked at the width of the pointer table the kind keeps, or at
+    ``eve_dim`` for a drawn kind.  Construction rejects every spec that
+    ``make_attack`` could not build or would ignore a field of, so a spec
+    can be validated without building its channel.
     """
 
     kind: str
@@ -103,41 +109,34 @@ class AttackSpec:
             if getattr(self, key) != getattr(AttackSpec, key):
                 check_takes(self.kind, key)
         _checked_seed(self.seed)
-        check_cell(self.n, 1)  # the apparatus size is a function of a valid n
-        check_cell(self.n, kind.apparatus(self.n, self.eve_dim))
-        if len(self.params) != kind.arity:
+        check_cell(self.n, 1)  # so a pointer table has at most 2**N_MAX rows
+        _as_integer(self.eve_dim, "eve_dim", 1)  # an integer even where unread
+        params = _as_reals(self.params, "params")
+        if len(params) != kind.arity:
             raise OutOfRangeError(
-                f"{self.kind} takes {kind.arity} parameter(s), got {len(self.params)}"
+                f"{self.kind} takes {kind.arity} parameter(s), got {len(params)}"
             )
-        if self.kind == "probe_overlap" and self.n != 1:
-            raise UnsupportedCombinationError("probe_overlap is defined for n=1")
-        try:
-            params = tuple(float(p) for p in self.params if isinstance(p, numbers.Real))
-        except OverflowError:
-            params = ()
-        if len(params) != len(self.params) or not all(map(math.isfinite, params)):
-            raise OutOfRangeError(f"params {self.params!r} must be finite real numbers")
         object.__setattr__(self, "params", params)
+        width = self.eve_dim  # the apparatus of a drawn kind
+        if kind.pointers is not None:
+            rows, width = kind.pointers(self.n, params).shape
+            if rows != 1 << self.n:
+                raise UnsupportedCombinationError(
+                    f"{self.kind} is defined for n={rows.bit_length() - 1}")
+        check_cell(self.n, width)
 
 
 def make_attack(spec: AttackSpec) -> AttackChannel:
-    """Construct the channel for a named attack."""
-    n, d = spec.n, 1 << spec.n
-    if spec.kind == "random_unitary":
-        return random_attack(n, spec.eve_dim, spec.seed)
-    # Every other kind forwards the string and keeps pointers[i] for input i.
-    if spec.kind == "identity":
-        pointers = np.ones((d, 1))
-    elif spec.kind == "phase_conversion":  # per-qubit value flip |i> -> (-1)**i |i>
-        pointers = np.array([[(-1.0) ** bit_parity(i)] for i in range(d)])
-    elif spec.kind == "probe_overlap":
-        theta = spec.params[0]
-        pointers = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
-    else:  # intercept_resend and cnot_probe: a pointer records the string
-        pointers = np.eye(d)
-    kraus = np.zeros((d, d, pointers.shape[1]), dtype=complex)
-    kraus[np.arange(d), np.arange(d)] = pointers
-    return AttackChannel(n=n, eve_dim=pointers.shape[1], kraus=kraus)
+    """Construct the channel for a named attack: drawn, or with the
+    string forwarded and the kind's pointer row i kept for input i."""
+    pointers = KINDS[spec.kind].pointers
+    if pointers is None:
+        return random_attack(spec.n, spec.eve_dim, spec.seed)
+    table = pointers(spec.n, spec.params)
+    d, eve_dim = table.shape
+    kraus = np.zeros((d, d, eve_dim), dtype=complex)
+    kraus[np.arange(d), np.arange(d)] = table
+    return AttackChannel(n=spec.n, eve_dim=eve_dim, kraus=kraus)
 
 
 def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:

@@ -13,7 +13,7 @@ import mubeve.cli as cli
 import mubeve.harness as harness
 from mubeve.channel import AttackChannel
 from mubeve.cli import main
-from mubeve.errors import ParseError, ValidationError
+from mubeve.errors import OutOfRangeError, ParseError, ValidationError
 from mubeve.harness import (
     CSV_HEADER,
     CampaignConfig,
@@ -29,7 +29,8 @@ from mubeve.harness import (
 from mubeve.zoo import KINDS, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-# Reports computed by the former pure-Python Jacobi eigensolver.
+# Frozen reports: of the former pure-Python Jacobi eigensolver (jacobi_*),
+# and of the declared-limit cells at 8d7d308 (limit_cells_campaign.csv).
 FROZEN = Path(__file__).resolve().parent / "data"
 
 
@@ -74,6 +75,11 @@ class TestParseScenario:
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_scenario(DEEP_DOCUMENT)
+
+    def test_integer_beyond_the_digit_limit_is_a_parse_error(self):
+        # Python refuses to convert integer literals of over 4300 digits
+        with pytest.raises(ParseError, match="4300 digits"):
+            parse_scenario(minimal_scenario().replace('"seed": 1', '"seed": ' + "9" * 5000))
 
     def test_non_object_document(self):
         with pytest.raises(ParseError):
@@ -428,7 +434,7 @@ class TestWriteReport:
         assert records[1]["boykin_rhs"] == 4.0
 
     def test_unknown_format(self, sample_rows):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError, match="'xml'"):
             write_report(sample_rows, "xml")
 
 
@@ -503,7 +509,8 @@ def assert_rows_close(rows, frozen_csv):
 
 
 class TestFrozenReports:
-    """The LAPACK eigen path reproduces the Jacobi-era reports to 1e-12."""
+    """The LAPACK eigen path reproduces the Jacobi-era reports to 1e-12, and
+    the declared-limit cells their rows frozen at 8d7d308."""
 
     def test_campaign_small(self, campaign_small_rows):
         assert_rows_close(campaign_small_rows, "jacobi_campaign_small.csv")
@@ -514,6 +521,16 @@ class TestFrozenReports:
                      "--out", str(out)]) == 0
         assert_rows_close(list(csv.DictReader(out.read_text().splitlines())),
                           "jacobi_probe_sweep.csv")
+
+    def test_declared_limit_cells(self, tmp_path):
+        # one attack at each cell of total dimension 512, 16 measurement bases
+        cfg = CampaignConfig(grid=((4, 32), (3, 64), (2, 128), (1, 256)), count=1,
+                             master_seed=20260809, output=str(tmp_path / "limit.csv"),
+                             povm_samples=16)
+        run_campaign(cfg)
+        assert_rows_close(list(csv.DictReader((tmp_path / "limit.csv").read_text()
+                                              .splitlines())),
+                          "limit_cells_campaign.csv")
 
 
 class TestCli:
@@ -707,6 +724,37 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {named}: ")
 
+    @pytest.mark.parametrize("command, analyses", [
+        ("audit", ["sweep"]),
+        ("audit", ["sigma_spectrum"]),
+        ("sweep", ["sigma_spectrum"]),
+        ("sweep", ["sweep", "sigma_spectrum"]),  # a sweep prints no sigma_spectrum line
+        ("sweep", None),  # the default ("audit",)
+    ])
+    def test_analyses_must_agree_with_the_command(self, tmp_path, capsys, monkeypatch,
+                                                  command, analyses):
+        def no_audit(*args):
+            raise AssertionError("audited before the analyses were checked")
+
+        monkeypatch.setattr(harness, "audit_attack", no_audit)
+        fields = {} if analyses is None else {"analyses": analyses}
+        doc = tmp_path / "doc.scenario"
+        doc.write_text(minimal_scenario(
+            attack={"kind": "probe_overlap", "params": [0.5]}, **fields))
+        assert main([command, str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: analyses: ")
+
+    @pytest.mark.parametrize("command", ["audit", "sweep"])
+    def test_analyses_may_list_both_commands(self, tmp_path, capsys, command):
+        doc = tmp_path / "doc.scenario"
+        doc.write_text(minimal_scenario(
+            attack={"kind": "probe_overlap", "params": [0.5]}, analyses=["audit", "sweep"],
+            sweep_thetas=[0.5]))
+        assert main([command, str(doc)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("probe_overlap[theta=0.5]")
+
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
         calls = {"audit_attack": 0, "make_attack": 0, "fourier_spectrum": 0}
 
@@ -874,7 +922,7 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed: must be >= 0, got -1\n"
+        assert captured.err == f"error: --seed: seed -1 outside [0, {2**64 - 1}]\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, document", [
@@ -888,5 +936,5 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --seed: must be <= {2**64 - 1}, got {2**64}\n"
+        assert captured.err == f"error: --seed: seed {2**64} outside [0, {2**64 - 1}]\n"
         assert not out.exists()

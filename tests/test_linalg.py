@@ -27,8 +27,10 @@ from mubeve.linalg import (
     xor_grid,
     xor_regroup,
 )
-from mubeve.channel import ErrorDistribution
-from mubeve.rng import mix, random_isometry, random_unitary
+from mubeve.bounds import audit_attack
+from mubeve.channel import AttackChannel, ErrorDistribution
+from mubeve.rng import SplitMix64, mix, random_isometry, random_unitary
+from mubeve.zoo import AttackSpec, random_attack
 from oracle import (
     bit_dot,
     hermitian_eigenvalues,
@@ -465,5 +467,29 @@ class TestMubTransform:
 def test_public_sizes_and_stream_parts_raise_named_errors(call):
     # each would reach 1 << n, np.arange or int() unchecked: a raw TypeError,
     # ValueError or OverflowError, or (mix(3, 2.5)) a silent mix(3, 2)
+    with pytest.raises(OutOfRangeError):
+        call()
+
+
+def _identity_kraus():
+    kraus = np.zeros((2, 2, 1), dtype=complex)
+    kraus[0, 0, 0] = kraus[1, 1, 0] = 1.0
+    return kraus
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_attack(True, True, False),
+    lambda: AttackSpec("random_unitary", 1, eve_dim=2, seed=False),
+    lambda: AttackSpec("probe_overlap", 1, params=(True,)),
+    lambda: AttackSpec("identity", 1, eve_dim=True),  # equals the default 1
+    lambda: AttackChannel(True, 1, _identity_kraus()),
+    lambda: audit_attack(AttackChannel(1, 1, _identity_kraus()), True, False),
+    lambda: SplitMix64(True),
+    lambda: mix(True, 0),
+], ids=["random-attack", "spec-seed", "spec-param", "spec-unread-eve-dim", "channel-n",
+        "audit-samples", "stream-seed", "mix-seed"])
+def test_booleans_are_not_numbers(call):
+    # one number rule for documents and the Python API: True is not 1, so
+    # no label reads seed=False and no probe angle is 1.0
     with pytest.raises(OutOfRangeError):
         call()

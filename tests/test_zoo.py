@@ -120,9 +120,19 @@ class TestCheckCell:
         if kind != "probe_overlap" or n == 1
     ])
     def test_kind_builds_its_declared_apparatus(self, kind, n):
-        spec = AttackSpec(kind, n, params=(0.3,) * KINDS[kind].arity,
-                          **({"eve_dim": 3} if "eve_dim" in KINDS[kind].takes else {}))
-        assert make_attack(spec).eve_dim == KINDS[kind].apparatus(n, spec.eve_dim)
+        # the apparatus is the width of the row's pointer table, whose row i
+        # sits on the diagonal for input i, or eve_dim for the drawn kind
+        entry = KINDS[kind]
+        spec = AttackSpec(kind, n, params=(0.3,) * entry.arity,
+                          **({"eve_dim": 3} if "eve_dim" in entry.takes else {}))
+        ch = make_attack(spec)
+        if entry.pointers is None:
+            assert ch.eve_dim == spec.eve_dim
+            return
+        table, d = entry.pointers(n, spec.params), 1 << n
+        assert ch.eve_dim == table.shape[1]
+        assert np.array_equal(ch.kraus[np.arange(d), np.arange(d)], table)
+        assert not ch.kraus[~np.eye(d, dtype=bool)].any()
 
     @pytest.mark.parametrize("kind", ["intercept_resend", "cnot_probe"])
     def test_pointer_kinds_checked_at_their_apparatus_size(self, kind, monkeypatch):
