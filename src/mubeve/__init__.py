@@ -28,7 +28,6 @@ from .linalg import (
     TAU_UNIT,
     DensityMatrix,
     Spectrum,
-    bit_parity,
     hermitian_eigendecomposition,
     mub_transform,
     partial_trace,
@@ -43,7 +42,7 @@ from .channel import (
 )
 # ``symmetrize`` itself is not re-exported, so that the package attribute
 # ``mubeve.symmetrize`` is the module, not the function.
-from .symmetrize import error_patterns, fourier_spectrum, project_ancilla
+from .symmetrize import fourier_spectrum, project_ancilla, walsh_table
 from .bounds import (
     BoundsReport,
     audit_attack,

@@ -40,12 +40,11 @@ from .linalg import (
     density_spectra,
     hermitian_residual,
     mixture_spectra,
-    sign_grid,
     spectral_entropies,
     xor_regroup,
 )
 from .rng import SplitMix64, gram_schmidt_unitary
-from .symmetrize import error_patterns, fourier_spectrum
+from .symmetrize import fourier_spectrum, walsh_table
 
 _BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
 
@@ -86,9 +85,8 @@ def kraus_holevo_chi(kraus) -> float:
 
 def symmetrized_holevo_chi(walsh) -> float:
     """Holevo quantity of the shift-symmetrized attack, computed from the
-    Walsh transform ``walsh = sign_grid(n) @ error_patterns(ch.kraus)`` of
-    the original table regrouped by error pattern, ``W[c, x] = sum_a
-    (-1)**(x.a) P[c, a]``.
+    Walsh table ``walsh = walsh_table(ch.kraus)`` of the original table
+    regrouped by error pattern, ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.
 
     Equals ``kraus_holevo_chi(symmetrize(ch).kraus)``, but the enlarged
     table is never built.  The symmetrized states are XOR-covariant, so
@@ -263,7 +261,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     the symmetrized attack nor its purification Gram is built: ``chi_sym``
     (``symmetrized_holevo_chi``) and the Fourier spectrum of the identity
     (``fourier_spectrum``) both take one Walsh transform ``W`` of the
-    original table regrouped by error pattern (``error_patterns``), while
+    original table regrouped by error pattern (``walsh_table``), while
     the error distribution they are checked against comes independently
     from the conjugate-basis table (``xor_error_distribution``).
     """
@@ -272,7 +270,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     h_xor = xor_entropy_bound(ed)
 
     chi_orig = kraus_holevo_chi(ch.kraus)
-    walsh = sign_grid(ch.n) @ error_patterns(ch.kraus)
+    walsh = walsh_table(ch.kraus)
     chi_sym = symmetrized_holevo_chi(walsh)
 
     priors = np.full(ch.dim, 1.0 / ch.dim)

@@ -25,7 +25,7 @@ from .linalg import (
     _as_integer,
     _check_probabilities,
     as_index,
-    sign_grid,
+    walsh,
     xor_regroup,
 )
 
@@ -132,12 +132,9 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
 
 
 def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:
-    """``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``, as
-    two Walsh-Hadamard matrix products (the sign grid is symmetric)."""
-    s = sign_grid(n)
-    d = 1 << n
-    half = (s @ kraus.reshape(d, -1)).reshape(kraus.shape)  # sums over i
-    return s @ half / float(d)                               # sums over j
+    """``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``, a
+    Walsh transform over i and one over j."""
+    return walsh(walsh(kraus, 0), 1) / float(1 << n)
 
 
 def eve_state(ch: AttackChannel, i) -> DensityMatrix:

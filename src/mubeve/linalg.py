@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,17 +45,26 @@ TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 N_MAX = 4
 
 
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or its digit limit where Python
+    refuses to print an integer that long (``sys.get_int_max_str_digits``)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"of over {sys.get_int_max_str_digits()} digits"
+
+
 def _as_integer(value, what: str, minimum=None, maximum=None) -> int:
     """``value`` as a Python int, or OutOfRangeError naming ``what`` unless it
     is an integer (Python or numpy, not a bool) in [minimum, maximum], None
     being open: a float would fail later as a TypeError, and True read as 1."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise OutOfRangeError(f"{what} {value!r} is not an integer")
+        raise OutOfRangeError(f"{what} {_shown(value)} is not an integer")
     value = int(value)
     if maximum is not None and not minimum <= value <= maximum:
-        raise OutOfRangeError(f"{what} {value} outside [{minimum}, {maximum}]")
+        raise OutOfRangeError(f"{what} {_shown(value)} outside [{minimum}, {maximum}]")
     if minimum is not None and value < minimum:
-        raise OutOfRangeError(f"{what} {value} must be at least {minimum}")
+        raise OutOfRangeError(f"{what} {_shown(value)} must be at least {minimum}")
     return value
 
 
@@ -74,14 +84,9 @@ def _as_reals(values, what: str) -> tuple[float, ...]:
         except OverflowError:  # an int beyond the double range
             real = math.inf
         if isinstance(value, bool) or not math.isfinite(real):
-            raise OutOfRangeError(f"{what}[{pos}] {value!r} is not a finite real number")
+            raise OutOfRangeError(f"{what}[{pos}] {_shown(value)} is not a finite real number")
         reals.append(real)
     return tuple(reals)
-
-
-def bit_parity(x: int) -> int:
-    """Parity (0 or 1) of the number of set bits."""
-    return int(x).bit_count() & 1
 
 
 def as_index(i, n: int) -> int:
@@ -315,19 +320,25 @@ def spectral_entropies(w) -> np.ndarray:
 
 @functools.cache
 def sign_grid(n: int) -> np.ndarray:
-    """2^n x 2^n matrix of (-1)**(i.j) with the bit-wise dot product.
+    """2^n x 2^n matrix of (-1)**(i.j) with the bit-wise dot product, the
+    n-fold Sylvester (Kronecker) power of ``[[1, 1], [1, -1]]``: the left
+    factor owns the most significant bit.
 
     Built once per n and read-only, since every caller shares it.
     """
-    d = 1 << n
-    idx = np.arange(d)
-    dots = np.bitwise_and(idx[:, None], idx[None, :])
-    parity = np.zeros((d, d), dtype=int)
-    for k in range(n):
-        parity ^= (dots >> k) & 1
-    grid = 1.0 - 2.0 * parity
+    grid = functools.reduce(np.kron, [[[1.0, 1.0], [1.0, -1.0]]] * n, np.ones((1, 1)))
     grid.setflags(write=False)
     return grid
+
+
+def walsh(a: np.ndarray, axis: int) -> np.ndarray:
+    """Walsh-Hadamard transform of ``a`` along ``axis``, of length 2**n,
+    ``out[.., x, ..] = sum_b (-1)**(x.b) a[.., b, ..]``, as one matrix
+    product with ``sign_grid(n)``."""
+    t = a.swapaxes(0, axis)
+    d = t.shape[0]
+    out = sign_grid(d.bit_length() - 1) @ t.reshape(d, -1)
+    return out.reshape(t.shape).swapaxes(0, axis)
 
 
 @functools.cache
@@ -355,6 +366,7 @@ def mub_transform(n: int) -> np.ndarray:
     Real orthogonal, symmetric, involutive: entry (i, k) equals
     ``2**(-n/2) * (-1)**(i.k)``, so the two bases are mutually unbiased.
     """
-    if _as_integer(n, "qubit count", 1) > N_MAX:
-        raise DimensionTooLargeError(f"qubit count {n} exceeds {N_MAX}")
+    n = _as_integer(n, "qubit count", 1)
+    if n > N_MAX:
+        raise DimensionTooLargeError(f"qubit count {_shown(n)} exceeds {N_MAX}")
     return sign_grid(n) * 2.0 ** (-n / 2.0)

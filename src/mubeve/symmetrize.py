@@ -16,9 +16,9 @@ Audits build neither the enlarged table nor the purification Gram: every
 symmetrized Kraus vector is a signed stack of the original vectors with
 one error pattern ``c = i ^ j``, so the audit reads the Fourier spectrum
 off the Walsh transform of the original table regrouped by error pattern
-(``fourier_spectrum`` of ``sign_grid(n) @ error_patterns(kraus)``).
-``symmetrize`` builds the enlarged table itself, and ``project_ancilla``
-reads its shift register.
+(``fourier_spectrum`` of ``walsh_table(kraus)``).  ``symmetrize`` builds
+the enlarged table itself, and ``project_ancilla`` reads its shift
+register.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .linalg import (
     _check_probabilities,
     as_index,
     sign_grid,
+    walsh,
     xor_grid,
     xor_regroup,
 )
@@ -75,26 +76,26 @@ def project_ancilla(sym: AttackChannel, i, m) -> tuple[float, DensityMatrix]:
     return prob, DensityMatrix(raw / prob)
 
 
-def error_patterns(kraus) -> np.ndarray:
-    """A Kraus table regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``,
-    of shape (2**n, 2**n, eve_dim).
+def walsh_table(kraus) -> np.ndarray:
+    """Walsh table ``W[c, x] = sum_a (-1)**(x.a) P[c, a]`` of a Kraus table
+    regrouped by error pattern, ``P[c, a] = kraus[a, a ^ c]``, both of shape
+    (2**n, 2**n, eve_dim).
 
-    Row c holds the vectors that turn input a into output a XOR c.  The
-    symmetrized Kraus vectors are signed stacks of one such row,
+    Row c of ``P`` holds the vectors that turn input a into output a XOR c.
+    The symmetrized Kraus vectors are signed stacks of one such row,
     ``symmetrize(ch).kraus[i, i ^ c] = 2**(-n/2) sum_m (-1)**(m.c) |m> (x)
     P[c, i ^ m]``.
     """
-    return xor_regroup(np.asarray(kraus, dtype=complex))
+    return walsh(xor_regroup(np.asarray(kraus, dtype=complex)), 1)
 
 
 def fourier_spectrum(walsh) -> np.ndarray:
     """Fourier spectrum of the purification Gram profile of
     ``symmetrize(ch)``, computed from the Walsh table ``walsh =
-    sign_grid(n) @ error_patterns(ch.kraus)``, without the enlarged table
-    or the purification Gram.
+    walsh_table(ch.kraus)``, without the enlarged table or the
+    purification Gram.
 
-    By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2`` with the Walsh
-    transform ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.  The result must
+    By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2``.  The result must
     pass the probability rule, else TranslationInvarianceError; it is the
     trace and the smallest eigenvalue of the Gram state.
     """

@@ -13,7 +13,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .channel import AttackChannel
-from .linalg import N_MAX, _as_integer, _as_reals, sign_grid
+from .linalg import N_MAX, _as_integer, _as_reals, _shown, sign_grid
 from .rng import _checked_seed, random_isometry
 
 
@@ -39,7 +39,8 @@ KINDS = {
     "intercept_resend": Kind(0, (), lambda n, p: np.eye(1 << n), "intercept_resend",
                              "measure in basis b and resend; pointer per string"),
     "cnot_probe": Kind(0, (), lambda n, p: np.eye(1 << n), "cnot_probe",
-                       "per-qubit copy into fresh ancilla qubits"),
+                       "per-qubit copy into fresh ancilla qubits; "
+                       "same Kraus table as intercept_resend"),
     "probe_overlap": Kind(
         1, (), lambda n, p: np.array([[1.0, 0.0], [np.cos(p[0]), np.sin(p[0])]]),
         "probe_overlap[theta={params[0]:.17g}]",
@@ -70,7 +71,7 @@ def check_cell(n: int, eve_dim: int) -> None:
     total = eve_dim * (1 << n)
     if total > MAX_TOTAL_DIM:
         raise DimensionTooLargeError(
-            f"total dimension {total} exceeds {MAX_TOTAL_DIM}"
+            f"total dimension {_shown(total)} exceeds {MAX_TOTAL_DIM}"
         )
 
 

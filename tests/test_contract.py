@@ -19,11 +19,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubeve import zoo
 from mubeve.cli import main
-from mubeve.harness import CSV_HEADER
+from mubeve.errors import ValidationError
+from mubeve.harness import CSV_HEADER, parse_campaign, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DOCUMENTS = {
@@ -51,7 +54,8 @@ DOCUMENTS["explicit.scenario"] = {
 }
 
 # Sizes capped far below the parser's work limits (zoo.MAX_POVM_SAMPLES
-# and its neighbours), which still admit minutes of work per document.
+# and its neighbours), which still admit minutes of work per document;
+# test_work_limits parses documents at the limits themselves.
 CAPS = {"povm_samples": 8, "count": 2}
 MAX_GRID = 3
 MAX_THETAS = 8
@@ -186,3 +190,26 @@ def check_contract(command, doc, extra, workdir):
         assert all(list(r) == CSV_HEADER.split(",") for r in records)
     else:
         assert_report(out)
+
+
+# (document, field, library limit, the field's value at size k)
+WORK_LIMITS = [
+    ("identity.scenario", "povm_samples", zoo.MAX_POVM_SAMPLES, lambda k: k),
+    ("campaign_small.json", "povm_samples", zoo.MAX_POVM_SAMPLES, lambda k: k),
+    ("campaign_small.json", "count", zoo.MAX_COUNT, lambda k: k),
+    ("campaign_small.json", "grid", zoo.MAX_GRID_CELLS, lambda k: [[1, 1]] * k),
+    ("probe_sweep.scenario", "sweep_thetas", zoo.MAX_SWEEP_THETAS, lambda k: [0.0] * k),
+]
+
+
+@pytest.mark.parametrize("name, field, limit, value", WORK_LIMITS,
+                         ids=[f"{name}:{field}" for name, field, *_ in WORK_LIMITS])
+def test_work_limits(name, field, limit, value):
+    # the parser, not an audit, enforces each library limit, at the limit + 1
+    parse = parse_campaign if name.endswith(".json") else parse_scenario
+    at_limit = dict(DOCUMENTS[name], **{field: value(limit)})
+    parsed = getattr(parse(json.dumps(at_limit)), field)
+    assert (parsed if isinstance(parsed, int) else len(parsed)) == limit
+    with pytest.raises(ValidationError) as err:
+        parse(json.dumps(dict(at_limit, **{field: value(limit + 1)})))
+    assert err.value.field == field

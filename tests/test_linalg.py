@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra core."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from mubeve.errors import (
 import mubeve.linalg as linalg
 from mubeve.linalg import (
     DensityMatrix,
-    bit_parity,
     density_spectra,
     hermitian_eigendecomposition,
     mixture_spectra,
@@ -24,13 +25,14 @@ from mubeve.linalg import (
     sign_grid,
     spectral_entropies,
     tensor_product,
+    walsh,
     xor_grid,
     xor_regroup,
 )
 from mubeve.bounds import audit_attack
 from mubeve.channel import AttackChannel, ErrorDistribution
 from mubeve.rng import SplitMix64, mix, random_isometry, random_unitary
-from mubeve.zoo import AttackSpec, random_attack
+from mubeve.zoo import AttackSpec, check_cell, random_attack
 from oracle import (
     bit_dot,
     hermitian_eigenvalues,
@@ -52,9 +54,6 @@ def random_density(rng, d):
 
 
 class TestBitOps:
-    def test_parity(self):
-        assert [bit_parity(x) for x in (0, 1, 2, 3, 7)] == [0, 1, 1, 0, 1]
-
     def test_dot(self):
         assert bit_dot(3, 3) == 0  # 1*1 + 1*1 = 0 mod 2
         assert bit_dot(1, 3) == 1
@@ -86,6 +85,33 @@ class TestBitOps:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 7
+
+
+class TestWalsh:
+    @staticmethod
+    def table(rng, n, eve_dim):
+        d = 1 << n
+        shape = (d, d, eve_dim)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("eve_dim", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_explicit_sum(self, n, eve_dim):
+        a = self.table(np.random.default_rng(10 * n + eve_dim), n, eve_dim)
+        d = 1 << n
+        signs = [[(-1) ** bit_dot(x, b) for b in range(d)] for x in range(d)]
+        over_first = [sum(signs[x][b] * a[b] for b in range(d)) for x in range(d)]
+        over_second = [[sum(signs[x][b] * a[i, b] for b in range(d)) for x in range(d)]
+                       for i in range(d)]
+        assert np.allclose(walsh(a, 0), over_first, rtol=0, atol=1e-12)
+        assert np.allclose(walsh(a, 1), over_second, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_involution_up_to_scale(self, n, axis):
+        a = self.table(np.random.default_rng(n), n, 3)
+        twice = walsh(walsh(a, axis), axis)
+        assert np.max(np.abs(twice - (1 << n) * a)) <= 1e-12
 
 
 class TestTensorProduct:
@@ -493,3 +519,33 @@ def test_booleans_are_not_numbers(call):
     # no label reads seed=False and no probe angle is 1.0
     with pytest.raises(OutOfRangeError):
         call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda big: AttackSpec("probe_overlap", 1, params=(big,)), OutOfRangeError,
+     "params[0] of over 4300 digits is not a finite real number"),
+    (lambda big: AttackSpec("random_unitary", 1, eve_dim=big), DimensionTooLargeError,
+     "total dimension of over 4300 digits exceeds 512"),
+    (lambda big: random_attack(1, big, 0), DimensionTooLargeError,
+     "total dimension of over 4300 digits exceeds 512"),
+    (lambda big: SplitMix64(big), OutOfRangeError,
+     "seed of over 4300 digits outside [0, 18446744073709551615]"),
+    (lambda big: mix(0, big), OutOfRangeError,
+     "mix part of over 4300 digits outside [0, 18446744073709551615]"),
+    (lambda big: check_cell(big, 1), OutOfRangeError,
+     "qubit count of over 4300 digits outside [1, 4]"),
+    (lambda big: mub_transform(big), DimensionTooLargeError,
+     "qubit count of over 4300 digits exceeds 4"),
+], ids=["spec-param", "spec-eve-dim", "random-attack", "stream-seed", "mix-part",
+        "check-cell", "mub-transform"])
+def test_integers_too_long_to_print(call, error, message):
+    # Python prints no int of over sys.get_int_max_str_digits() digits, so
+    # the message gives that limit in place of the digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, which the messages quote
+    try:
+        with pytest.raises(error) as err:
+            call(10**5000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(err.value) == message

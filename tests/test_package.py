@@ -15,12 +15,12 @@ InvalidStateError MubeveError N_MAX NotADistributionError NotHermitianError
 NotUnitaryError OutOfRangeError ParseError ScenarioConfig Spectrum
 SplitMix64 TAU_HERM TAU_PSD TAU_TR TAU_UNIT TheoremViolation
 TranslationInvarianceError UnsupportedCombinationError ValidationError
-audit_attack bit_parity boykin_bound corollary_bound error_patterns
-eve_state fourier_spectrum from_unitary hermitian_eigendecomposition
-kraus_holevo_chi make_attack mix mix64 mub_transform parse_campaign
-parse_scenario partial_trace project_ancilla random_attack random_isometry
-random_unitary run_campaign run_scenario run_sweep symmetrized_holevo_chi
-tensor_product write_report xor_entropy_bound xor_error_distribution
+audit_attack boykin_bound corollary_bound eve_state fourier_spectrum
+from_unitary hermitian_eigendecomposition kraus_holevo_chi make_attack mix
+mix64 mub_transform parse_campaign parse_scenario partial_trace
+project_ancilla random_attack random_isometry random_unitary run_campaign
+run_scenario run_sweep symmetrized_holevo_chi tensor_product walsh_table
+write_report xor_entropy_bound xor_error_distribution
 """.split()
 
 

@@ -13,12 +13,12 @@ from mubeve.errors import (
     OutOfRangeError,
     TranslationInvarianceError,
 )
-from mubeve.linalg import DensityMatrix, partial_trace, sign_grid
+from mubeve.linalg import DensityMatrix, partial_trace, sign_grid, xor_regroup
 from mubeve.symmetrize import (
-    error_patterns,
     fourier_spectrum,
     project_ancilla,
     symmetrize,
+    walsh_table,
 )
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
@@ -264,10 +264,17 @@ class TestSigmaMatrix:
 
 
 class TestFourierSpectrum:
+    @pytest.mark.parametrize("n,eve_dim", [(1, 1), (2, 3), (3, 2), (4, 1)])
+    def test_walsh_table_is_the_grid_product(self, n, eve_dim):
+        # the stacked product the audit formed before walsh_table
+        kraus = random_attack(n, eve_dim, 40 + n).kraus
+        expected = sign_grid(n) @ xor_regroup(kraus)
+        assert np.max(np.abs(walsh_table(kraus) - expected)) <= 1e-13
+
     @pytest.mark.parametrize("scale", [1.1, np.nan])
     def test_must_be_a_distribution(self, scale):
         # the sum of the spectrum is the trace of the Gram state
-        walsh = scale * (sign_grid(2) @ error_patterns(random_attack(2, 2, 5).kraus))
+        walsh = scale * walsh_table(random_attack(2, 2, 5).kraus)
         with pytest.raises(TranslationInvarianceError):
             fourier_spectrum(walsh)
 

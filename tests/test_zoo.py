@@ -202,6 +202,13 @@ class TestMakeAttack:
             assert abs(chi - expected) <= 1e-8
             assert abs(h_xor - chi) <= 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cnot_probe_is_intercept_resend(self, n):
+        # both keep the pointer table eye(2**n): one channel under two names
+        cnot = make_attack(AttackSpec("cnot_probe", n)).kraus
+        resend = make_attack(AttackSpec("intercept_resend", n)).kraus
+        assert cnot.shape == resend.shape and cnot.tobytes() == resend.tobytes()
+
     def test_intercept_resend_and_cnot_saturate_at_one_qubit(self):
         for kind in ("intercept_resend", "cnot_probe"):
             ch = make_attack(AttackSpec(kind, 1))
