@@ -111,68 +111,59 @@ def symmetrized_holevo_chi(walsh) -> float:
     return float(chi) + 0.0  # normalize -0.0
 
 
-def _label_information(priors, h_label, cond) -> np.ndarray:
-    """``H(A) + H(E) - H(A, E)`` in bits for label priors ``p(i)``, their
-    entropy ``h_label`` and outcome probabilities ``cond[..., i, a] =
-    p(a|i)``, one value per leading index.
+def _label_information(cond) -> np.ndarray:
+    """``H(A) + H(E) - H(A, E)`` in bits for uniform labels and outcome
+    probabilities ``cond[..., i, a] = p(a|i)``, one value per leading index.
 
-    Negative rounding in ``cond`` is clipped to 0, and each joint table is
-    renormalized to absorb measurement completeness slack, so only its
-    finiteness needs a check.
+    The label entropy is log2 of the label count, exactly ``n`` for
+    ``2**n`` labels.  Negative rounding in ``cond`` is clipped to 0, and each
+    joint table is renormalized, which absorbs the uniform label weight and
+    measurement completeness slack, so only its finiteness needs a check.
     """
-    joint = priors[:, None] * np.clip(cond, 0.0, None)
+    joint = np.clip(cond, 0.0, None)
     joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
     if not np.isfinite(joint).all():
         raise NotADistributionError("measured joint table has non-finite entries")
     h_outcome = _entropy_bits(joint.sum(axis=-2))
     h_joint = _entropy_bits(joint.reshape(*cond.shape[:-2], -1))
-    return h_label + h_outcome - h_joint
+    return math.log2(cond.shape[-2]) + h_outcome - h_joint
 
 
-def _measured_information(priors, h_label, elements, rho) -> float:
-    """Mutual information of measuring the stack of POVM elements on the
-    stack of states, ``p(a|i) = tr(X_a rho_i)``."""
-    cond = np.einsum("axy,iyx->ia", elements, rho)
-    return float(_label_information(priors, h_label, cond.real))
-
-
-def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
-                     seed: int) -> float:
+def _accessible_info(kraus: np.ndarray, samples: int, seed: int) -> float:
     """Best measured mutual information over the pretty good measurement
     and ``samples`` seeded random orthonormal-basis measurements, for the
-    ensemble with label priors ``priors`` and states ``rho_i = sum_j
-    |v_ij><v_ij|`` given by column factors ``factors[i, j] = v_ij``; the
-    audit passes ``ch.kraus``.
+    uniform ensemble of apparatus states ``rho_i = sum_j |K_ij><K_ij|`` of
+    a Kraus table ``kraus[i, j] = K_ij``.
 
     Monotone nondecreasing in ``samples`` for a fixed seed, since the
     bases come from one sequential stream, drawn, orthonormalized and
     scored in blocks that equal the same bases drawn one at a time.
-    No state is formed densely: a state with more factors than its
+    No state is formed densely: a state with more Kraus vectors than its
     dimension ``d`` is first reduced to ``d`` rows ``A_i`` by QR.  The pretty
     good measurement lives on the support of the average (Hausladen &
     Wootters, J. Mod. Opt. 41, 2385 (1994)).  With the thin SVD
-    ``sqrt(p_i) A_i = U_i S V^H`` (``s**2 > TAU_SUPPORT``), its elements are
-    ``U_i^H U_i`` and the states ``C_i^H C_i`` for ``C_i = A_i V`` (``S U_i^H
-    U_i S / p_i`` where ``p_i > 0``), at most ``min(4**n, eve_dim)`` wide for
-    a Kraus table.  A random basis is scored through the rows, ``p(a|i) = sum_j
-    |<b_a|v_ij>|**2``, in at most ``count * d**3`` products.  A block holds
-    at most ``2**16`` entries of the draw and of the amplitudes.
+    ``2**(-n/2) [A_i] = [U_i] S V^H`` of all rows (``s**2 > TAU_SUPPORT``),
+    its elements are ``U_i^H U_i`` and the states ``C_i^H C_i`` for ``C_i =
+    A_i V``, at most ``min(4**n, eve_dim)`` wide.  A random basis is scored
+    through the rows, ``p(a|i) = sum_j |<b_a|K_ij>|**2``, in at most
+    ``2**n * d**3`` products.  A block holds at most ``2**16`` entries of the
+    draw and of the amplitudes.
     """
     samples = _as_integer(samples, "samples", 0)
-    h_label = float(_entropy_bits(priors))
-    count, rank, d = factors.shape
+    count, rank, d = kraus.shape
     if rank > d:
         # rho_i = A^T conj(A) for the rows A of state i, and A = QR gives
         # rho_i = R^T conj(R): the d rows of R are factors too
-        factors, rank = np.linalg.qr(factors, mode="r"), d
-    rows = factors.reshape(count * rank, d)
-    u, s, vh = _svd(rows, np.repeat(np.sqrt(np.clip(priors, 0.0, None)), rank))
+        kraus, rank = np.linalg.qr(kraus, mode="r"), d
+    rows = kraus.reshape(count * rank, d)
+    u, s, vh = _svd(rows, math.sqrt(1.0 / count))
     keep = s**2 > TAU_SUPPORT
     u = u[:, keep].reshape(count, rank, -1)
-    c = factors @ vh[keep].conj().T
+    c = kraus @ vh[keep].conj().T
     pgm = u.conj().swapaxes(-1, -2) @ u
     _check_povm_stack(pgm)
-    best = _measured_information(priors, h_label, pgm, c.conj().swapaxes(-1, -2) @ c)
+    cond = np.einsum("axy,iyx->ia", pgm, c.conj().swapaxes(-1, -2) @ c)
+    best = float(_label_information(cond.real))
     block = max(1, _BLOCK_ENTRIES // (d * max(d, count * rank)))
     stream = SplitMix64(seed)
     for start in range(0, samples, block):
@@ -180,7 +171,7 @@ def _accessible_info(priors: np.ndarray, factors: np.ndarray, samples: int,
         bases = gram_schmidt_unitary(stream.gaussian_matrix(m * d, d).reshape(m, d, d))
         amp = rows @ bases.conj()                    # amp[s, r, a] = <b_a|v_r>
         cond = (amp.real**2 + amp.imag**2).reshape(m, count, rank, d).sum(axis=2)
-        best = max(best, float(_label_information(priors, h_label, cond).max()))
+        best = max(best, float(_label_information(cond).max()))
     return best
 
 
@@ -273,8 +264,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     walsh = walsh_table(ch.kraus)
     chi_sym = symmetrized_holevo_chi(walsh)
 
-    priors = np.full(ch.dim, 1.0 / ch.dim)
-    i_lower = _accessible_info(priors, ch.kraus, samples, seed)
+    i_lower = _accessible_info(ch.kraus, samples, seed)
 
     lambdas = fourier_spectrum(walsh)
     spectrum_deviation = float(np.max(np.abs(lambdas - ed.probs)))

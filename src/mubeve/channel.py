@@ -24,6 +24,7 @@ from .linalg import (
     DensityMatrix,
     _as_integer,
     _check_probabilities,
+    _shown,
     as_index,
     walsh,
     xor_regroup,
@@ -45,13 +46,15 @@ class AttackChannel:
 
     def __post_init__(self):
         k = np.array(self.kraus, dtype=complex)
-        n = _as_integer(self.n, "qubit count")
-        if n < 1 or _as_integer(self.eve_dim, "eve_dim") < 1:
+        n, eve_dim = _as_integer(self.n, "qubit count"), _as_integer(self.eve_dim, "eve_dim")
+        if n < 1 or eve_dim < 1:
             raise DimensionMismatchError("n and eve_dim must be positive")
-        d = 1 << n
-        if k.shape != (d, d, self.eve_dim):
+        d = k.shape[0] if k.ndim == 3 else 0
+        # capped at d's bit length, the shift still exceeds d wherever 2**n would
+        if k.shape != (d, d, eve_dim) or d != 1 << min(n, d.bit_length()):
             raise DimensionMismatchError(
-                f"kraus table is {k.shape}, expected {(d, d, self.eve_dim)}"
+                f"kraus table is {k.shape}, expected (2**n, 2**n, eve_dim) "
+                f"for qubit count {_shown(n)} and eve_dim {_shown(eve_dim)}"
             )
         rows = k.reshape(d, -1)              # row i: kraus[i] flattened
         gram = rows.conj() @ rows.T          # sum_j <K_ij|K_kj>, one BLAS product
@@ -82,9 +85,10 @@ class ErrorDistribution:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float).reshape(-1)
-        if p.shape != (1 << _as_integer(self.n, "qubit count", 1),):
+        n = _as_integer(self.n, "qubit count", 1)
+        if p.size != 1 << min(n, p.size.bit_length()):  # as in AttackChannel
             raise DimensionMismatchError(
-                f"distribution has {p.size} entries, expected {1 << self.n}"
+                f"distribution has {p.size} entries, expected 2**n for qubit count {_shown(n)}"
             )
         _check_probabilities(p, NotADistributionError, "error probabilities")
         p.setflags(write=False)
@@ -106,14 +110,15 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     anc = np.asarray(ancilla, dtype=complex).reshape(-1)
     if _as_integer(n, "qubit count") < 1:
         raise DimensionMismatchError("n must be positive")
-    d = 1 << n
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatchError("unitary must be square")
-    if u.shape[0] % d != 0:
+    size = u.shape[0]
+    if (size & -size).bit_length() <= n:  # size & -size is size's largest power-of-two factor
         raise DimensionMismatchError(
-            f"unitary dimension {u.shape[0]} is not a multiple of {d}"
+            f"unitary dimension {size} is not a multiple of 2**n for qubit count {_shown(n)}"
         )
-    eve_dim = u.shape[0] // d
+    d = 1 << n
+    eve_dim = size // d
     if anc.shape != (eve_dim,):
         raise DimensionMismatchError(
             f"ancilla has dimension {anc.size}, expected {eve_dim}"

@@ -92,7 +92,9 @@ def _as_reals(values, what: str) -> tuple[float, ...]:
 def as_index(i, n: int) -> int:
     """``i`` as an index for n qubits, else OutOfRangeError: not an
     integer, or outside [0, 2**n)."""
-    return _as_integer(i, "index", 0, (1 << n) - 1)
+    i = _as_integer(i, "index", 0)
+    # i < 2**n holds when i has at most n bits, so no shift need pass i's length
+    return _as_integer(i, "index", 0, (1 << min(n, i.bit_length())) - 1)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,14 +147,14 @@ def _eigh(a: np.ndarray, want_vectors: bool):
         raise EigensolverError(f"eigensolver failed: {exc}") from exc
 
 
-def _svd(a: np.ndarray, row_weights: np.ndarray):
-    """Thin LAPACK SVD ``(u, s, vh)`` of ``row_weights[:, None] * a``.  Both
-    non-finite entries of ``a``, rejected before the weighting could turn
-    them into NaN with a warning, and a LAPACK failure raise EigensolverError."""
+def _svd(a: np.ndarray, weight: float):
+    """Thin LAPACK SVD ``(u, s, vh)`` of ``weight * a``.  Both non-finite
+    entries of ``a``, rejected before the weighting could turn them into NaN
+    with a warning, and a LAPACK failure raise EigensolverError."""
     if not np.isfinite(a).all():
         raise EigensolverError("matrix has non-finite entries")
     try:
-        return np.linalg.svd(row_weights[:, None] * a, full_matrices=False)
+        return np.linalg.svd(weight * a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
@@ -234,7 +236,8 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
     d = dim_left * dim_right
     if m.shape != (d, d):
         raise DimensionMismatchError(
-            f"matrix is {m.shape}, expected {(d, d)} for {dim_left}x{dim_right}"
+            f"matrix is {m.shape}, expected a square of side {_shown(d)}, "
+            f"the product of dimensions {_shown(dim_left)} and {_shown(dim_right)}"
         )
     t = m.reshape(dim_left, dim_right, dim_left, dim_right)
     if keep == "left":

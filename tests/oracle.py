@@ -5,8 +5,12 @@ table.  The functions here compute the same quantities the long way, from
 dense apparatus states, dense POVM element stacks and the purification
 Gram of the symmetrized table, and the tests compare the two routes.  They
 take plain arrays: label priors with a ``(count, d, d)`` state stack, and
-``(count, d, d)`` element stacks.  Test files import this module as
-``oracle``; the package never imports it.
+``(count, d, d)`` element stacks.  The measured search is the oracle's
+own and shares no scoring code with the audit's: the dense pretty good
+measurement is a checked element stack, each random basis is measured as
+its projectors on the dense states, and the information comes from
+``shannon_entropies``.  Test files import this module as ``oracle``; the
+package never imports it.
 """
 
 import numpy as np
@@ -32,6 +36,7 @@ from mubeve.linalg import (
     spectral_entropies,
     xor_regroup,
 )
+from mubeve.rng import SplitMix64, gram_schmidt_unitary
 
 # Checks of the dense Gram route only: on the audit's Walsh route the
 # profile is translation-invariant and its spectrum real by construction.
@@ -90,18 +95,39 @@ def holevo_chi(priors, states):
     return float(von_neumann_entropy(avg) - individual) + 0.0  # normalize -0.0
 
 
+def label_information(priors, cond):
+    """Mutual information ``H(A) + H(E) - H(A, E)`` in bits between the
+    label, drawn with ``priors``, and the outcome, drawn with ``cond[i, a] =
+    p(a|i)``; each table must pass ``shannon_entropies``."""
+    priors = np.asarray(priors, dtype=float)
+    joint = priors[:, None] * cond
+    return (shannon_entropy(priors) + shannon_entropy(joint.sum(axis=0))
+            - shannon_entropy(joint.reshape(-1)))
+
+
 def mutual_information(priors, states, elements):
     """Mutual information in bits between the label and the outcome of
-    measuring the POVM element stack on the state stack.  The elements
-    must match the states' dimension and pass ``_check_povm_stack``, else
-    InvalidPovmError."""
+    measuring the POVM element stack on the state stack, ``p(a|i) = tr(X_a
+    rho_i)``.  The elements must match the states' dimension and pass
+    ``_check_povm_stack``, else InvalidPovmError."""
     elements = np.asarray(elements, dtype=complex)
     if elements.shape[1:] != np.shape(states)[1:]:
         raise InvalidPovmError(f"POVM elements {elements.shape[1:]} do not match the states")
     bounds._check_povm_stack(elements)
-    priors = np.asarray(priors, dtype=float)
-    return bounds._measured_information(priors, float(_entropy_bits(priors)),
-                                        elements, states)
+    return label_information(priors, np.einsum("axy,iyx->ia", elements, states).real)
+
+
+def random_bases(d, samples, seed):
+    """The first ``samples`` orthonormal bases (as columns) of the stream
+    seeded with ``seed``, drawn one at a time."""
+    stream = SplitMix64(seed)
+    return [gram_schmidt_unitary(stream.gaussian_matrix(d, d)) for _ in range(samples)]
+
+
+def basis_probabilities(states, basis):
+    """``p[i, a] = <b_a|rho_i|b_a>``: the projectors onto the columns of
+    ``basis``, measured on the state stack without forming them."""
+    return np.einsum("xa,ixy,ya->ia", basis.conj(), states, basis, optimize=True).real
 
 
 def pretty_good_measurement(priors, states):
@@ -127,14 +153,12 @@ def pretty_good_measurement(priors, states):
 
 
 def accessible_info_lower_bound(priors, states, samples, seed):
-    """The audit's measured search (``bounds._accessible_info``) run on
-    dense states, through their eigenvectors ``rho_i = sum_k w_ik
-    |e_ik><e_ik|`` as column factors ``sqrt(w_ik) e_ik`` (negative rounding
-    in ``w_ik`` read as 0)."""
-    w, v = _eigh(np.asarray(states, dtype=complex), want_vectors=True)
-    factors = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    return bounds._accessible_info(np.asarray(priors, dtype=float),
-                                   factors.swapaxes(-1, -2), samples, seed)
+    """Best mutual information over the dense pretty good measurement and
+    the projective measurements onto ``random_bases(d, samples, seed)``."""
+    best = mutual_information(priors, states, pretty_good_measurement(priors, states))
+    for basis in random_bases(np.shape(states)[-1], samples, seed):
+        best = max(best, label_information(priors, basis_probabilities(states, basis)))
+    return best
 
 
 def purification_vectors(sym):

@@ -188,27 +188,28 @@ class TestPrettyGoodMeasurement:
 
 
 class TestAccessibleInfoLowerBound:
+    """The audit's measured search, ``bounds._accessible_info``, against the
+    oracle's dense one."""
+
     def test_identity_zero(self):
-        ens = oracle.uniform_ensemble(make_attack(AttackSpec("identity", 1)))
-        assert oracle.accessible_info_lower_bound(*ens, 8, 0) == pytest.approx(0.0, abs=1e-12)
+        ch = make_attack(AttackSpec("identity", 1))
+        assert bounds._accessible_info(ch.kraus, 8, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_intercept_resend_reaches_one_bit(self):
-        ens = oracle.uniform_ensemble(make_attack(AttackSpec("intercept_resend", 1)))
-        assert oracle.accessible_info_lower_bound(*ens, 4, 0) == pytest.approx(1.0, abs=1e-6)
+        ch = make_attack(AttackSpec("intercept_resend", 1))
+        assert bounds._accessible_info(ch.kraus, 4, 0) == pytest.approx(1.0, abs=1e-6)
 
     def test_never_exceeds_holevo(self):
         for seed in range(6):
-            ens = oracle.uniform_ensemble(random_attack(1, 2, 70 + seed))
+            ch = random_attack(1, 2, 70 + seed)
             assert (
-                oracle.accessible_info_lower_bound(*ens, 12, seed)
-                <= oracle.holevo_chi(*ens) + 1e-9
+                bounds._accessible_info(ch.kraus, 12, seed)
+                <= oracle.holevo_chi(*oracle.uniform_ensemble(ch)) + 1e-9
             )
 
     def test_monotone_in_samples(self):
-        ens = oracle.uniform_ensemble(random_attack(1, 4, 1234))
-        values = [
-            oracle.accessible_info_lower_bound(*ens, s, 5) for s in (0, 2, 4, 8, 16)
-        ]
+        kraus = random_attack(1, 4, 1234).kraus
+        values = [bounds._accessible_info(kraus, s, 5) for s in (0, 2, 4, 8, 16)]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize(
@@ -223,56 +224,50 @@ class TestAccessibleInfoLowerBound:
         ],
     )
     def test_matches_projector_povm_oracle(self, n, eve_dim, seed, samples):
-        # reference: the same bases from the same stream, drawn one at a
-        # time, each checked as a projector POVM and measured densely
-        ens = oracle.uniform_ensemble(random_attack(n, eve_dim, seed))
-        stream = SplitMix64(seed + 100)
-        want = max(
-            [oracle.mutual_information(*ens, oracle.pretty_good_measurement(*ens))]
-            + [
-                oracle.mutual_information(*ens, random_basis_projectors(eve_dim, stream))
-                for _ in range(samples)
-            ]
-        )
-        got = oracle.accessible_info_lower_bound(*ens, samples, seed + 100)
+        # reference: the oracle's dense pretty good measurement, and the
+        # same bases from the same stream, drawn one at a time, as
+        # projective measurements of the dense states
+        ch = random_attack(n, eve_dim, seed)
+        want = oracle.accessible_info_lower_bound(*oracle.uniform_ensemble(ch),
+                                                  samples, seed + 100)
+        got = bounds._accessible_info(ch.kraus, samples, seed + 100)
         assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 8), (2, 4), (3, 2), (4, 32), (1, 256)])
     def test_kraus_columns_match_dense_ensemble(self, monkeypatch, n, eve_dim):
         # the audit scores each basis against the Kraus vectors (reduced by
-        # QR where they outnumber eve_dim), the oracle against the
-        # eigenvectors of the dense states; both see the same
-        # outcome probabilities, whatever blocks each route draws in
+        # QR where they outnumber eve_dim), in blocks; the oracle measures
+        # the same bases, drawn one at a time, on the dense states: both
+        # see the same outcome probabilities
         scored = []
         label_information = bounds._label_information
 
-        def recording(priors, h_label, cond):
+        def recording(cond):
             if cond.ndim == 3:
-                scored[-1].append(cond)
-            return label_information(priors, h_label, cond)
+                scored.append(cond)
+            return label_information(cond)
 
         monkeypatch.setattr(bounds, "_label_information", recording)
         ch = random_attack(n, eve_dim, 40 + n)
-        priors, states = oracle.uniform_ensemble(ch)
-        values = []
-        for route in (lambda: bounds._accessible_info(priors, ch.kraus, 6, 3),
-                      lambda: oracle.accessible_info_lower_bound(priors, states, 6, 3)):
-            scored.append([])
-            values.append(route())
-        kraus, dense = (np.concatenate(c) for c in scored)
+        got = bounds._accessible_info(ch.kraus, 6, 3)
+        kraus = np.concatenate(scored)
+        ens = oracle.uniform_ensemble(ch)
+        dense = np.stack([oracle.basis_probabilities(ens[1], basis)
+                          for basis in oracle.random_bases(eve_dim, 6, 3)])
         assert kraus.shape == dense.shape == (6, ch.dim, eve_dim)
         assert np.max(np.abs(kraus - dense)) <= 1e-12
-        assert abs(values[0] - values[1]) <= 1e-12
+        assert abs(got - oracle.accessible_info_lower_bound(*ens, 6, 3)) <= 1e-12
 
     def test_negative_samples_rejected(self):
-        ens = overlap_pair_ensemble(0.4)
-        with pytest.raises(OutOfRangeError):
-            oracle.accessible_info_lower_bound(*ens, -1, 0)
+        ch = random_attack(1, 2, 3)
+        for route in (lambda s: bounds._accessible_info(ch.kraus, s, 1),
+                      lambda s: audit_attack(ch, s, 1)):
+            with pytest.raises(OutOfRangeError, match="samples -1 must be at least 0"):
+                route(-1)
 
     def test_non_integer_samples_rejected(self):
-        ens = overlap_pair_ensemble(0.4)
         ch = random_attack(1, 2, 3)
-        for route in (lambda s: oracle.accessible_info_lower_bound(*ens, s, 1),
+        for route in (lambda s: bounds._accessible_info(ch.kraus, s, 1),
                       lambda s: audit_attack(ch, s, 1)):
             with pytest.raises(OutOfRangeError, match="samples 2.5 is not an integer"):
                 route(2.5)
@@ -294,32 +289,9 @@ class TestPgmStack:
         # no random basis: the measured value is the PGM's alone
         ch = random_attack(n, eve_dim, seed)
         ens = oracle.uniform_ensemble(ch)
-        got = bounds._accessible_info(ens[0], ch.kraus, 0, seed)
+        got = bounds._accessible_info(ch.kraus, 0, seed)
         want = oracle.mutual_information(*ens, oracle.pretty_good_measurement(*ens))
         assert abs(got - want) <= 1e-12
-
-    @pytest.mark.parametrize("priors", [[0.5, 0.3, 0.2], [0.7, 0.0, 0.3]])
-    def test_non_uniform_priors_match_validated_povm(self, priors):
-        # dense mixed states of rank 2 in dimension 3 through the oracle,
-        # which factors them by eigendecomposition; a zero prior
-        # leaves its state outside the weighted rows
-        stream = SplitMix64(29)
-        states = []
-        for _ in priors:
-            g = stream.gaussian_matrix(3, 2)
-            rho = g @ g.conj().T
-            states.append(DensityMatrix(rho / np.trace(rho).real).matrix)
-        ens = (np.array(priors), np.stack(states))
-        got = oracle.accessible_info_lower_bound(*ens, 0, 4)
-        want = oracle.mutual_information(*ens, oracle.pretty_good_measurement(*ens))
-        assert abs(got - want) <= 1e-12
-
-    def test_negative_rounding_prior_reads_as_zero(self):
-        # priors may dip to -TAU_PSD; the weighted rows take them as 0
-        states = np.stack([pure([1.0, 0.0]), np.eye(2) / 2])
-        got = oracle.accessible_info_lower_bound([1.0 + 5e-11, -5e-11], states, 0, 1)
-        want = oracle.accessible_info_lower_bound([1.0, 0.0], states, 0, 1)
-        assert abs(got - want) <= 1e-9
 
     @pytest.mark.parametrize("n, eve_dim, width", [(1, 256, 4), (3, 2, 2)])
     def test_audit_measures_on_the_support(self, monkeypatch, n, eve_dim, width):
@@ -383,11 +355,10 @@ class TestPgmStack:
         # before any arithmetic on them could warn
         for n, eve_dim in ((1, 2), (3, 2)):
             kraus = random_attack(n, eve_dim, 4).kraus.copy()
-            priors = np.full(1 << n, 1.0 / (1 << n))
             for bad in (np.nan, np.inf):
                 kraus[1, 0, 0] = bad
                 with pytest.raises(EigensolverError):
-                    bounds._accessible_info(priors, kraus, 2, 0)
+                    bounds._accessible_info(kraus, 2, 0)
 
 
 class TestClosedFormBounds:
@@ -585,7 +556,7 @@ class TestAuditAttack:
         chi_orig = audit_attack(ch, 4, 0).chi_orig
         # the audit runs the measured search on the Kraus table directly
         monkeypatch.setattr(
-            bounds, "_accessible_info", lambda priors, factors, s, seed: chi_orig + 1e-6
+            bounds, "_accessible_info", lambda kraus, s, seed: chi_orig + 1e-6
         )
         with pytest.raises(TheoremViolation) as info:
             audit_attack(ch, 4, 0)

@@ -17,6 +17,7 @@ from mubeve.errors import (
 import mubeve.linalg as linalg
 from mubeve.linalg import (
     DensityMatrix,
+    as_index,
     density_spectra,
     hermitian_eigendecomposition,
     mixture_spectra,
@@ -30,7 +31,7 @@ from mubeve.linalg import (
     xor_regroup,
 )
 from mubeve.bounds import audit_attack
-from mubeve.channel import AttackChannel, ErrorDistribution
+from mubeve.channel import AttackChannel, ErrorDistribution, from_unitary
 from mubeve.rng import SplitMix64, mix, random_isometry, random_unitary
 from mubeve.zoo import AttackSpec, check_cell, random_attack
 from oracle import (
@@ -536,8 +537,20 @@ def test_booleans_are_not_numbers(call):
      "qubit count of over 4300 digits outside [1, 4]"),
     (lambda big: mub_transform(big), DimensionTooLargeError,
      "qubit count of over 4300 digits exceeds 4"),
+    # sizes compared with the array's own shape, never shifted as 1 << n
+    (lambda big: AttackChannel(big, 1, _identity_kraus()), DimensionMismatchError,
+     "kraus table is (2, 2, 1), expected (2**n, 2**n, eve_dim) "
+     "for qubit count of over 4300 digits and eve_dim 1"),
+    (lambda big: ErrorDistribution(big, [1.0]), DimensionMismatchError,
+     "distribution has 1 entries, expected 2**n for qubit count of over 4300 digits"),
+    (lambda big: from_unitary(np.eye(4), [1.0, 0.0], big), DimensionMismatchError,
+     "unitary dimension 4 is not a multiple of 2**n for qubit count of over 4300 digits"),
+    (lambda big: partial_trace(np.eye(1), big, 1), DimensionMismatchError,
+     "matrix is (1, 1), expected a square of side of over 4300 digits, "
+     "the product of dimensions of over 4300 digits and 1"),
 ], ids=["spec-param", "spec-eve-dim", "random-attack", "stream-seed", "mix-part",
-        "check-cell", "mub-transform"])
+        "check-cell", "mub-transform", "channel-n", "distribution-n", "from-unitary-n",
+        "partial-trace-dims"])
 def test_integers_too_long_to_print(call, error, message):
     # Python prints no int of over sys.get_int_max_str_digits() digits, so
     # the message gives that limit in place of the digits
@@ -549,3 +562,11 @@ def test_integers_too_long_to_print(call, error, message):
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(err.value) == message
+
+
+def test_index_range_without_forming_two_to_the_n():
+    # 2**n is needed only for an index of more than n bits
+    assert as_index(0, 10**5000) == 0
+    assert as_index(2**64, 10**5000) == 2**64
+    with pytest.raises(OutOfRangeError, match=r"index 4 outside \[0, 3\]"):
+        as_index(4, 2)
