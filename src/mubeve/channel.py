@@ -104,7 +104,11 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     """Extract the Kraus table of a unitary acting on apparatus x system.
 
     The apparatus factor owns the most significant bits of the joint index.
-    ``kraus[i, j] = (I_E (x) <j|) u (|ancilla> (x) |i>)``.
+    ``kraus[i, j] = (I_E (x) <j|) u (|ancilla> (x) |i>)``.  An entry of
+    ``u`` or ``ancilla`` that is not finite or has a part beyond 1 + TAU_UNIT
+    in size, as no unitary or unit vector has, is a NotUnitaryError raised
+    before any product: NaN fails no later comparison, and inf or a huge
+    entry would overflow in one.
     """
     u = np.asarray(u, dtype=complex)
     anc = np.asarray(ancilla, dtype=complex).reshape(-1)
@@ -123,10 +127,13 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
         raise DimensionMismatchError(
             f"ancilla has dimension {anc.size}, expected {eve_dim}"
         )
+    for what, a in (("unitary", u), ("ancilla", anc)):
+        if not np.all(np.abs([a.real, a.imag]) <= 1.0 + TAU_UNIT):
+            raise NotUnitaryError(f"{what} entries must be finite, with parts in [-1, 1]")
     if abs(np.linalg.norm(anc) - 1.0) > TAU_UNIT:
         raise NotUnitaryError("ancilla vector is not normalized")
     res = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if res > TAU_UNIT:
+    if not res <= TAU_UNIT:
         raise NotUnitaryError(f"unitarity residual {res:.3e} exceeds {TAU_UNIT}")
 
     # Columns of `ins` are the joint inputs |ancilla> (x) |i>.

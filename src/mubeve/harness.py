@@ -84,13 +84,10 @@ class CampaignSummary:
     worst_seed: int | None
 
 
-def _finite_float(text):
-    """Parse a JSON number; NaN, Infinity and overflowing literals like
-    1e999 would pass every later range check, so they are rejected here."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite number {text} is not allowed")
-    return value
+def _no_constant(name):
+    """``parse_constant`` hook: ``NaN``, ``Infinity`` and ``-Infinity``, which
+    would pass every later range check, are ParseErrors."""
+    raise ParseError(f"non-finite number {name} is not allowed")
 
 
 def _unique_keys(pairs) -> dict:
@@ -105,6 +102,12 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_json(text) -> dict:
+    """The top-level object of a strict JSON document, else ParseError.
+
+    Float literals are read by ``json``'s own C reader; one that overflows
+    a double, such as ``1e999``, reads as ``inf``, and the number rule of
+    the field holding it rejects it as a ValidationError naming that field
+    (``_as_reals``, ``_complex_array``; integer fields take no float)."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -112,8 +115,7 @@ def _load_json(text) -> dict:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     try:
         doc = json.loads(
-            text, parse_constant=_finite_float, parse_float=_finite_float,
-            object_pairs_hook=_unique_keys,
+            text, parse_constant=_no_constant, object_pairs_hook=_unique_keys
         )
     # deep nesting recurses; an integer literal of over 4300 digits is a ValueError
     except (ValueError, RecursionError) as exc:
@@ -188,7 +190,8 @@ def _analyses(value, field, got) -> tuple[str, ...]:
 def _complex_array(value, field, got) -> np.ndarray:
     """Nested lists of [re, im] number pairs as a complex array, else
     ValidationError.  ``numpy`` would also convert strings such as "1" and
-    booleans, so the parsed entries must be JSON numbers."""
+    booleans, so the parsed entries must be JSON numbers, and finite: a
+    literal overflowing a double, such as ``1e999``, reads as ``inf``."""
     message = "complex entries must be [re, im] pairs"
     try:
         entries = np.asarray(value, dtype=object)
@@ -199,6 +202,8 @@ def _complex_array(value, field, got) -> np.ndarray:
         raise ValidationError(field, message)
     if not set(map(type, entries.ravel())) <= {int, float}:
         raise ValidationError(field, f"{message} of numbers, not strings or booleans")
+    if not np.isfinite(arr).all():
+        raise ValidationError(field, f"{message} of finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -43,6 +43,9 @@ TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 
 # Largest supported qubit count for basis transforms and channels.
 N_MAX = 4
+# Largest supported total dimension, eve_dim * 2**n of a cell and the rows
+# of a random isometry.
+MAX_TOTAL_DIM = 512
 
 
 def _shown(value) -> str:

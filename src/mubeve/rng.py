@@ -52,8 +52,8 @@ import math
 
 import numpy as np
 
-from .errors import DependentColumnsError, DimensionMismatchError
-from .linalg import TAU_RANK, _as_integer
+from .errors import DependentColumnsError, DimensionMismatchError, DimensionTooLargeError
+from .linalg import MAX_TOTAL_DIM, TAU_RANK, _as_integer, _shown
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -171,10 +171,14 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
 
     Only the Gaussian entries of those columns are drawn (entry (r, c) of
     the ``rows x rows`` draw is pair ``r * rows + c`` of the stream), and
-    QR keeps column k a function of input columns 0..k.
+    QR keeps column k a function of input columns 0..k.  Both sizes are
+    checked before anything is allocated: ``rows`` above MAX_TOTAL_DIM is a
+    DimensionTooLargeError, and ``cols`` outside [1, rows] an OutOfRangeError.
     """
     rows = _as_integer(rows, "row count", 1)
-    cols = _as_integer(cols, "column count", 1)
+    if rows > MAX_TOTAL_DIM:
+        raise DimensionTooLargeError(f"row count {_shown(rows)} exceeds {MAX_TOTAL_DIM}")
+    cols = _as_integer(cols, "column count", 1, rows)
     flat = np.arange(rows, dtype=np.uint64)[:, None] * np.uint64(rows)
     pairs = (flat + np.arange(cols, dtype=np.uint64)).reshape(-1)
     g = _gaussians_at(_checked_seed(seed), pairs).reshape(rows, cols)

@@ -13,7 +13,7 @@ from .errors import (
     UnsupportedCombinationError,
 )
 from .channel import AttackChannel
-from .linalg import N_MAX, _as_integer, _as_reals, _shown, sign_grid
+from .linalg import MAX_TOTAL_DIM, N_MAX, _as_integer, _as_reals, _shown, sign_grid
 from .rng import _checked_seed, random_isometry
 
 
@@ -49,8 +49,6 @@ KINDS = {
         0, KIND_FIELDS, None, "random_unitary[n={n};d={eve_dim};seed={seed}]",
         "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
-
-MAX_TOTAL_DIM = 512
 
 # Work limits of a document, beside the cell limits.  A (1, 256) basis of
 # the measured search takes about 15 ms (2-core x86 VM, one BLAS thread),

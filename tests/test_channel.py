@@ -65,6 +65,16 @@ class TestFromUnitary:
         with pytest.raises(NotUnitaryError):
             from_unitary(np.eye(4), [1.0, 1.0], 1)
 
+    @pytest.mark.parametrize("where", ["unitary", "ancilla"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_huge_entries_rejected(self, where, value):
+        # NaN fails no comparison, so it would pass the norm and residual
+        # checks; inf and 1e200 would warn inside the residual's product
+        u, ancilla = np.eye(4, dtype=complex), np.array([1.0, 0.0], dtype=complex)
+        (u if where == "unitary" else ancilla)[-1] = value
+        with pytest.raises(NotUnitaryError, match="entries must be finite"):
+            from_unitary(u, ancilla, 1)
+
     def test_matches_direct_table(self):
         # the same attack built from its unitary and from its table agree
         direct = make_attack(AttackSpec("cnot_probe", 1))

@@ -4,7 +4,9 @@ Each example takes a shipped scenario or campaign document, or one of two
 in-test scenarios with a random_unitary or an explicit attack, applies up to
 three mutations (a value swapped for another type, wrapped in a list or an
 object, replaced by a huge, negative, non-finite, empty or NUL-bearing
-value, or deleted) and runs ``cli.main`` on it in-process.  The contract:
+value, or deleted) and runs ``cli.main`` on it in-process.  In a drawn
+share of documents an infinity is written as the literal ``1e999``, which
+overflows a double, in place of ``Infinity``.  The contract:
 ``main`` returns 0, 2 or 4 and raises nothing; a non-zero exit prints one
 ``error:`` or ``i/o error:`` line and nothing on stdout; exit 0 yields a
 report that parses under ``CSV_HEADER``.
@@ -148,7 +150,7 @@ def commands(draw):
                                   ["--seed", str(2**64)]]))
     if command != "campaign":
         extra += draw(st.sampled_from([[], ["--format", "json"]]))
-    return command, doc, extra
+    return command, doc, extra, draw(st.booleans())
 
 
 def assert_report(text):
@@ -166,9 +168,12 @@ def test_mutated_documents_keep_the_contract(case):
         check_contract(*case, Path(tmp))
 
 
-def check_contract(command, doc, extra, workdir):
+def check_contract(command, doc, extra, overflowing, workdir):
+    text = json.dumps(doc)  # NaN and Infinity as JSON literals
+    if overflowing:  # no drawn string holds "Infinity", so only numbers change
+        text = text.replace("Infinity", "1e999")
     path = workdir / "doc.json"
-    path.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+    path.write_text(text)
     argv = [command, str(path)] + extra
     if command == "campaign":
         argv += ["--out", str(workdir / "rows.csv")]  # never the document's path

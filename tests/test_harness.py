@@ -56,6 +56,33 @@ def explicit_identity(dim):
     return {"unitary": pairs.tolist(), "ancilla": ancilla}
 
 
+def overflowing(document):
+    """``document`` with its "@" value written as 1e999, a JSON number that
+    overflows a double: ``json`` reads it as inf, and the field's own number
+    rule must reject it."""
+    return document.replace('"@"', "1e999")
+
+
+# (command, field, document): one document per field that can hold a float
+OVERFLOWING = [
+    ("audit", "attack.params",
+     minimal_scenario(attack={"kind": "probe_overlap", "params": ["@"]})),
+    ("sweep", "sweep_thetas",
+     minimal_scenario(attack={"kind": "probe_overlap", "params": [0.5]},
+                      analyses=["sweep"], sweep_thetas=[0.5, "@"])),
+    ("audit", "attack.unitary",
+     minimal_scenario(attack={"unitary": [[[1, 0], [0, 0]], [[0, 0], ["@", 0]]],
+                              "ancilla": [[1, 0]]})),
+    ("audit", "attack.ancilla",
+     minimal_scenario(attack={"unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                              "ancilla": [[0, "@"]]})),
+    ("audit", "seed", minimal_scenario(seed="@")),
+    ("campaign", "grid[0]", json.dumps(
+        {"grid": [[1, "@"]], "count": 1, "master_seed": 0, "output": "x.csv"})),
+]
+OVERFLOWING_IDS = [field for _, field, _ in OVERFLOWING]
+
+
 class TestParseScenario:
     def test_minimal_valid(self):
         cfg = parse_scenario(minimal_scenario())
@@ -143,7 +170,7 @@ class TestParseScenario:
             parse_scenario(doc)
         assert err.value.field == "attack.ancilla"
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_numbers_rejected(self, literal):
         for doc in (
             minimal_scenario(attack={"kind": "probe_overlap", "params": [0.5]}),
@@ -151,6 +178,13 @@ class TestParseScenario:
         ):
             with pytest.raises(ParseError):
                 parse_scenario(doc.replace("0.5", literal))
+
+    @pytest.mark.parametrize("command, field, document", OVERFLOWING, ids=OVERFLOWING_IDS)
+    def test_overflowing_number_names_its_field(self, command, field, document):
+        parse = parse_campaign if command == "campaign" else parse_scenario
+        with pytest.raises(ValidationError) as err:
+            parse(overflowing(document))
+        assert err.value.field == field
 
     @pytest.mark.parametrize("attack,field", [
         ({"kind": "probe_overlap", "params": [10**400]}, "attack.params"),
@@ -615,6 +649,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, field, document", OVERFLOWING, ids=OVERFLOWING_IDS)
+    def test_overflowing_number_exit_code(self, tmp_path, capsys, command, field, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(overflowing(document))
+        assert main([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {field}: ")
+        assert captured.err.count("\n") == 1
 
     def test_oversized_explicit_attack_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"

@@ -1,11 +1,19 @@
 """Tests for the deterministic random streams."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mubeve.errors import DependentColumnsError, MubeveError, OutOfRangeError
+from mubeve.errors import (
+    DependentColumnsError,
+    DimensionTooLargeError,
+    MubeveError,
+    OutOfRangeError,
+)
+from mubeve.linalg import MAX_TOTAL_DIM
 from mubeve.rng import (
     GOLDEN,
     MASK64,
@@ -250,6 +258,25 @@ class TestRandomUnitary:
         assert v.shape == (16, 4)
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
         assert np.max(np.abs(v - random_unitary(16, 12)[:, :4])) <= 1e-12
+
+    @pytest.mark.parametrize("rows, cols, error, message", [
+        # 2**40 rows would ask numpy for 16 TiB, 10**5000 for more than it can count
+        (2**40, 1, DimensionTooLargeError, f"row count {2**40} exceeds 512"),
+        (10**5000, 1, DimensionTooLargeError, "row count of over 4300 digits exceeds 512"),
+        (MAX_TOTAL_DIM + 1, 1, DimensionTooLargeError, "row count 513 exceeds 512"),
+        (4, 2**40, OutOfRangeError, rf"column count {2**40} outside \[1, 4\]"),
+    ], ids=["2**40-rows", "10**5000-rows", "limit+1-rows", "2**40-cols"])
+    def test_sizes_checked_before_allocation(self, rows, cols, error, message):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, which the message quotes
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                random_isometry(rows, cols, 0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+            sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.slow
