@@ -51,8 +51,10 @@ KINDS = {
 }
 
 # Work limits of a document, beside the cell limits.  A (1, 256) basis of
-# the measured search takes about 15 ms (2-core x86 VM, one BLAS thread),
-# so the largest search takes about 15 s.
+# the measured search, scored with the Kraus rows appended to its draw,
+# takes about 5 ms (2-core x86 VM, one BLAS thread), so the largest search
+# takes about 5 s; on the formed-basis route, where eve_dim <= 4**n, the
+# costliest cell is (3, 64) at about 0.4 ms a basis.
 MAX_POVM_SAMPLES = 1024
 MAX_COUNT = 1024         # attacks per campaign cell
 MAX_GRID_CELLS = 64

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import mubeve.bounds as bounds
 import mubeve.channel as channel_module
 import mubeve.linalg as linalg
+import mubeve.rng as rng_module
 import mubeve.symmetrize as symmetrize_module
 import oracle
 from mubeve.bounds import (
@@ -25,6 +26,7 @@ from mubeve.channel import (
     xor_error_distribution,
 )
 from mubeve.errors import (
+    DependentColumnsError,
     EigensolverError,
     InvalidPovmError,
     NotUnitaryError,
@@ -233,12 +235,15 @@ class TestAccessibleInfoLowerBound:
         got = bounds._accessible_info(ch.kraus, samples, seed + 100)
         assert abs(got - want) <= 1e-12
 
-    @pytest.mark.parametrize("n, eve_dim", [(1, 8), (2, 4), (3, 2), (4, 32), (1, 256)])
+    @pytest.mark.parametrize("n, eve_dim",
+                             [(1, 8), (2, 4), (3, 2), (4, 32), (1, 256), (2, 32)])
     def test_kraus_columns_match_dense_ensemble(self, monkeypatch, n, eve_dim):
         # the audit scores each basis against the Kraus vectors (reduced by
-        # QR where they outnumber eve_dim), in blocks; the oracle measures
-        # the same bases, drawn one at a time, on the dense states: both
-        # see the same outcome probabilities
+        # QR where they outnumber eve_dim), in blocks, and where the rows
+        # are fewer than eve_dim (eve_dim > 4**n) from the QR of the draw
+        # with the rows appended; the oracle measures the same bases, drawn
+        # one at a time, on the dense states: both see the same outcome
+        # probabilities
         scored = []
         label_information = bounds._label_information
 
@@ -257,6 +262,17 @@ class TestAccessibleInfoLowerBound:
         assert kraus.shape == dense.shape == (6, ch.dim, eve_dim)
         assert np.max(np.abs(kraus - dense)) <= 1e-12
         assert abs(got - oracle.accessible_info_lower_bound(*ens, 6, 3)) <= 1e-12
+
+    @pytest.mark.parametrize("n, eve_dim", [(1, 8), (3, 2)])
+    def test_dependent_draw_raises_on_each_route(self, monkeypatch, n, eve_dim):
+        # (1, 8) scores with the rows appended to the draw, (3, 2) through
+        # the formed basis; both check the draw's rank
+        kraus = random_attack(n, eve_dim, 5).kraus
+        monkeypatch.setattr(
+            rng_module, "_gaussians_at", lambda state, pairs: np.ones(pairs.size, complex)
+        )
+        with pytest.raises(DependentColumnsError):
+            bounds._accessible_info(kraus, 2, 0)
 
     def test_negative_samples_rejected(self):
         ch = random_attack(1, 2, 3)

@@ -15,10 +15,12 @@ from mubeve.errors import (
 )
 from mubeve.linalg import MAX_TOTAL_DIM
 from mubeve.rng import (
+    _DRAW_CHUNK,
     GOLDEN,
     MASK64,
     SplitMix64,
     _gaussians_at,
+    basis_amplitudes,
     gram_schmidt_unitary,
     mix,
     mix64,
@@ -131,12 +133,14 @@ class TestSplitMix64:
         assert np.array_equal(flat.view(np.uint64), scalar.view(np.uint64))
 
     def test_strided_pairs_equal_the_flat_draw(self):
-        # random_isometry draws the leading columns, a strided set of pairs
-        flat = SplitMix64(WRAP_SEED).gaussian_matrix(1, 600)[0]
-        pairs = np.arange(7, 600, 13, dtype=np.uint64)
-        got = _gaussians_at(WRAP_SEED, pairs)
-        want = np.ascontiguousarray(flat[7::13])
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # random_isometry draws the leading columns, a strided set of pairs;
+        # the second set spans more than one pass of the draw
+        for stop, step in ((600, 13), (3 * _DRAW_CHUNK, 2)):
+            flat = SplitMix64(WRAP_SEED).gaussian_matrix(1, stop)[0]
+            pairs = np.arange(7, stop, step, dtype=np.uint64)
+            got = _gaussians_at(WRAP_SEED, pairs)
+            want = np.ascontiguousarray(flat[7::step])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gaussian_matrix_advances_state_by_two_steps_per_entry(self):
         vector, scalar = SplitMix64(WRAP_SEED), SplitMix64(WRAP_SEED)
@@ -234,6 +238,24 @@ class TestGramSchmidt:
         stack[1, :, 3] = 0.0
         with pytest.raises(DependentColumnsError):
             gram_schmidt_unitary(stack)
+
+
+class TestBasisAmplitudes:
+    @pytest.mark.parametrize("d, count", [(8, 4), (64, 16), (16, 16), (4, 9)])
+    def test_moduli_match_the_formed_basis(self, d, count):
+        stack = SplitMix64(d).gaussian_matrix(3 * d, d).reshape(3, d, d)
+        rows = SplitMix64(count).gaussian_matrix(count, d)
+        got = basis_amplitudes(stack, rows)
+        want = rows @ gram_schmidt_unitary(stack).conj()
+        assert got.shape == want.shape == (3, count, d)
+        assert np.max(np.abs(np.abs(got) - np.abs(want))) <= 1e-12
+
+    def test_one_dependent_matrix_in_stack(self):
+        # the appended rows are independent; the draw itself is not
+        stack = SplitMix64(6).gaussian_matrix(3 * 8, 8).reshape(3, 8, 8)
+        stack[1, :, 5] = 3.0 * stack[1, :, 2]
+        with pytest.raises(DependentColumnsError):
+            basis_amplitudes(stack, SplitMix64(7).gaussian_matrix(2, 8))
 
 
 class TestRandomUnitary:
