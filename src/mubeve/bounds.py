@@ -37,6 +37,7 @@ from .linalg import (
     _entropy_bits,
     _min_eigenvalue_at_least,
     _svd,
+    _table_side,
     density_spectra,
     hermitian_residual,
     mixture_spectra,
@@ -59,7 +60,7 @@ def _check_povm_stack(elements: np.ndarray) -> None:
     if not _min_eigenvalue_at_least(elements, TAU_PSD):
         raise InvalidPovmError("element is not positive semidefinite")
     d = elements.shape[-1]
-    res = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
+    res = float(abs(elements.sum(axis=0) - np.eye(d)).max())
     if not res <= TAU_POVM:
         raise InvalidPovmError(f"completeness residual {res:.3e} exceeds {TAU_POVM}")
 
@@ -75,12 +76,13 @@ def kraus_holevo_chi(kraus) -> float:
     side of each Gram/ensemble pair and checks every spectrum.  The value
     is the mean of ``S(avg) - S(rho_i)``, so an ensemble of identical
     states, such as the symmetrized identity attack, reads exactly 0.
+    A table not of shape (2**n, 2**n, eve_dim) raises DimensionMismatchError.
     """
     k = np.asarray(kraus, dtype=complex)
-    d = k.shape[0]
+    d = _table_side(k, "kraus table")
     individual = spectral_entropies(mixture_spectra(k))
     mixed = spectral_entropies(mixture_spectra(k.reshape(1, d * d, -1), 1.0 / d))
-    return float(np.mean(mixed - individual)) + 0.0  # normalize -0.0
+    return float((mixed - individual).mean()) + 0.0  # normalize -0.0
 
 
 def symmetrized_holevo_chi(walsh) -> float:
@@ -98,10 +100,11 @@ def symmetrized_holevo_chi(walsh) -> float:
     over l of the spectra of ``B_l = 4**-n sum_c |W[c, l^c]><W[c, l^c]|``:
     2**n eigenproblems of size ``min(2**n, eve_dim)``.  ``Y`` and the
     ``B_l`` are two readings of one regroup of ``W``.  Both spectra get the
-    checks of ``density_spectra``, the average's as one union.
+    checks of ``density_spectra``, the average's as one union.  A table not
+    of shape (2**n, 2**n, eve_dim) raises DimensionMismatchError.
     """
     w = np.asarray(walsh, dtype=complex)
-    d = w.shape[0]
+    d = _table_side(w, "Walsh table")
     blocks = xor_regroup(w)                       # blocks[l, c] = W[c, l ^ c]
     # row j: Y[j, l] = W[j, l ^ j], apparatus-major like the purification rows
     rows = blocks.transpose(1, 2, 0).reshape(d, -1)
@@ -120,8 +123,8 @@ def _label_information(cond) -> np.ndarray:
     joint table is renormalized, which absorbs the uniform label weight and
     measurement completeness slack, so only its finiteness needs a check.
     """
-    joint = np.clip(cond, 0.0, None)
-    joint = joint / joint.sum(axis=(-2, -1), keepdims=True)
+    joint = np.maximum(cond, 0.0)  # what np.clip(cond, 0.0, None) calls
+    joint /= joint.sum(axis=(-2, -1), keepdims=True)
     if not np.isfinite(joint).all():
         raise NotADistributionError("measured joint table has non-finite entries")
     h_outcome = _entropy_bits(joint.sum(axis=-2))
@@ -275,7 +278,7 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     i_lower = _accessible_info(ch.kraus, samples, seed)
 
     lambdas = fourier_spectrum(walsh)
-    spectrum_deviation = float(np.max(np.abs(lambdas - ed.probs)))
+    spectrum_deviation = float(abs(lambdas - ed.probs).max())
 
     report = BoundsReport(
         n=ch.n,

@@ -58,7 +58,7 @@ class AttackChannel:
             )
         rows = k.reshape(d, -1)              # row i: kraus[i] flattened
         gram = rows.conj() @ rows.T          # sum_j <K_ij|K_kj>, one BLAS product
-        res = float(np.max(np.abs(gram - np.eye(d))))
+        res = float(abs(gram - np.eye(d)).max())
         if not res <= TAU_UNIT:  # also catches a NaN residual
             raise NotUnitaryError(
                 f"unitarity residual {res:.3e} exceeds {TAU_UNIT}"
@@ -97,7 +97,7 @@ class ErrorDistribution:
     @property
     def delta(self) -> float:
         """Total error probability, the mass on nonzero patterns."""
-        return float(np.sum(self.probs[1:]))
+        return float(self.probs[1:].sum())
 
 
 def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
@@ -132,7 +132,7 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
             raise NotUnitaryError(f"{what} entries must be finite, with parts in [-1, 1]")
     if abs(np.linalg.norm(anc) - 1.0) > TAU_UNIT:
         raise NotUnitaryError("ancilla vector is not normalized")
-    res = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    res = float(abs(u.conj().T @ u - np.eye(u.shape[0])).max())
     if not res <= TAU_UNIT:
         raise NotUnitaryError(f"unitarity residual {res:.3e} exceeds {TAU_UNIT}")
 
@@ -160,7 +160,7 @@ def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:
     """Distribution of (outcome XOR input) for conjugate-basis encoding,
     averaged over uniform input strings."""
     kbar = _conjugate_kraus(ch.n, ch.kraus)
-    norms = np.sum(np.abs(kbar) ** 2, axis=2)  # (input, outcome)
+    norms = (abs(kbar) ** 2).sum(axis=2)  # (input, outcome)
     # row c averages norms[i, i ^ c] over the inputs i
     probs = xor_regroup(norms).mean(axis=1)
     return ErrorDistribution(n=ch.n, probs=probs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -143,14 +142,23 @@ def _read_fields(doc, table, prefix="", got=None) -> dict:
     return got
 
 
-@contextmanager
-def _naming(field):
-    """Report a library validation error raised inside as ValidationError(field)."""
-    try:
-        yield
-    except (DimensionMismatchError, DimensionTooLargeError, NotUnitaryError,
-            OutOfRangeError, UnsupportedCombinationError) as exc:
-        raise ValidationError(field, str(exc)) from exc
+class _naming:
+    """Context that reports a library validation error raised inside as
+    ValidationError(field); a class, since parsing enters one per field and
+    a generator-based context manager costs more to enter and leave."""
+
+    _NAMED = (DimensionMismatchError, DimensionTooLargeError, NotUnitaryError,
+              OutOfRangeError, UnsupportedCombinationError)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, self._NAMED):
+            raise ValidationError(self.field, str(exc)) from exc
 
 
 def _rule(check, *args):

@@ -100,6 +100,19 @@ def as_index(i, n: int) -> int:
     return _as_integer(i, "index", 0, (1 << min(n, i.bit_length())) - 1)
 
 
+def _table_side(t: np.ndarray, what: str) -> int:
+    """The side ``2**n`` of a table of shape ``(2**n, 2**n, eve_dim)``, with
+    n >= 1 and eve_dim >= 1, read off its shape alone; any other shape
+    raises DimensionMismatchError naming the table as ``what``."""
+    shape = t.shape
+    d = shape[0] if len(shape) == 3 else 0
+    if d < 2 or d & (d - 1) or shape[1] != d or shape[2] < 1:
+        raise DimensionMismatchError(
+            f"{what} is {shape}, expected (2**n, 2**n, eve_dim) with n >= 1 and eve_dim >= 1"
+        )
+    return d
+
+
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor owns the most significant bits."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -109,7 +122,7 @@ def hermitian_residual(a: np.ndarray) -> float:
     """Max-norm deviation of a square matrix, or of a stack of them, from
     its conjugate transpose."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) if a.size else 0.0
+    return float(abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -255,7 +268,14 @@ def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> Den
 def _check_probabilities(p, error: type[MubeveError], what="probabilities") -> None:
     """Raise ``error`` unless every row (last axis) of ``p`` is a
     probability vector: finite, no entry below -TAU_PSD, and a sum within
-    TAU_TR of 1.  ``what`` names the rows in the message."""
+    TAU_TR of 1.  ``what`` names the rows in the message.
+
+    A valid ``p`` costs one minimum and one row-sum deviation.  The minimum
+    comes first, so that NaN and -inf fail before any sum could meet them;
+    only a failing ``p`` runs the checks below, in the order of their
+    messages."""
+    if p.size and p.min() >= -TAU_PSD and abs(p.sum(axis=-1) - 1.0).max() <= TAU_TR:
+        return
     if not np.isfinite(p).all():
         raise error(f"{what}: non-finite entries")
     if p.size and float(p.min()) < -TAU_PSD:
@@ -304,8 +324,8 @@ def mixture_spectra(vectors, weight: float = 1.0, union: bool = False) -> np.nda
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
     """``-sum p log2 p`` in bits over the last axis, unchecked.  An entry
     <= 0 adds a zero term, so rounding negatives read as 0 without a clip."""
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -np.sum(p * logs, axis=-1) + 0.0  # normalize -0.0
+    logs = np.log2(p, out=np.zeros(p.shape), where=p > 0.0)
+    return 0.0 - (p * logs).sum(axis=-1)  # not -sum, which reads -0.0 for 0.0
 
 
 def spectral_entropies(w) -> np.ndarray:
@@ -321,7 +341,8 @@ def spectral_entropies(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     p = np.where(w > 0.0, w, 0.0)
     total = p.sum(axis=-1, keepdims=True)
-    return _entropy_bits(np.divide(p, total, out=np.zeros_like(p), where=total > 0.0))
+    # a row whose total is not positive holds only zeros, and keeps them
+    return _entropy_bits(np.divide(p, total, out=p, where=total > 0.0))
 
 
 @functools.cache

@@ -25,11 +25,17 @@ Derived quantities:
 
 Step k of a stream seeded with ``s`` has state ``s + k * GOLDEN mod 2**64``,
 so :meth:`SplitMix64.gaussian_matrix` computes a whole draw in numpy
-``uint64`` arithmetic, 8,192 pairs per pass.  ``ln``, ``cos`` and ``sin``
-are the numpy ufuncs ``np.log``, ``np.cos`` and ``np.sin``, in the block
-draw and in :meth:`SplitMix64.next_gaussian_pair` alike, and ``sqrt``,
-products and sums are correctly rounded.  A ufunc gives the same bits for one value
-as for any position of a vector, so a draw equals, bit for bit, the same
+``uint64`` arithmetic, 8,192 pairs per pass.  Each pass works in place in
+two ``uint64`` buffers allocated once per draw: the states of pair p are
+``(s + GOLDEN) + p * 2 GOLDEN`` and that plus ``GOLDEN``; the finalizer
+shifts into the second buffer and updates the first, whose products wrap
+without a mask; and the Box-Muller chain writes through ``out=`` into the
+buffers and the result, with the operations of the scalar pair in their
+order.  ``ln``, ``cos`` and ``sin`` are the numpy ufuncs ``np.log``,
+``np.cos`` and ``np.sin``, in the block draw and in
+:meth:`SplitMix64.next_gaussian_pair` alike, and ``sqrt``, products and
+sums are correctly rounded.  A ufunc gives the same bits for one value as
+for any position of a vector, so a draw equals, bit for bit, the same
 count of :meth:`SplitMix64.next_gaussian_pair` calls on one machine.
 Across machines the last bit can move: numpy picks its ``log`` kernel by
 CPU features, and on AVX-512 hardware it differs from the platform
@@ -54,7 +60,12 @@ import math
 
 import numpy as np
 
-from .errors import DependentColumnsError, DimensionMismatchError, DimensionTooLargeError
+from .errors import (
+    DependentColumnsError,
+    DimensionMismatchError,
+    DimensionTooLargeError,
+    OutOfRangeError,
+)
 from .linalg import MAX_TOTAL_DIM, TAU_RANK, _as_integer, _shown
 
 MASK64 = (1 << 64) - 1
@@ -65,19 +76,39 @@ GOLDEN = 0x9E3779B97F4A7C15
 _DRAW_CHUNK = 8192
 
 
-def mix64(z):
-    """Apply the SplitMix64 output finalizer to a 64-bit integer, or
-    elementwise to a numpy ``uint64`` array (whose arithmetic wraps).
-    The first mask copies an array, and the steps update that copy in place."""
-    z = z & MASK64
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z &= MASK64
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z &= MASK64
-    z ^= z >> 31
+# The output finalizer, one round per row: z ^= z >> shift, then z *=
+# multiplier mod 2**64 where the round has one.
+_FINALIZER = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+
+
+def _finalize(z, shifted=None):
+    """The SplitMix64 output finalizer of ``_FINALIZER``.  On an int in
+    [0, 2**64) it returns the new int; on a ``uint64`` array, whose products
+    wrap, it works in place, with ``shifted`` (of ``z``'s shape) as scratch."""
+    for shift, multiplier in _FINALIZER:
+        if shifted is None:
+            z ^= z >> shift
+            if multiplier:
+                z = z * multiplier & MASK64
+        else:
+            np.right_shift(z, shift, out=shifted)
+            z ^= shifted
+            if multiplier:
+                z *= multiplier
     return z
+
+
+def mix64(z):
+    """Apply the SplitMix64 output finalizer to an integer (Python or numpy,
+    not a bool) in [0, 2**64 - 1], or elementwise to a numpy ``uint64``
+    array, returning a new array; anything else raises OutOfRangeError.
+    An integer is finalized as a Python int, so numpy never sees a scalar
+    overflow; an array is copied once and finalized in place."""
+    if isinstance(z, np.ndarray):
+        if z.dtype != np.uint64:
+            raise OutOfRangeError(f"mix64 input array has dtype {z.dtype}, not uint64")
+        return _finalize(z.copy(), np.empty_like(z))
+    return _finalize(_as_integer(z, "mix64 input", 0, MASK64))
 
 
 def _checked_seed(seed) -> int:
@@ -110,7 +141,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
+        return _finalize(self._state)
 
     def next_double(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
@@ -141,24 +172,39 @@ class SplitMix64:
 def _gaussians_at(state: int, pairs: np.ndarray) -> np.ndarray:
     """Complex Gaussian entries number ``pairs`` (a ``uint64`` array) of a
     stream at ``state``: entry p is the Box-Muller pair of steps 2p + 1 and
-    2p + 2, the value ``gaussian_matrix`` puts at flat position p."""
+    2p + 2, the value ``gaussian_matrix`` puts at flat position p.  Each
+    pass works in place in two ``uint64`` buffers with a row per step of the
+    pair: the first holds the states, then the bits, then ``cos`` and
+    ``sin``; the second the shifts, then the uniforms read as doubles."""
     out = np.empty(pairs.size, dtype=complex)
+    steps = np.empty((2, min(pairs.size, _DRAW_CHUNK)), dtype=np.uint64)
+    scratch = np.empty_like(steps)
+    first, stride, golden = (np.uint64(x & MASK64) for x in (state + GOLDEN, 2 * GOLDEN, GOLDEN))
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for lo in range(0, pairs.size, _DRAW_CHUNK):
-        # both steps of each pair in one array, a row per step: one finalizer
-        # pass serves both, and each row of uniforms reaches the ufuncs contiguous
-        steps = 2 * pairs[lo:lo + _DRAW_CHUNK] + np.array([[1], [2]], dtype=np.uint64)
-        steps *= np.uint64(GOLDEN)
-        steps += np.uint64(state)
-        bits = mix64(steps)
-        bits >>= np.uint64(11)
-        u1, u2 = bits * 2.0**-53
-        # the same operations, in the same order, as next_gaussian_pair
-        r = np.sqrt(-2.0 * np.log(1.0 - u1))
-        t = 2.0 * math.pi * u2
         chunk = out[lo:lo + _DRAW_CHUNK]
-        chunk.real = r * np.cos(t) * inv_sqrt2
-        chunk.imag = r * np.sin(t) * inv_sqrt2
+        bits, shifted = steps[:, :chunk.size], scratch[:, :chunk.size]
+        np.multiply(pairs[lo:lo + _DRAW_CHUNK], stride, out=bits[0])
+        bits[0] += first
+        np.add(bits[0], golden, out=bits[1])
+        _finalize(bits, shifted)
+        bits >>= np.uint64(11)
+        u1, u2 = np.multiply(bits, 2.0**-53, out=shifted.view(np.float64))
+        trig = bits[0].view(np.float64)
+        # the same operations, in the same order, as next_gaussian_pair:
+        # r = sqrt(-2 ln(1 - u1)) lands in u1, t = 2 pi u2 in u2
+        np.subtract(1.0, u1, out=u1)
+        np.log(u1, out=u1)
+        np.multiply(-2.0, u1, out=u1)
+        np.sqrt(u1, out=u1)
+        np.multiply(2.0 * math.pi, u2, out=u2)
+        # each part is (r * cos(t)) * inv_sqrt2, (r * sin(t)) * inv_sqrt2
+        np.cos(u2, out=trig)
+        trig *= u1
+        np.multiply(trig, inv_sqrt2, out=chunk.real)
+        np.sin(u2, out=trig)
+        trig *= u1
+        np.multiply(trig, inv_sqrt2, out=chunk.imag)
     return out
 
 

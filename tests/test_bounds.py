@@ -18,6 +18,7 @@ from mubeve.bounds import (
     boykin_bound,
     corollary_bound,
     kraus_holevo_chi,
+    symmetrized_holevo_chi,
     xor_entropy_bound,
 )
 from mubeve.channel import (
@@ -27,6 +28,7 @@ from mubeve.channel import (
 )
 from mubeve.errors import (
     DependentColumnsError,
+    DimensionMismatchError,
     EigensolverError,
     InvalidPovmError,
     NotUnitaryError,
@@ -35,7 +37,7 @@ from mubeve.errors import (
 )
 from mubeve.linalg import DensityMatrix
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
-from mubeve.symmetrize import symmetrize
+from mubeve.symmetrize import fourier_spectrum, symmetrize, walsh_table
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
 # frozen from a 50-digit evaluation of h2(0.01) + 3 * 0.01
@@ -680,3 +682,27 @@ class TestKrausHolevo:
         assert rep.chi_orig == 0.0
         assert rep.chi_sym == 0.0
         assert rep.slack_main == 0.0
+
+
+@pytest.mark.parametrize("function, shape", [
+    (walsh_table, (3, 3, 1)),
+    (symmetrized_holevo_chi, (3, 3, 1)),
+    (fourier_spectrum, (3, 3, 1)),
+    (fourier_spectrum, (2, 2)),
+    (kraus_holevo_chi, (0, 0, 1)),
+    # each of these returned a value as if the table were valid
+    (walsh_table, (2, 2)),
+    (walsh_table, (2, 2, 0)),
+    (symmetrized_holevo_chi, (2, 4, 1)),
+    (fourier_spectrum, (6, 6, 1)),
+    (kraus_holevo_chi, (1, 1, 1)),
+])
+def test_table_functions_name_a_bad_shape(function, shape):
+    # a table is (2**n, 2**n, eve_dim) with n >= 1 and eve_dim >= 1; no raw
+    # IndexError, AxisError or ValueError, and no value from a wrong shape
+    table = np.eye(2) if shape == (2, 2) else np.ones(shape)
+    with pytest.raises(DimensionMismatchError) as err:
+        function(table)
+    assert str(err.value).endswith(
+        f"table is {shape}, expected (2**n, 2**n, eve_dim) with n >= 1 and eve_dim >= 1"
+    )

@@ -26,6 +26,7 @@ from mubeve.harness import (
     run_sweep,
     write_report,
 )
+from mubeve.linalg import N_MAX
 from mubeve.zoo import KINDS, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -224,12 +225,12 @@ class TestParseScenario:
         ))
         assert cfg.seed == cfg.attack.seed == 2**64 - 1
 
-    @pytest.mark.parametrize("n_qubits", [0, 5])
+    @pytest.mark.parametrize("n_qubits", [0, N_MAX + 1])
     def test_qubit_count_outside_range(self, n_qubits):
         with pytest.raises(ValidationError) as err:
             parse_scenario(minimal_scenario(n_qubits=n_qubits))
         assert err.value.field == "n_qubits"
-        assert f"qubit count {n_qubits} outside [1, 4]" in str(err.value)
+        assert f"qubit count {n_qubits} outside [1, {N_MAX}]" in str(err.value)
 
     @pytest.mark.parametrize("field, limit, value, huge", [
         ("povm_samples", 1024, lambda k: k, 10**18),
@@ -266,8 +267,8 @@ class TestParseCampaign:
         assert err.value.field == "grid[0]"
 
     @pytest.mark.parametrize("cell, message", [
-        ([0, 1], "qubit count 0 outside [1, 4]"),
-        ([5, 1], "qubit count 5 outside [1, 4]"),
+        ([0, 1], f"qubit count 0 outside [1, {N_MAX}]"),
+        ([N_MAX + 1, 1], f"qubit count {N_MAX + 1} outside [1, {N_MAX}]"),
         ([1, 0], "eve_dim 0 must be at least 1"),
     ])
     def test_cell_outside_limits(self, cell, message):

@@ -16,6 +16,7 @@ from mubeve.errors import (
 )
 import mubeve.linalg as linalg
 from mubeve.linalg import (
+    N_MAX,
     DensityMatrix,
     as_index,
     density_spectra,
@@ -356,6 +357,74 @@ def unit_trace_vectors(rng, *shape):
     return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=(-2, -1), keepdims=True))
 
 
+INF, NAN = float("inf"), float("nan")
+# (entries, message after the rows' name): one case per way to fail the
+# probability rule, in the order the rule names them
+BAD_PROBABILITIES = [
+    ([NAN, 1.0], "non-finite entries"),
+    ([INF, 0.0], "non-finite entries"),
+    ([-INF, 1.0], "non-finite entries"),
+    ([INF, -INF], "non-finite entries"),
+    ([1.5, -0.5], "entry -5.000e-01 below -1e-10"),
+    ([0.5, 0.4], "sum deviates from 1 by 1.000e-01, beyond 1e-09"),
+]
+
+
+class TestProbabilityRule:
+    """``_check_probabilities``, reached through a distribution and through
+    density spectra: each failure keeps its class and message, and none
+    raises a RuntimeWarning on the way (``filterwarnings = error``)."""
+
+    @pytest.mark.parametrize("p, message", BAD_PROBABILITIES)
+    def test_error_distribution(self, p, message):
+        with pytest.raises(NotADistributionError) as err:
+            ErrorDistribution(1, p)
+        assert str(err.value) == f"error probabilities: {message}"
+
+    def test_error_distribution_empty(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            ErrorDistribution(1, [])
+        assert str(err.value) == "distribution has 0 entries, expected 2**n for qubit count 1"
+
+    def test_error_distribution_at_the_tolerances(self):
+        p = [1.0 + 5e-10, -linalg.TAU_PSD]
+        assert list(ErrorDistribution(1, p).probs) == p
+
+    @pytest.mark.parametrize("p, message", BAD_PROBABILITIES)
+    def test_density_spectra_of_a_matrix(self, p, message):
+        m = np.diag(p).astype(complex)
+        if message == "non-finite entries":
+            # a non-finite matrix never reaches its spectrum
+            with pytest.raises(EigensolverError, match="^matrix has non-finite entries$"):
+                density_spectra(m)
+            return
+        # one state, and a stack of 1 x 1 blocks read as one state
+        for stack, union in ((m, False), (m.diagonal().reshape(-1, 1, 1), True)):
+            with pytest.raises(InvalidStateError) as err:
+                density_spectra(stack, union)
+            assert str(err.value) == f"spectrum: {message}"
+
+    @pytest.mark.parametrize("p, message", BAD_PROBABILITIES)
+    def test_density_spectra_of_a_spectrum(self, monkeypatch, p, message):
+        # the eigensolver's output itself, non-finite ones included
+        monkeypatch.setattr(linalg, "_eigh", lambda m, want_vectors: (np.array(p[::-1]), None))
+        with pytest.raises(InvalidStateError) as err:
+            density_spectra(np.eye(2))
+        assert str(err.value) == f"spectrum: {message}"
+
+    @pytest.mark.parametrize("shape, union", [
+        ((0, 0), False), ((0, 0), True), ((3, 0, 0), False), ((3, 0, 0), True), ((0, 2, 2), True),
+    ])
+    def test_density_spectra_empty_spectrum(self, shape, union):
+        # an empty spectrum sums to 0, not 1
+        with pytest.raises(InvalidStateError) as err:
+            density_spectra(np.zeros(shape, dtype=complex), union)
+        assert str(err.value) == "spectrum: sum deviates from 1 by 1.000e+00, beyond 1e-09"
+
+    def test_density_spectra_of_no_states(self):
+        assert density_spectra(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2)
+
+
 class TestMixtureSpectra:
     def dense(self, v):
         return np.einsum("...rd,...re->...de", v, v.conj())
@@ -463,7 +532,7 @@ class TestMubTransform:
 
     def test_too_large(self):
         with pytest.raises(DimensionTooLargeError):
-            mub_transform(5)
+            mub_transform(N_MAX + 1)
 
     def test_too_small(self):
         with pytest.raises(OutOfRangeError):
@@ -534,9 +603,9 @@ def test_booleans_are_not_numbers(call):
     (lambda big: mix(0, big), OutOfRangeError,
      "mix part of over 4300 digits outside [0, 18446744073709551615]"),
     (lambda big: check_cell(big, 1), OutOfRangeError,
-     "qubit count of over 4300 digits outside [1, 4]"),
+     f"qubit count of over 4300 digits outside [1, {N_MAX}]"),
     (lambda big: mub_transform(big), DimensionTooLargeError,
-     "qubit count of over 4300 digits exceeds 4"),
+     f"qubit count of over 4300 digits exceeds {N_MAX}"),
     # sizes compared with the array's own shape, never shifted as 1 << n
     (lambda big: AttackChannel(big, 1, _identity_kraus()), DimensionMismatchError,
      "kraus table is (2, 2, 1), expected (2**n, 2**n, eve_dim) "

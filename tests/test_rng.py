@@ -187,6 +187,39 @@ class TestSeedRule:
         assert np.array_equal(random_isometry(4, 2, 0), random_isometry(4, 2, np.int8(0)))
 
 
+
+class TestMix64Rule:
+    """``mix64`` takes an integer in [0, 2**64 - 1], checked like a seed, or
+    a ``uint64`` array; nothing is wrapped, truncated or read as an integer."""
+
+    @pytest.mark.parametrize("z, message", [
+        (-1, "mix64 input -1 outside [0, 18446744073709551615]"),
+        (2**64, "mix64 input 18446744073709551616 outside [0, 18446744073709551615]"),
+        (True, "mix64 input True is not an integer"),
+        (7.0, "mix64 input 7.0 is not an integer"),
+        (np.arange(3, dtype=np.int64), "mix64 input array has dtype int64, not uint64"),
+        (np.ones(3), "mix64 input array has dtype float64, not uint64"),
+    ])
+    def test_rejected(self, z, message):
+        with pytest.raises(OutOfRangeError) as err:
+            mix64(z)
+        assert str(err.value) == message
+
+    def test_numpy_integers_and_limits_accepted(self):
+        # a numpy uint64 scalar is finalized without an overflow warning
+        assert mix64(np.uint64(7)) == mix64(7) == mix64(np.int8(7))
+        assert mix64(0) == 0
+        assert mix64(MASK64) == int(mix64(np.array([MASK64], dtype=np.uint64))[0])
+
+    def test_array_is_elementwise_and_left_unchanged(self):
+        z = np.array([0, 7, 2**63, MASK64], dtype=np.uint64)
+        before = z.copy()
+        out = mix64(z)
+        assert np.array_equal(z, before)
+        assert out.dtype == np.uint64
+        assert [int(v) for v in out] == [mix64(int(v)) for v in before]
+
+
 class TestGramSchmidt:
     def test_unitary_output(self):
         for seed in range(5):

@@ -16,6 +16,7 @@ from mubeve.errors import (
     OutOfRangeError,
     UnsupportedCombinationError,
 )
+from mubeve.linalg import N_MAX
 from mubeve.rng import SplitMix64, random_unitary
 from mubeve.zoo import (
     KIND_FIELDS,
@@ -53,7 +54,7 @@ class TestAttackSpec:
         with pytest.raises(OutOfRangeError):
             AttackSpec("identity", 0)
         with pytest.raises(OutOfRangeError):
-            AttackSpec("identity", 5)
+            AttackSpec("identity", N_MAX + 1)
 
     @pytest.mark.parametrize("kind", [k for k in KINDS if k != "random_unitary"])
     @pytest.mark.parametrize("field", [{"eve_dim": 0}, {"eve_dim": 2}, {"seed": 3}],
@@ -100,7 +101,7 @@ class TestCheckCell:
 
     @pytest.mark.parametrize("n, eve_dim, error", [
         (0, 1, OutOfRangeError),
-        (5, 1, OutOfRangeError),
+        (N_MAX + 1, 1, OutOfRangeError),
         (-1, 1, OutOfRangeError),
         (1, 0, OutOfRangeError),
         (4, 33, DimensionTooLargeError),
