@@ -7,6 +7,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EigensolverError,
+    InvalidArrayError,
     InvalidPovmError,
     InvalidStateError,
     MubeveError,

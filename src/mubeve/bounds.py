@@ -33,9 +33,11 @@ from .linalg import (
     TAU_PSD,
     TAU_SLACK,
     TAU_SUPPORT,
+    _REAL_TYPES,
     _as_integer,
     _entropy_bits,
     _min_eigenvalue_at_least,
+    _shown,
     _svd,
     _table_side,
     density_spectra,
@@ -202,9 +204,15 @@ def boykin_bound(ed: ErrorDistribution) -> float:
 
 def corollary_bound(delta: float, n: int) -> float:
     """Closed-form entropy bound from the total error probability alone,
-    ``h2(delta) + n * delta`` with the convention 0 log 0 = 0."""
+    ``h2(delta) + n * delta`` with the convention 0 log 0 = 0.  ``delta``
+    must be a real number (Python or numpy, not a bool) in [0, 1] and ``n``
+    a positive integer, else OutOfRangeError."""
+    if isinstance(delta, bool) or not isinstance(delta, _REAL_TYPES):
+        raise OutOfRangeError(f"delta {_shown(delta)} is not a real number")
     if not 0.0 <= delta <= 1.0:
-        raise OutOfRangeError(f"delta {delta} outside [0, 1]")
+        shown = _shown(delta) if isinstance(delta, int) else delta  # an int may not print
+        raise OutOfRangeError(f"delta {shown} outside [0, 1]")
+    n = _as_integer(n, "qubit count", 1)
     h2 = 0.0
     if 0.0 < delta < 1.0:
         h2 = -delta * math.log2(delta) - (1.0 - delta) * math.log2(1.0 - delta)

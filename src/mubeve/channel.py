@@ -22,6 +22,7 @@ from .errors import (
 from .linalg import (
     TAU_UNIT,
     DensityMatrix,
+    _as_array,
     _as_integer,
     _check_probabilities,
     _shown,
@@ -45,7 +46,7 @@ class AttackChannel:
     kraus: np.ndarray
 
     def __post_init__(self):
-        k = np.array(self.kraus, dtype=complex)
+        k = _as_array(self.kraus, complex, "kraus table")
         n, eve_dim = _as_integer(self.n, "qubit count"), _as_integer(self.eve_dim, "eve_dim")
         if n < 1 or eve_dim < 1:
             raise DimensionMismatchError("n and eve_dim must be positive")
@@ -84,7 +85,7 @@ class ErrorDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.probs, dtype=float).reshape(-1)
+        p = _as_array(self.probs, float, "error probabilities").reshape(-1)
         n = _as_integer(self.n, "qubit count", 1)
         if p.size != 1 << min(n, p.size.bit_length()):  # as in AttackChannel
             raise DimensionMismatchError(
@@ -110,8 +111,8 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     before any product: NaN fails no later comparison, and inf or a huge
     entry would overflow in one.
     """
-    u = np.asarray(u, dtype=complex)
-    anc = np.asarray(ancilla, dtype=complex).reshape(-1)
+    u = _as_array(u, complex, "unitary")
+    anc = _as_array(ancilla, complex, "ancilla").reshape(-1)
     if _as_integer(n, "qubit count") < 1:
         raise DimensionMismatchError("n must be positive")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:

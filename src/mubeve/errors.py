@@ -29,6 +29,11 @@ class OutOfRangeError(MubeveError):
     """Scalar argument outside its admissible range."""
 
 
+class InvalidArrayError(MubeveError):
+    """Array argument that numpy cannot read as numbers: a non-numeric
+    entry, such as a string, or a ragged nesting of lists."""
+
+
 class EigensolverError(MubeveError):
     """Eigensolver input has non-finite entries, or LAPACK failed."""
 

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EigensolverError,
+    InvalidArrayError,
     InvalidStateError,
     MubeveError,
     NotHermitianError,
@@ -90,6 +91,17 @@ def _as_reals(values, what: str) -> tuple[float, ...]:
             raise OutOfRangeError(f"{what}[{pos}] {_shown(value)} is not a finite real number")
         reals.append(real)
     return tuple(reals)
+
+
+def _as_array(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a new numpy array of ``dtype``, or InvalidArrayError
+    naming ``what`` where numpy cannot read them so: a non-numeric entry,
+    an integer beyond a double, or a ragged nesting, each of which numpy
+    reports as a bare ValueError, TypeError or OverflowError."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidArrayError(f"{what} is not a rectangular array of numbers") from exc
 
 
 def as_index(i, n: int) -> int:
@@ -213,7 +225,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _check_hermitian(np.array(self.matrix, dtype=complex))
+        m = _check_hermitian(_as_array(self.matrix, complex, "density matrix"))
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TAU_TR:
             raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
@@ -231,7 +243,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
         """Rank-1 state |v><v| from a normalized amplitude vector."""
-        v = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        v = _as_array(amplitudes, complex, "amplitude vector").reshape(-1)
         return cls(np.outer(v, v.conj()))
 
 

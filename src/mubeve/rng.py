@@ -161,8 +161,11 @@ class SplitMix64:
         Each entry is ``(z0 + i z1) / sqrt(2)`` for one Box-Muller pair,
         so real and imaginary parts have variance 1/2.  The draw advances
         the stream by ``2 * rows * cols`` steps, so a ``(m * rows) x cols``
-        draw equals ``m`` consecutive ``rows x cols`` draws stacked.
+        draw equals ``m`` consecutive ``rows x cols`` draws stacked.  Both
+        sizes must be integers of at least 0, else OutOfRangeError, raised
+        before the stream moves.
         """
+        rows, cols = _as_integer(rows, "row count", 0), _as_integer(cols, "column count", 0)
         pairs = rows * cols
         out = _gaussians_at(self._state, np.arange(pairs, dtype=np.uint64))
         self._state = (self._state + 2 * pairs * GOLDEN) & MASK64

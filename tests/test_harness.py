@@ -26,7 +26,7 @@ from mubeve.harness import (
     run_sweep,
     write_report,
 )
-from mubeve.linalg import N_MAX
+from mubeve.linalg import MAX_TOTAL_DIM, N_MAX
 from mubeve.zoo import KINDS, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -159,9 +159,9 @@ class TestParseScenario:
 
     def test_explicit_attack_beyond_size_limit(self):
         with pytest.raises(ValidationError) as err:
-            parse_scenario(minimal_scenario(attack=explicit_identity(514)))
+            parse_scenario(minimal_scenario(attack=explicit_identity(MAX_TOTAL_DIM + 2)))
         assert err.value.field == "attack.unitary"
-        assert "514" in str(err.value)
+        assert str(MAX_TOTAL_DIM + 2) in str(err.value)
 
     def test_explicit_needs_ancilla(self):
         doc = minimal_scenario(attack={
@@ -261,7 +261,9 @@ class TestParseCampaign:
         assert cfg.povm_samples == 8
 
     def test_bad_cell(self):
-        doc = {"grid": [[1, 1000]], "count": 1, "master_seed": 0, "output": "x.csv"}
+        # the first apparatus size over the total-dimension limit at n = 1
+        doc = {"grid": [[1, MAX_TOTAL_DIM // 2 + 1]], "count": 1, "master_seed": 0,
+               "output": "x.csv"}
         with pytest.raises(ValidationError) as err:
             parse_campaign(json.dumps(doc))
         assert err.value.field == "grid[0]"
@@ -663,7 +665,7 @@ class TestCli:
 
     def test_oversized_explicit_attack_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
-        bad.write_text(minimal_scenario(attack=explicit_identity(514)))
+        bad.write_text(minimal_scenario(attack=explicit_identity(MAX_TOTAL_DIM + 2)))
         assert main(["audit", str(bad)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

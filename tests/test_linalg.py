@@ -9,6 +9,7 @@ from mubeve.errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
     EigensolverError,
+    InvalidArrayError,
     InvalidStateError,
     NotADistributionError,
     NotHermitianError,
@@ -16,6 +17,7 @@ from mubeve.errors import (
 )
 import mubeve.linalg as linalg
 from mubeve.linalg import (
+    MAX_TOTAL_DIM,
     N_MAX,
     DensityMatrix,
     as_index,
@@ -35,13 +37,32 @@ from mubeve.bounds import audit_attack
 from mubeve.channel import AttackChannel, ErrorDistribution, from_unitary
 from mubeve.rng import SplitMix64, mix, random_isometry, random_unitary
 from mubeve.zoo import AttackSpec, check_cell, random_attack
-from oracle import (
-    bit_dot,
-    hermitian_eigenvalues,
-    shannon_entropies,
-    shannon_entropy,
-    von_neumann_entropy,
-)
+import reference
+from oracle import bit_dot
+
+
+def hermitian_eigenvalues(a):
+    """Eigenvalues, descending, of a matrix that passes the package's
+    Hermitian check, from the package's eigensolver ``_eigh``."""
+    return linalg._eigh(linalg._check_hermitian(a), want_vectors=False)[0][::-1]
+
+
+def von_neumann_entropy(rho):
+    """``spectral_entropies`` of the checked eigenvalues of one matrix."""
+    return float(spectral_entropies(hermitian_eigenvalues(linalg._matrix_of(rho))))
+
+
+def shannon_entropies(p):
+    """The package's probability rule on each row of ``p``
+    (NotADistributionError), then its entropy core ``_entropy_bits``."""
+    p = np.asarray(p, dtype=float)
+    linalg._check_probabilities(p, NotADistributionError)
+    return linalg._entropy_bits(p)
+
+
+def shannon_entropy(p):
+    """The one-row case of ``shannon_entropies``."""
+    return float(shannon_entropies(np.reshape(p, (1, -1)))[0])
 
 
 def random_hermitian(rng, d):
@@ -161,7 +182,7 @@ class TestEigendecomposition:
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 8)
-        w = hermitian_eigenvalues(a)
+        w = linalg._eigh(a, want_vectors=False)[0]
         assert abs(w.sum() - np.trace(a).real) < 1e-10
 
     def test_reconstruction_and_orthonormality_ensemble(self):
@@ -196,7 +217,7 @@ class TestEigendecomposition:
     def test_non_finite_entries_raise(self, bad):
         a = np.array([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(EigensolverError):
-            hermitian_eigenvalues(a)
+            linalg._eigh(a, want_vectors=False)
         with pytest.raises(EigensolverError):
             hermitian_eigendecomposition(a)
 
@@ -206,7 +227,7 @@ class TestEigendecomposition:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(EigensolverError):
-            hermitian_eigenvalues(np.eye(2))
+            linalg._eigh(np.eye(2), want_vectors=False)
 
 
 class TestDensityMatrix:
@@ -235,6 +256,17 @@ class TestDensityMatrix:
     def test_negative_eigenvalue(self):
         with pytest.raises(InvalidStateError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: DensityMatrix([["a"]]), "density matrix"),
+        (lambda: DensityMatrix([[0.5, 0.0], [0.5]]), "density matrix"),
+        (lambda: DensityMatrix.pure(["a", 1.0]), "amplitude vector"),
+    ], ids=["string", "ragged", "pure-string"])
+    def test_unreadable_arrays_are_named(self, build, what):
+        # numpy raised a bare ValueError for each of these
+        with pytest.raises(InvalidArrayError) as err:
+            build()
+        assert str(err.value) == f"{what} is not a rectangular array of numbers"
 
 
 class TestPartialTrace:
@@ -316,6 +348,15 @@ class TestEntropies:
     def test_shannon_rejects_big_negative(self):
         with pytest.raises(NotADistributionError):
             shannon_entropy([1.1, -0.1])
+
+    @pytest.mark.parametrize("small", [1e-14, 1e-10, 1e-6])
+    def test_small_entries_count(self, small):
+        # every term -p log2 p counts, however small p is: a floor on p that
+        # moves each entropy by less than 1e-12 still moves it by a share
+        p = [1.0 - small, small]
+        want = reference._h(p)
+        assert shannon_entropy(p) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert von_neumann_entropy(np.diag(p)) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_shannon_rows_match_one_row_calls(self):
         table = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [1.0, -1e-11, 1e-11]]
@@ -449,7 +490,7 @@ class TestMixtureSpectra:
         w = mixture_spectra(v)
         assert w.shape == (4, min(rows, dim))
         for vi, wi in zip(v, w):
-            dense = hermitian_eigenvalues(self.dense(vi))
+            dense = np.linalg.eigvalsh(self.dense(vi))[::-1]
             assert np.max(np.abs(wi - dense[: wi.size])) <= 1e-12
             assert np.max(np.abs(dense[wi.size:]), initial=0.0) <= 1e-12
             assert np.all(np.diff(wi) <= 0)
@@ -595,9 +636,9 @@ def test_booleans_are_not_numbers(call):
     (lambda big: AttackSpec("probe_overlap", 1, params=(big,)), OutOfRangeError,
      "params[0] of over 4300 digits is not a finite real number"),
     (lambda big: AttackSpec("random_unitary", 1, eve_dim=big), DimensionTooLargeError,
-     "total dimension of over 4300 digits exceeds 512"),
+     f"total dimension of over 4300 digits exceeds {MAX_TOTAL_DIM}"),
     (lambda big: random_attack(1, big, 0), DimensionTooLargeError,
-     "total dimension of over 4300 digits exceeds 512"),
+     f"total dimension of over 4300 digits exceeds {MAX_TOTAL_DIM}"),
     (lambda big: SplitMix64(big), OutOfRangeError,
      "seed of over 4300 digits outside [0, 18446744073709551615]"),
     (lambda big: mix(0, big), OutOfRangeError,

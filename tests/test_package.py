@@ -1,19 +1,23 @@
 """The package namespace: its public names and its submodules."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import mubeve
 from mubeve.symmetrize import symmetrize
 
 # The audit route, the front end, and the API the acceptance suite names.
-# The dense reference route lives in tests/oracle.py, not here.
+# The reference routes live in perfbench/reference.py and tests/oracle.py.
 PUBLIC = """
 AttackChannel AttackSpec BoundsReport CampaignConfig CampaignSummary
 DensityMatrix DependentColumnsError DimensionMismatchError
-DimensionTooLargeError EigensolverError ErrorDistribution InvalidPovmError
-InvalidStateError MubeveError N_MAX NotADistributionError NotHermitianError
-NotUnitaryError OutOfRangeError ParseError ScenarioConfig Spectrum
-SplitMix64 TAU_HERM TAU_PSD TAU_TR TAU_UNIT TheoremViolation
+DimensionTooLargeError EigensolverError ErrorDistribution InvalidArrayError
+InvalidPovmError InvalidStateError MubeveError N_MAX NotADistributionError
+NotHermitianError NotUnitaryError OutOfRangeError ParseError ScenarioConfig
+Spectrum SplitMix64 TAU_HERM TAU_PSD TAU_TR TAU_UNIT TheoremViolation
 TranslationInvarianceError UnsupportedCombinationError ValidationError
 audit_attack boykin_bound corollary_bound eve_state fourier_spectrum
 from_unitary hermitian_eigendecomposition kraus_holevo_chi make_attack mix
@@ -38,3 +42,23 @@ def test_symmetrize_attribute_is_the_module():
 
     assert isinstance(module, types.ModuleType)
     assert module.symmetrize is symmetrize
+
+
+@pytest.mark.parametrize("path, allowed", [
+    ("perfbench/reference.py", set()),
+    ("tests/oracle.py", {"mubeve.errors"}),
+])
+def test_references_import_nothing_they_check(path, allowed):
+    # the checker shares no code with the package, and the oracle only the
+    # error classes it raises, so no package defect reaches both sides of
+    # a comparison
+    tree = ast.parse((Path(__file__).resolve().parent.parent / path).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path} has a relative import"
+            imported.add(node.module)
+    assert imported  # the walk saw the imports
+    assert {name for name in imported if name.partition(".")[0] == "mubeve"} <= allowed

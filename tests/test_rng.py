@@ -153,6 +153,26 @@ class TestSplitMix64:
         parts = [stream.gaussian_matrix(4, 4) for _ in range(3)]
         assert np.array_equal(SplitMix64(17).gaussian_matrix(12, 4), np.vstack(parts))
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        (-1, 2, "row count -1 must be at least 0"),
+        (0, -3, "column count -3 must be at least 0"),
+        (2.5, 2, "row count 2.5 is not an integer"),
+        (True, 2, "row count True is not an integer"),
+        (1, "2", "column count '2' is not an integer"),
+    ], ids=["negative-rows", "negative-cols", "float-rows", "bool-rows", "string-cols"])
+    def test_gaussian_matrix_sizes_checked_before_the_stream_moves(self, rows, cols, message):
+        # a negative size once drew nothing and stepped the state backwards,
+        # so the next draw repeated the one before it
+        stream, fresh = SplitMix64(17), SplitMix64(17)
+        stream.gaussian_matrix(1, 2)
+        with pytest.raises(OutOfRangeError) as err:
+            stream.gaussian_matrix(rows, cols)
+        assert str(err.value) == message
+        fresh.gaussian_matrix(1, 2)
+        assert np.array_equal(stream.gaussian_matrix(1, 2), fresh.gaussian_matrix(1, 2))
+        # a numpy integer is a size like any other
+        assert SplitMix64(3).gaussian_matrix(np.int64(2), 1).shape == (2, 1)
+
     def test_mix64_matches_stream_finalizer(self):
         # one stream step is state += GOLDEN then the finalizer
         seed = 777
@@ -316,9 +336,11 @@ class TestRandomUnitary:
 
     @pytest.mark.parametrize("rows, cols, error, message", [
         # 2**40 rows would ask numpy for 16 TiB, 10**5000 for more than it can count
-        (2**40, 1, DimensionTooLargeError, f"row count {2**40} exceeds 512"),
-        (10**5000, 1, DimensionTooLargeError, "row count of over 4300 digits exceeds 512"),
-        (MAX_TOTAL_DIM + 1, 1, DimensionTooLargeError, "row count 513 exceeds 512"),
+        (2**40, 1, DimensionTooLargeError, f"row count {2**40} exceeds {MAX_TOTAL_DIM}"),
+        (10**5000, 1, DimensionTooLargeError,
+         f"row count of over 4300 digits exceeds {MAX_TOTAL_DIM}"),
+        (MAX_TOTAL_DIM + 1, 1, DimensionTooLargeError,
+         f"row count {MAX_TOTAL_DIM + 1} exceeds {MAX_TOTAL_DIM}"),
         (4, 2**40, OutOfRangeError, rf"column count {2**40} outside \[1, 4\]"),
     ], ids=["2**40-rows", "10**5000-rows", "limit+1-rows", "2**40-cols"])
     def test_sizes_checked_before_allocation(self, rows, cols, error, message):

@@ -7,7 +7,7 @@ import pytest
 
 import mubeve.rng as rng
 import mubeve.zoo as zoo
-import oracle
+import reference
 from mubeve.bounds import audit_attack, xor_entropy_bound
 from mubeve.channel import from_unitary, xor_error_distribution
 from mubeve.errors import (
@@ -16,7 +16,7 @@ from mubeve.errors import (
     OutOfRangeError,
     UnsupportedCombinationError,
 )
-from mubeve.linalg import N_MAX
+from mubeve.linalg import MAX_TOTAL_DIM, N_MAX
 from mubeve.rng import SplitMix64, random_unitary
 from mubeve.zoo import (
     KIND_FIELDS,
@@ -88,7 +88,7 @@ class TestAttackSpec:
         with pytest.raises(OutOfRangeError):
             AttackSpec("random_unitary", 1, eve_dim=0)
         with pytest.raises(DimensionTooLargeError):
-            AttackSpec("random_unitary", 4, eve_dim=64)
+            AttackSpec("random_unitary", N_MAX, eve_dim=2 * (MAX_TOTAL_DIM >> N_MAX))
 
 
 class TestCheckCell:
@@ -104,8 +104,9 @@ class TestCheckCell:
         (N_MAX + 1, 1, OutOfRangeError),
         (-1, 1, OutOfRangeError),
         (1, 0, OutOfRangeError),
-        (4, 33, DimensionTooLargeError),
-        (1, 257, DimensionTooLargeError),
+        # the first apparatus sizes over the total-dimension limit
+        (N_MAX, (MAX_TOTAL_DIM >> N_MAX) + 1, DimensionTooLargeError),
+        (1, MAX_TOTAL_DIM // 2 + 1, DimensionTooLargeError),
         # a float would pass the range checks and fail later as a TypeError
         (1, 2.5, OutOfRangeError),
         (1.0, 2, OutOfRangeError),
@@ -137,12 +138,14 @@ class TestCheckCell:
 
     @pytest.mark.parametrize("kind", ["intercept_resend", "cnot_probe"])
     def test_pointer_kinds_checked_at_their_apparatus_size(self, kind, monkeypatch):
-        # a pointer kind keeps a 2**n apparatus: at n = 5 the table would be
-        # 32 x 32 = 1024 > MAX_TOTAL_DIM, which N_MAX = 4 alone hides
-        monkeypatch.setattr(zoo, "N_MAX", 5)
-        AttackSpec("identity", 5)
-        with pytest.raises(DimensionTooLargeError, match="1024"):
-            AttackSpec(kind, 5)
+        # a pointer kind keeps a 2**n apparatus: at the first n with 4**n >
+        # MAX_TOTAL_DIM (5, a 32 x 32 = 1024 table, at a limit of 512) the
+        # table is too large, which N_MAX alone hides
+        n = (MAX_TOTAL_DIM.bit_length() - 1) // 2 + 1
+        monkeypatch.setattr(zoo, "N_MAX", n)
+        AttackSpec("identity", n)
+        with pytest.raises(DimensionTooLargeError, match=str(4**n)):
+            AttackSpec(kind, n)
 
     def test_every_kind_has_an_arity_and_a_note(self):
         for kind in KINDS.values():
@@ -184,7 +187,7 @@ class TestMakeAttack:
 
     def test_probe_overlap_zero_angle_is_informationless(self):
         ch = make_attack(AttackSpec("probe_overlap", 1, params=(0.0,)))
-        assert oracle.holevo_chi(*oracle.uniform_ensemble(ch)) == pytest.approx(0.0, abs=1e-12)
+        assert reference.holevo(reference._states(ch.kraus)) == pytest.approx(0.0, abs=1e-12)
         assert xor_entropy_bound(xor_error_distribution(ch)) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -197,7 +200,7 @@ class TestMakeAttack:
         for k in range(7):
             theta = k * math.pi / 12
             ch = make_attack(AttackSpec("probe_overlap", 1, params=(theta,)))
-            chi = oracle.holevo_chi(*oracle.uniform_ensemble(ch))
+            chi = reference.holevo(reference._states(ch.kraus))
             h_xor = xor_entropy_bound(xor_error_distribution(ch))
             expected = binary_entropy((1 + math.cos(theta)) / 2)
             assert abs(chi - expected) <= 1e-8
@@ -213,7 +216,7 @@ class TestMakeAttack:
     def test_intercept_resend_and_cnot_saturate_at_one_qubit(self):
         for kind in ("intercept_resend", "cnot_probe"):
             ch = make_attack(AttackSpec(kind, 1))
-            assert oracle.holevo_chi(*oracle.uniform_ensemble(ch)) == pytest.approx(1.0, abs=1e-10)
+            assert reference.holevo(reference._states(ch.kraus)) == pytest.approx(1.0, abs=1e-10)
             assert xor_entropy_bound(
                 xor_error_distribution(ch)
             ) == pytest.approx(1.0, abs=1e-12)
@@ -245,7 +248,8 @@ class TestRandomAttack:
 
     def test_size_guard(self):
         with pytest.raises(DimensionTooLargeError):
-            random_attack(4, 64, 0)  # 64 * 16 = 1024 > 512
+            # 64 * 16 = 1024 > 512 at today's limits
+            random_attack(N_MAX, 2 * (MAX_TOTAL_DIM >> N_MAX), 0)
         with pytest.raises(OutOfRangeError):
             random_attack(1, 0, 0)
 
