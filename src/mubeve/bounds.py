@@ -35,11 +35,11 @@ from .linalg import (
     TAU_SUPPORT,
     _REAL_TYPES,
     _as_integer,
+    _as_table,
     _entropy_bits,
     _min_eigenvalue_at_least,
     _shown,
     _svd,
-    _table_side,
     density_spectra,
     hermitian_residual,
     mixture_spectra,
@@ -78,10 +78,9 @@ def kraus_holevo_chi(kraus) -> float:
     side of each Gram/ensemble pair and checks every spectrum.  The value
     is the mean of ``S(avg) - S(rho_i)``, so an ensemble of identical
     states, such as the symmetrized identity attack, reads exactly 0.
-    A table not of shape (2**n, 2**n, eve_dim) raises DimensionMismatchError.
+    A table not of numbers, or of another shape, is refused by ``_as_table``.
     """
-    k = np.asarray(kraus, dtype=complex)
-    d = _table_side(k, "kraus table")
+    k, d = _as_table(kraus, "kraus table")
     individual = spectral_entropies(mixture_spectra(k))
     mixed = spectral_entropies(mixture_spectra(k.reshape(1, d * d, -1), 1.0 / d))
     return float((mixed - individual).mean()) + 0.0  # normalize -0.0
@@ -103,10 +102,9 @@ def symmetrized_holevo_chi(walsh) -> float:
     2**n eigenproblems of size ``min(2**n, eve_dim)``.  ``Y`` and the
     ``B_l`` are two readings of one regroup of ``W``.  Both spectra get the
     checks of ``density_spectra``, the average's as one union.  A table not
-    of shape (2**n, 2**n, eve_dim) raises DimensionMismatchError.
+    of numbers, or of another shape, is refused by ``_as_table``.
     """
-    w = np.asarray(walsh, dtype=complex)
-    d = _table_side(w, "Walsh table")
+    w, d = _as_table(walsh, "Walsh table")
     blocks = xor_regroup(w)                       # blocks[l, c] = W[c, l ^ c]
     # row j: Y[j, l] = W[j, l ^ j], apparatus-major like the purification rows
     rows = blocks.transpose(1, 2, 0).reshape(d, -1)

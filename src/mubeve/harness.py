@@ -26,7 +26,7 @@ from .errors import (
 )
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
-from .linalg import _as_integer, _as_reals
+from .linalg import N_MAX, _as_integer, _as_reals
 from .rng import _checked_seed, mix
 from .zoo import (
     KINDS,
@@ -173,12 +173,6 @@ def _rule(check, *args):
 read_seed = _rule(_checked_seed)  # the stream's seed rule
 
 
-def _qubit_count(value, field, got) -> int:
-    with _naming(field):
-        check_cell(value, 1)
-    return value
-
-
 def _sweep_thetas(value, field, got) -> tuple[float, ...]:
     thetas = _rule(_as_reals, "sweep_thetas")(value, field)
     if len(thetas) > MAX_SWEEP_THETAS:
@@ -288,7 +282,7 @@ NAMED_ATTACK_FIELDS = {  # AttackSpec; attack.n defaults to n_qubits
 EXPLICIT_ATTACK_FIELDS = {"unitary": (_complex_array, True),
                           "ancilla": (_complex_array, True)}
 SCENARIO_FIELDS = {  # ScenarioConfig
-    "n_qubits": (_qubit_count, True),
+    "n_qubits": (_rule(_as_integer, "qubit count", 1, N_MAX), True),
     "attack": (_attack, True),
     "povm_samples": (_rule(_as_integer, "samples", 0, MAX_POVM_SAMPLES), True),
     "seed": (read_seed, True),

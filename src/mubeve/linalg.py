@@ -97,9 +97,13 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
     """``values`` as a new numpy array of ``dtype``, or InvalidArrayError
     naming ``what`` where numpy cannot read them so: a non-numeric entry,
     an integer beyond a double, or a ragged nesting, each of which numpy
-    reports as a bare ValueError, TypeError or OverflowError."""
+    reports as a bare ValueError, TypeError or OverflowError.  Text, which
+    numpy would parse ("1" as 1), is refused by its dtype alone."""
     try:
-        return np.array(values, dtype=dtype)
+        a = np.asarray(values)
+        if a.dtype.kind in "US":
+            raise TypeError(f"text of dtype {a.dtype} is not a number")
+        return np.array(a, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidArrayError(f"{what} is not a rectangular array of numbers") from exc
 
@@ -112,22 +116,24 @@ def as_index(i, n: int) -> int:
     return _as_integer(i, "index", 0, (1 << min(n, i.bit_length())) - 1)
 
 
-def _table_side(t: np.ndarray, what: str) -> int:
-    """The side ``2**n`` of a table of shape ``(2**n, 2**n, eve_dim)``, with
-    n >= 1 and eve_dim >= 1, read off its shape alone; any other shape
-    raises DimensionMismatchError naming the table as ``what``."""
+def _as_table(t, what: str) -> tuple[np.ndarray, int]:
+    """``t`` as a complex table of shape ``(2**n, 2**n, eve_dim)``, with
+    n >= 1 and eve_dim >= 1, and its side ``2**n``.  An array numpy cannot
+    read raises InvalidArrayError (``_as_array``), and any other shape
+    DimensionMismatchError, each naming the table as ``what``."""
+    t = _as_array(t, complex, what)
     shape = t.shape
     d = shape[0] if len(shape) == 3 else 0
     if d < 2 or d & (d - 1) or shape[1] != d or shape[2] < 1:
         raise DimensionMismatchError(
             f"{what} is {shape}, expected (2**n, 2**n, eve_dim) with n >= 1 and eve_dim >= 1"
         )
-    return d
+    return t, d
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the left factor owns the most significant bits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_as_array(a, complex, "left factor"), _as_array(b, complex, "right factor"))
 
 
 def hermitian_residual(a: np.ndarray) -> float:
@@ -147,7 +153,6 @@ class Spectrum:
 
 
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
     res = hermitian_residual(a)
@@ -193,7 +198,7 @@ def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
     Raises NotHermitianError when the symmetry check fails and
     EigensolverError on non-finite entries.
     """
-    a = _check_hermitian(a)
+    a = _check_hermitian(_as_array(a, complex, "matrix"))
     w, v = _eigh(a, want_vectors=True)
     order = np.argsort(-w, kind="stable")
     return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
@@ -250,7 +255,7 @@ class DensityMatrix:
 def _matrix_of(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    return np.asarray(rho, dtype=complex)
+    return _as_array(rho, complex, "density matrix")
 
 
 def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> DensityMatrix:

@@ -29,8 +29,8 @@ from .errors import DimensionMismatchError, TranslationInvarianceError
 from .channel import AttackChannel
 from .linalg import (
     DensityMatrix,
+    _as_table,
     _check_probabilities,
-    _table_side,
     as_index,
     sign_grid,
     walsh,
@@ -85,11 +85,9 @@ def walsh_table(kraus) -> np.ndarray:
     Row c of ``P`` holds the vectors that turn input a into output a XOR c.
     The symmetrized Kraus vectors are signed stacks of one such row,
     ``symmetrize(ch).kraus[i, i ^ c] = 2**(-n/2) sum_m (-1)**(m.c) |m> (x)
-    P[c, i ^ m]``.  Any other shape raises DimensionMismatchError.
+    P[c, i ^ m]``.  Any other table is refused by ``_as_table``.
     """
-    kraus = np.asarray(kraus, dtype=complex)
-    _table_side(kraus, "kraus table")
-    return walsh(xor_regroup(kraus), 1)
+    return walsh(xor_regroup(_as_table(kraus, "kraus table")[0]), 1)
 
 
 def fourier_spectrum(walsh) -> np.ndarray:
@@ -101,10 +99,9 @@ def fourier_spectrum(walsh) -> np.ndarray:
     By Parseval, ``lambda_l = 4**-n sum_c ||W[c, l]||**2``.  The result must
     pass the probability rule, else TranslationInvarianceError; it is the
     trace and the smallest eigenvalue of the Gram state.  A table not of
-    shape (2**n, 2**n, eve_dim) raises DimensionMismatchError.
+    numbers, or of another shape, is refused by ``_as_table``.
     """
-    w = np.asarray(walsh, dtype=complex)
-    d = _table_side(w, "Walsh table")
+    w, d = _as_table(walsh, "Walsh table")
     lam = (w.real**2 + w.imag**2).sum(axis=(0, 2)) / float(d * d)
     _check_probabilities(lam, TranslationInvarianceError, "Fourier eigenvalues")
     lam.setflags(write=False)

@@ -103,14 +103,14 @@ class AttackSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise UnsupportedCombinationError(f"unknown attack kind {self.kind!r}")
         kind = KINDS[self.kind]
         for key in KIND_FIELDS:  # the class attribute is the field's default
             if getattr(self, key) != getattr(AttackSpec, key):
                 check_takes(self.kind, key)
         _checked_seed(self.seed)
-        check_cell(self.n, 1)  # so a pointer table has at most 2**N_MAX rows
+        _as_integer(self.n, "qubit count", 1, N_MAX)  # caps a pointer table at 2**N_MAX rows
         _as_integer(self.eve_dim, "eve_dim", 1)  # an integer even where unread
         params = _as_reals(self.params, "params")
         if len(params) != kind.arity:
@@ -131,8 +131,8 @@ def make_attack(spec: AttackSpec) -> AttackChannel:
     """Construct the channel for a named attack: drawn, or with the
     string forwarded and the kind's pointer row i kept for input i."""
     pointers = KINDS[spec.kind].pointers
-    if pointers is None:
-        return random_attack(spec.n, spec.eve_dim, spec.seed)
+    if pointers is None:  # the spec has checked its cell
+        return _drawn(spec.n, spec.eve_dim, spec.seed)
     table = pointers(spec.n, spec.params)
     d, eve_dim = table.shape
     kraus = np.zeros((d, d, eve_dim), dtype=complex)
@@ -150,6 +150,11 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
     identical (n, eve_dim, seed).
     """
     check_cell(n, eve_dim)
+    return _drawn(n, eve_dim, seed)
+
+
+def _drawn(n: int, eve_dim: int, seed: int) -> AttackChannel:
+    """``random_attack`` of a checked cell."""
     d = 1 << n
     cols = random_isometry(eve_dim * d, d, seed)  # (apparatus, output) x input
     kraus = cols.reshape(eve_dim, d, d).transpose(2, 1, 0)

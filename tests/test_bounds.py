@@ -27,12 +27,18 @@ from mubeve.errors import (
     DependentColumnsError,
     DimensionMismatchError,
     EigensolverError,
+    InvalidArrayError,
     InvalidPovmError,
     NotUnitaryError,
     OutOfRangeError,
     TheoremViolation,
 )
-from mubeve.linalg import DensityMatrix
+from mubeve.linalg import (
+    DensityMatrix,
+    hermitian_eigendecomposition,
+    partial_trace,
+    tensor_product,
+)
 from mubeve.rng import SplitMix64, gram_schmidt_unitary
 from mubeve.symmetrize import fourier_spectrum, symmetrize, walsh_table
 from mubeve.zoo import AttackSpec, make_attack, random_attack
@@ -714,3 +720,24 @@ def test_table_functions_name_a_bad_shape(function, shape):
     assert str(err.value).endswith(
         f"table is {shape}, expected (2**n, 2**n, eve_dim) with n >= 1 and eve_dim >= 1"
     )
+
+
+@pytest.mark.parametrize("entry, what", [
+    (kraus_holevo_chi, "kraus table"),
+    (walsh_table, "kraus table"),
+    (symmetrized_holevo_chi, "Walsh table"),
+    (fourier_spectrum, "Walsh table"),
+    (hermitian_eigendecomposition, "matrix"),
+    (lambda a: partial_trace(a, 1, 1), "density matrix"),
+    (lambda a: tensor_product(a, [1]), "left factor"),
+    (lambda b: tensor_product([1], b), "right factor"),
+], ids=["kraus_holevo_chi", "walsh_table", "symmetrized_holevo_chi", "fourier_spectrum",
+        "hermitian_eigendecomposition", "partial_trace", "tensor_product-left",
+        "tensor_product-right"])
+@pytest.mark.parametrize("bad", ["abc", [[["a"]]], [["1"]], [[1], [1, 2]]],
+                         ids=["string", "text", "numeric-text", "ragged"])
+def test_public_array_entries_name_unreadable_input(entry, what, bad):
+    # numpy raised a bare ValueError for most of these, and read "1" as 1
+    with pytest.raises(InvalidArrayError) as err:
+        entry(bad)
+    assert str(err.value) == f"{what} is not a rectangular array of numbers"

@@ -255,8 +255,16 @@ class TestTypes:
         (lambda: ErrorDistribution(1, [10**400, 0]), "error probabilities"),
         (lambda: from_unitary("ab", [1], 1), "unitary"),
         (lambda: from_unitary(np.eye(2), ["x"], 1), "ancilla"),
+        # numeric text, which numpy read as numbers ("1" as 1)
+        (lambda: AttackChannel(1, 1, [[["1"], ["0"]], [["0"], ["1j"]]]), "kraus table"),
+        (lambda: ErrorDistribution(1, ["1", "0"]), "error probabilities"),
+        (lambda: ErrorDistribution(1, np.array([b"1", b"0"])), "error probabilities"),
+        (lambda: from_unitary([["1", "0"], ["0", "1"]], [1], 1), "unitary"),
+        (lambda: from_unitary(np.eye(2), ["1"], 1), "ancilla"),
     ], ids=["channel-string", "channel-ragged", "distribution-strings",
-            "distribution-huge-int", "unitary-string", "ancilla-string"])
+            "distribution-huge-int", "unitary-string", "ancilla-string",
+            "channel-numeric-text", "distribution-numeric-text", "distribution-bytes",
+            "unitary-numeric-text", "ancilla-numeric-text"])
     def test_unreadable_arrays_are_named(self, build, what):
         # numpy raised a bare ValueError or OverflowError for each of these
         with pytest.raises(InvalidArrayError) as err:

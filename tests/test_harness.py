@@ -11,6 +11,7 @@ import pytest
 import mubeve.bounds as bounds
 import mubeve.cli as cli
 import mubeve.harness as harness
+import mubeve.zoo as zoo
 from mubeve.channel import AttackChannel
 from mubeve.cli import main
 from mubeve.errors import OutOfRangeError, ParseError, ValidationError
@@ -801,6 +802,26 @@ class TestCli:
             sweep_thetas=[0.5]))
         assert main([command, str(doc)]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("probe_overlap[theta=0.5]")
+
+    def test_named_attack_cell_check_budget(self, monkeypatch, tmp_path, capsys):
+        # the parser reads n_qubits as an integer, the spec checks its cell
+        # once, and make_attack draws from the checked spec
+        cells = []
+        original = zoo.check_cell
+
+        def counting(*cell):
+            cells.append(cell)
+            return original(*cell)
+
+        monkeypatch.setattr(zoo, "check_cell", counting)
+        monkeypatch.setattr(harness, "check_cell", counting)
+        doc = tmp_path / "doc.scenario"
+        doc.write_text(minimal_scenario(
+            n_qubits=3, attack={"kind": "random_unitary", "eve_dim": 2, "seed": 5},
+            povm_samples=16))
+        assert main(["audit", str(doc)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("random_unitary[n=3;d=2;seed=5]")
+        assert 1 <= len(cells) <= 2
 
     def test_sigma_spectrum_audits_once(self, monkeypatch, capsys):
         calls = {"audit_attack": 0, "make_attack": 0, "fourier_spectrum": 0}

@@ -261,7 +261,12 @@ class TestDensityMatrix:
         (lambda: DensityMatrix([["a"]]), "density matrix"),
         (lambda: DensityMatrix([[0.5, 0.0], [0.5]]), "density matrix"),
         (lambda: DensityMatrix.pure(["a", 1.0]), "amplitude vector"),
-    ], ids=["string", "ragged", "pure-string"])
+        # numeric text, which numpy read as numbers ("1" as 1)
+        (lambda: DensityMatrix([["1"]]), "density matrix"),
+        (lambda: DensityMatrix(np.array([["1"]])), "density matrix"),
+        (lambda: DensityMatrix.pure(["1", "0"]), "amplitude vector"),
+    ], ids=["string", "ragged", "pure-string", "numeric-text", "numeric-text-array",
+            "pure-numeric-text"])
     def test_unreadable_arrays_are_named(self, build, what):
         # numpy raised a bare ValueError for each of these
         with pytest.raises(InvalidArrayError) as err:

@@ -44,6 +44,13 @@ class TestAttackSpec:
         with pytest.raises(UnsupportedCombinationError):
             AttackSpec("teleport", 1)
 
+    @pytest.mark.parametrize("kind", [[1], {}, None, 1], ids=["list", "dict", "none", "int"])
+    def test_non_string_kind_is_unknown(self, kind):
+        # an unhashable kind raised a bare TypeError from the KINDS lookup
+        with pytest.raises(UnsupportedCombinationError) as err:
+            AttackSpec(kind, 1)
+        assert str(err.value) == f"unknown attack kind {kind!r}"
+
     def test_param_arity(self):
         with pytest.raises(OutOfRangeError):
             AttackSpec("probe_overlap", 1)  # angle missing
@@ -154,6 +161,17 @@ class TestCheckCell:
 
 
 class TestMakeAttack:
+    def test_checked_spec_is_not_checked_again(self, monkeypatch):
+        spec = AttackSpec("random_unitary", 3, eve_dim=2, seed=5)
+
+        def no_check(*cell):
+            raise AssertionError(f"cell {cell} checked again")
+
+        monkeypatch.setattr(zoo, "check_cell", no_check)
+        ch = make_attack(spec)
+        monkeypatch.undo()
+        assert np.array_equal(ch.kraus, random_attack(3, 2, 5).kraus)
+
     def test_every_kind_is_unitary(self):
         specs = [
             AttackSpec("identity", 2),
