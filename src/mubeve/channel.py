@@ -109,7 +109,8 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     ``u`` or ``ancilla`` that is not finite or has a part beyond 1 + TAU_UNIT
     in size, as no unitary or unit vector has, is a NotUnitaryError raised
     before any product: NaN fails no later comparison, and inf or a huge
-    entry would overflow in one.
+    entry would overflow in one.  Every message about ``ancilla`` starts
+    with that word, so a caller can tell which array an error concerns.
     """
     u = _as_array(u, complex, "unitary")
     anc = _as_array(ancilla, complex, "ancilla").reshape(-1)

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionTooLargeError,
+    InvalidArrayError,
     NotUnitaryError,
     OutOfRangeError,
     ParseError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
-from .linalg import N_MAX, _as_integer, _as_reals
+from .linalg import N_MAX, _as_array, _as_integer, _as_reals
 from .rng import _checked_seed, mix
 from .zoo import (
     KINDS,
@@ -191,22 +192,18 @@ def _analyses(value, field, got) -> tuple[str, ...]:
 
 def _complex_array(value, field, got) -> np.ndarray:
     """Nested lists of [re, im] number pairs as a complex array, else
-    ValidationError.  ``numpy`` would also convert strings such as "1" and
-    booleans, so the parsed entries must be JSON numbers, and finite: a
-    literal overflowing a double, such as ``1e999``, reads as ``inf``."""
+    ValidationError.  The entries are read by the library's array rule
+    (``linalg._as_array``), which refuses strings and booleans; finiteness
+    is ``from_unitary``'s rule, since a literal overflowing a double, such
+    as ``1e999``, reads as ``inf``."""
     message = "complex entries must be [re, im] pairs"
     try:
-        entries = np.asarray(value, dtype=object)
-        arr = entries.astype(float)  # ragged or non-numeric entries fail here
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValidationError(field, f"{message}: {exc}") from exc
+        arr = _as_array(value, float, field)
+    except InvalidArrayError as exc:
+        raise ValidationError(field, f"{message} of numbers, not strings or booleans") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(field, message)
-    if not set(map(type, entries.ravel())) <= {int, float}:
-        raise ValidationError(field, f"{message} of numbers, not strings or booleans")
-    if not np.isfinite(arr).all():
-        raise ValidationError(field, f"{message} of finite numbers")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]
 
 
 def _kind(value, field, got) -> str:
@@ -238,10 +235,13 @@ def _attack(value, field, got) -> AttackSpec | AttackChannel:
     n_qubits, prefix = got["n_qubits"], field + "."
     if "unitary" in value:
         arrays = _read_fields(value, EXPLICIT_ATTACK_FIELDS, prefix)
-        with _naming(prefix + "unitary"):
+        try:
             if arrays["unitary"].ndim == 2:  # from_unitary rejects every other shape
                 check_cell(n_qubits, arrays["unitary"].shape[0] >> n_qubits)
             return from_unitary(arrays["unitary"], arrays["ancilla"], n_qubits)
+        except _naming._NAMED as exc:  # from_unitary's message starts with its array
+            array = "ancilla" if str(exc).startswith("ancilla") else "unitary"
+            raise ValidationError(prefix + array, str(exc)) from exc
     spec = _read_fields(value, NAMED_ATTACK_FIELDS, prefix, {"n": n_qubits})
     with _naming(field):
         return AttackSpec(**spec)

@@ -73,6 +73,7 @@ def _as_integer(value, what: str, minimum=None, maximum=None) -> int:
 
 
 _REAL_TYPES = (int, float, np.integer, np.floating)
+_NUMBER_TYPES = _REAL_TYPES + (complex, np.complexfloating)  # bool, an int, is not one
 
 
 def _as_reals(values, what: str) -> tuple[float, ...]:
@@ -95,14 +96,19 @@ def _as_reals(values, what: str) -> tuple[float, ...]:
 
 def _as_array(values, dtype, what: str) -> np.ndarray:
     """``values`` as a new numpy array of ``dtype``, or InvalidArrayError
-    naming ``what`` where numpy cannot read them so: a non-numeric entry,
-    an integer beyond a double, or a ragged nesting, each of which numpy
-    reports as a bare ValueError, TypeError or OverflowError.  Text, which
-    numpy would parse ("1" as 1), is refused by its dtype alone."""
+    naming ``what`` unless every entry is an int, float or complex, Python
+    or numpy: never a bool or text, which numpy reads as 1 or parses ("1"
+    as 1), nor an integer beyond a double.  A numpy array is judged by its
+    dtype (kind i, u, f or c), anything else by one pass over its entry
+    types, where a ragged nesting shows up as a list."""
     try:
-        a = np.asarray(values)
-        if a.dtype.kind in "US":
-            raise TypeError(f"text of dtype {a.dtype} is not a number")
+        a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        if a.dtype.kind == "O":
+            if not all(issubclass(t, _NUMBER_TYPES) and t is not bool
+                       for t in set(map(type, a.ravel()))):
+                raise TypeError("an entry is not a number")
+        elif a.dtype.kind not in "iufc":
+            raise TypeError(f"entries of dtype {a.dtype} are not numbers")
         return np.array(a, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise InvalidArrayError(f"{what} is not a rectangular array of numbers") from exc

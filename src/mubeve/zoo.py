@@ -90,10 +90,10 @@ class AttackSpec:
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
     and ``seed`` belong to the kinds whose ``KINDS`` entry takes them, and
     every other kind rejects values other than the defaults.  The cell is
-    checked at the width of the pointer table the kind keeps, or at
-    ``eve_dim`` for a drawn kind.  Construction rejects every spec that
-    ``make_attack`` could not build or would ignore a field of, so a spec
-    can be validated without building its channel.
+    checked at the width of the pointer table a kind keeps, which
+    ``make_attack`` reuses, or at ``eve_dim`` for a drawn kind.  Construction
+    rejects every spec that ``make_attack`` could not build or would ignore
+    a field of, so a spec can be validated without building its channel.
     """
 
     kind: str
@@ -119,8 +119,9 @@ class AttackSpec:
             )
         object.__setattr__(self, "params", params)
         width = self.eve_dim  # the apparatus of a drawn kind
-        if kind.pointers is not None:
-            rows, width = kind.pointers(self.n, params).shape
+        if kind.pointers is not None:  # kept for make_attack; not a field
+            object.__setattr__(self, "_pointers", kind.pointers(self.n, params))
+            rows, width = self._pointers.shape
             if rows != 1 << self.n:
                 raise UnsupportedCombinationError(
                     f"{self.kind} is defined for n={rows.bit_length() - 1}")
@@ -130,10 +131,9 @@ class AttackSpec:
 def make_attack(spec: AttackSpec) -> AttackChannel:
     """Construct the channel for a named attack: drawn, or with the
     string forwarded and the kind's pointer row i kept for input i."""
-    pointers = KINDS[spec.kind].pointers
-    if pointers is None:  # the spec has checked its cell
+    if KINDS[spec.kind].pointers is None:  # the spec has checked its cell
         return _drawn(spec.n, spec.eve_dim, spec.seed)
-    table = pointers(spec.n, spec.params)
+    table = spec._pointers  # the table the spec checked
     d, eve_dim = table.shape
     kraus = np.zeros((d, d, eve_dim), dtype=complex)
     kraus[np.arange(d), np.arange(d)] = table

@@ -22,7 +22,7 @@ from mubeve.bounds import (
     symmetrized_holevo_chi,
     xor_entropy_bound,
 )
-from mubeve.channel import AttackChannel, ErrorDistribution
+from mubeve.channel import AttackChannel, ErrorDistribution, from_unitary
 from mubeve.errors import (
     DependentColumnsError,
     DimensionMismatchError,
@@ -731,13 +731,24 @@ def test_table_functions_name_a_bad_shape(function, shape):
     (lambda a: partial_trace(a, 1, 1), "density matrix"),
     (lambda a: tensor_product(a, [1]), "left factor"),
     (lambda b: tensor_product([1], b), "right factor"),
+    (lambda a: AttackChannel(1, 1, a), "kraus table"),
+    (DensityMatrix, "density matrix"),
+    (DensityMatrix.pure, "amplitude vector"),
+    (lambda a: ErrorDistribution(1, a), "error probabilities"),
+    (lambda u: from_unitary(u, [1], 1), "unitary"),
+    (lambda a: from_unitary(np.eye(2), a, 1), "ancilla"),
 ], ids=["kraus_holevo_chi", "walsh_table", "symmetrized_holevo_chi", "fourier_spectrum",
         "hermitian_eigendecomposition", "partial_trace", "tensor_product-left",
-        "tensor_product-right"])
-@pytest.mark.parametrize("bad", ["abc", [[["a"]]], [["1"]], [[1], [1, 2]]],
-                         ids=["string", "text", "numeric-text", "ragged"])
+        "tensor_product-right", "AttackChannel", "DensityMatrix", "DensityMatrix.pure",
+        "ErrorDistribution", "from_unitary-unitary", "from_unitary-ancilla"])
+@pytest.mark.parametrize("bad", [
+    "abc", [[["a"]]], [["1"]], [[1], [1, 2]],
+    # booleans, which numpy read as 1 and 0, and text inside an object array
+    np.array([[True]]), [[0, True]], np.array([["1"]], dtype=object),
+], ids=["string", "text", "numeric-text", "ragged", "bool-array", "list-with-bool",
+        "object-text"])
 def test_public_array_entries_name_unreadable_input(entry, what, bad):
-    # numpy raised a bare ValueError for most of these, and read "1" as 1
+    # numpy raised a bare ValueError for most of these, read "1" as 1 and True as 1
     with pytest.raises(InvalidArrayError) as err:
         entry(bad)
     assert str(err.value) == f"{what} is not a rectangular array of numbers"

@@ -672,6 +672,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: attack.unitary: ")
 
+    @pytest.mark.parametrize("ancilla", [
+        [[1, 0], [0, 0]], [[2, 0]], [[0.5, 0]],
+    ], ids=["wrong-size", "part-above-1", "unnormalized"])
+    def test_ancilla_errors_name_the_ancilla(self, tmp_path, capsys, ancilla):
+        # from_unitary's checks of the ancilla are errors on attack.ancilla; an
+        # entry of 1e999 is test_overflowing_number_exit_code[attack.ancilla]
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(minimal_scenario(attack={
+            "unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "ancilla": ancilla}))
+        assert main(["audit", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: attack.ancilla: ancilla ")
+
     @pytest.mark.parametrize("field,value", [
         ("eve_dim", "2"),
         ("eve_dim", 2.5),
@@ -845,6 +859,22 @@ class TestCli:
         detail = json.loads(err.removeprefix("sigma_spectrum "))
         assert detail["error_probs"] == [0.0, 1.0]
         assert detail["lambda"] == pytest.approx([0.0, 1.0], abs=1e-12)
+
+    def test_sweep_builds_each_pointer_table_once(self, monkeypatch):
+        # each angle's spec builds its table to check it, and make_attack reuses it
+        calls = []
+        entry = KINDS["probe_overlap"]
+
+        def pointers(n, params):
+            calls.append(params)
+            return entry.pointers(n, params)
+
+        monkeypatch.setitem(KINDS, "probe_overlap", entry._replace(pointers=pointers))
+        cfg = parse_scenario(minimal_scenario(
+            attack={"kind": "probe_overlap", "params": [0.0]}, analyses=["sweep"],
+            sweep_thetas=[0.0, 0.3, 0.6, 0.9, 1.2]))
+        assert len(run_sweep(cfg)) == 5
+        assert len(calls) <= 6  # the parsed spec and one per angle
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["audit", str(tmp_path / "nope.scenario")]) == 4
