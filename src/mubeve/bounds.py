@@ -46,7 +46,7 @@ from .linalg import (
     spectral_entropies,
     xor_regroup,
 )
-from .rng import SplitMix64, basis_amplitudes, gram_schmidt_unitary
+from .rng import SplitMix64, gram_schmidt_unitary
 from .symmetrize import fourier_spectrum, walsh_table
 
 _BLOCK_ENTRIES = 2**16  # basis-matrix entries per block of the random search
@@ -142,20 +142,20 @@ def _accessible_info(kraus: np.ndarray, samples: int, seed: int) -> float:
     bases come from one sequential stream, drawn, orthonormalized and
     scored in blocks that equal the same bases drawn one at a time.
     No state is formed densely: a state with more Kraus vectors than its
-    dimension ``d`` is first reduced to ``d`` rows ``A_i`` by QR.  The pretty
-    good measurement lives on the support of the average (Hausladen &
-    Wootters, J. Mod. Opt. 41, 2385 (1994)).  With the thin SVD
-    ``2**(-n/2) [A_i] = [U_i] S V^H`` of all rows (``s**2 > TAU_SUPPORT``),
-    its elements are ``U_i^H U_i`` and the states ``C_i^H C_i`` for ``C_i =
-    A_i V``, at most ``min(4**n, eve_dim)`` wide.  A random basis is scored
-    through the rows, ``p(a|i) = sum_j |<b_a|K_ij>|**2``, on one of two
-    routes.  Rows fewer than ``d`` (``d > 4**n``) are appended to the draw,
-    and one Householder QR yields their amplitudes up to a phase per basis
-    vector (``rng.basis_amplitudes``): about ``(2/3) d**3 + 4**n d**2``
-    products, 5 ms a basis at (1, 256).  At least ``d`` rows meet the formed
-    basis, about ``(4/3) d**3`` products plus ``d**2`` per row, 0.4 ms
-    a basis at (3, 64) (2-core x86 VM, one BLAS thread).  A block holds at
-    most ``2**16`` entries of the draw and of the amplitudes.
+    dimension ``d`` (``eve_dim < 2**n``, such as (3, 2)) is first reduced to
+    ``d`` rows ``A_i`` by QR.  The pretty good measurement lives on the
+    support of the average (Hausladen & Wootters, J. Mod. Opt. 41, 2385
+    (1994)).  With the thin SVD ``2**(-n/2) [A_i] = [U_i] S V^H`` of all
+    rows (``s**2 > TAU_SUPPORT``), its elements are ``U_i^H U_i`` and the
+    states ``C_i^H C_i`` for ``C_i = A_i V``, at most ``min(4**n, eve_dim)``
+    wide.  A random basis is formed by QR of a ``d x d`` draw and scored
+    through the rows, ``p(a|i) = sum_j |<b_a|K_ij>|**2``: about ``(4/3)
+    d**3`` products plus ``d**2`` per row.  ``audit_attack`` passes the
+    support table, so where ``eve_dim > 4**n`` these are Haar bases of the
+    support, ``4**n`` wide, not of the whole apparatus: 0.4-0.7 ms a basis
+    at (3, 64), the widest, and 0.004 ms at (1, 256) (2-core x86 VM, one
+    BLAS thread).  A block holds at most ``2**16`` entries of the draw and
+    of the amplitudes.
     """
     samples = _as_integer(samples, "samples", 0)
     count, rank, d = kraus.shape
@@ -177,13 +177,24 @@ def _accessible_info(kraus: np.ndarray, samples: int, seed: int) -> float:
     for start in range(0, samples, block):
         m = min(block, samples - start)
         draw = stream.gaussian_matrix(m * d, d).reshape(m, d, d)
-        if count * rank < d:
-            amp = basis_amplitudes(draw, rows)      # |amp[s, r, a]| = |<b_a|v_r>|
-        else:
-            amp = rows @ gram_schmidt_unitary(draw).conj()
+        amp = rows @ gram_schmidt_unitary(draw).conj()
         cond = (amp.real**2 + amp.imag**2).reshape(m, count, rank, d).sum(axis=2)
         best = max(best, float(_label_information(cond).max()))
     return best
+
+
+def _support_table(kraus: np.ndarray) -> np.ndarray:
+    """``kraus`` if at most ``4**n`` wide, else its ``4**n`` vectors in a basis
+    of their span (Stinespring): ``rows^T = QR`` gives ``rows = R^T Q^T``,
+    the same inner products.  Householder QR leaves ``R`` a real diagonal,
+    made nonnegative, so it is the Cholesky factor of independent vectors'
+    Gram matrix, and the table depends on nothing else."""
+    d, _, width = kraus.shape
+    if width <= d * d:
+        return kraus
+    r = np.linalg.qr(kraus.reshape(d * d, width).T, mode="r")
+    r *= np.where(r.diagonal().real < 0.0, -1.0, 1.0)[:, None]
+    return r.T.reshape(d, d, d * d)
 
 
 def xor_entropy_bound(ed: ErrorDistribution) -> float:
@@ -271,17 +282,20 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     (``fourier_spectrum``) both take one Walsh transform ``W`` of the
     original table regrouped by error pattern (``walsh_table``), while
     the error distribution they are checked against comes independently
-    from the conjugate-basis table (``xor_error_distribution``).
+    from the conjugate-basis table (``xor_error_distribution``).  Every
+    later stage runs on the support table (``_support_table``), at most
+    ``4**n`` wide, and the report keeps the channel's ``eve_dim``.
     """
     ed = xor_error_distribution(ch)
+    kraus = _support_table(ch.kraus)
     delta_raw = ed.delta
     h_xor = xor_entropy_bound(ed)
 
-    chi_orig = kraus_holevo_chi(ch.kraus)
-    walsh = walsh_table(ch.kraus)
+    chi_orig = kraus_holevo_chi(kraus)
+    walsh = walsh_table(kraus)
     chi_sym = symmetrized_holevo_chi(walsh)
 
-    i_lower = _accessible_info(ch.kraus, samples, seed)
+    i_lower = _accessible_info(kraus, samples, seed)
 
     lambdas = fourier_spectrum(walsh)
     spectrum_deviation = float(abs(lambdas - ed.probs).max())

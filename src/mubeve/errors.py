@@ -31,7 +31,12 @@ class OutOfRangeError(MubeveError):
 
 class InvalidArrayError(MubeveError):
     """Array argument that numpy cannot read as numbers: a non-numeric
-    entry, such as a string, or a ragged nesting of lists."""
+    entry, such as a string, a ragged nesting of lists, or an integer
+    beyond the double range.  ``reason`` says which of the two it found."""
+
+    def __init__(self, message, reason):
+        super().__init__(message)
+        self.reason = reason
 
 
 class EigensolverError(MubeveError):

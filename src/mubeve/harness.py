@@ -193,14 +193,15 @@ def _analyses(value, field, got) -> tuple[str, ...]:
 def _complex_array(value, field, got) -> np.ndarray:
     """Nested lists of [re, im] number pairs as a complex array, else
     ValidationError.  The entries are read by the library's array rule
-    (``linalg._as_array``), which refuses strings and booleans; finiteness
-    is ``from_unitary``'s rule, since a literal overflowing a double, such
-    as ``1e999``, reads as ``inf``."""
+    (``linalg._as_array``), which refuses strings, booleans and integers
+    beyond the double range, and the message carries the reason it found;
+    finiteness is ``from_unitary``'s rule, since a literal overflowing a
+    double, such as ``1e999``, reads as ``inf``."""
     message = "complex entries must be [re, im] pairs"
     try:
         arr = _as_array(value, float, field)
     except InvalidArrayError as exc:
-        raise ValidationError(field, f"{message} of numbers, not strings or booleans") from exc
+        raise ValidationError(field, f"{message} of numbers; found {exc.reason}") from exc
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValidationError(field, message)
     return arr.view(complex)[..., 0]

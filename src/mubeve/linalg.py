@@ -111,7 +111,9 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
             raise TypeError(f"entries of dtype {a.dtype} are not numbers")
         return np.array(a, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise InvalidArrayError(f"{what} is not a rectangular array of numbers") from exc
+        reason = ("an integer beyond the double range" if isinstance(exc, OverflowError)
+                  else "an entry that is not a number")
+        raise InvalidArrayError(f"{what} is not a rectangular array of numbers", reason) from exc
 
 
 def as_index(i, n: int) -> int:

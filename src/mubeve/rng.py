@@ -46,9 +46,8 @@ the phases fixed so that ``R`` has a positive real diagonal: column k is
 the normalized part of input column k orthogonal to the columns before
 it, as with Gram-Schmidt.  So the first k columns of a random unitary
 depend only on the first k columns of its Gaussian matrix, and
-:func:`random_isometry` draws just those entries.  Where only the moduli of
-some vectors' amplitudes in such a basis matter, :func:`basis_amplitudes`
-appends the vectors to the matrix and reads them off ``R`` instead.
+:func:`random_isometry` draws just those entries.  The measured search
+forms its bases, at most ``4**n`` wide, the same way.
 
 Test vectors (first outputs for a given seed) are frozen in
 ``tests/test_rng.py`` and listed in the README.
@@ -211,15 +210,6 @@ def _gaussians_at(state: int, pairs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_diagonal(diag: np.ndarray) -> np.ndarray:
-    """``|diag|`` for the diagonal of a QR factor ``R``, or
-    DependentColumnsError when some entry is below TAU_RANK (or not finite)."""
-    size = np.abs(diag)
-    if size.size and not size.min() >= TAU_RANK:
-        raise DependentColumnsError("columns are numerically dependent")
-    return size
-
-
 def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of a matrix with at least as many rows
     as columns (a unitary when square, an isometry when tall), or of each
@@ -237,30 +227,10 @@ def gram_schmidt_unitary(a: np.ndarray) -> np.ndarray:
         )
     q, r = np.linalg.qr(a)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / _checked_diagonal(diag))[..., None, :]
-
-
-def basis_amplitudes(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Amplitudes of the vectors ``rows[r]`` in the Gram-Schmidt basis of
-    each matrix of a stack ``a`` of shape ``(m, d, d)``, each basis vector
-    up to a phase: ``amp[s, r, k]`` has the modulus of
-    ``(rows @ gram_schmidt_unitary(a).conj())[s, r, k]``, without forming
-    the basis.
-
-    The rows go after the columns of each matrix, and one Householder QR
-    (``mode="raw"``) applies its reflectors to them as well: beside the
-    ``d x d`` factor, ``R`` holds ``D Q^H rows^T``, where ``D`` holds the
-    column phases that ``gram_schmidt_unitary`` removes.  The factor of the
-    first ``d`` columns does not depend on the appended ones, so
-    DependentColumnsError is raised as by ``gram_schmidt_unitary``.
-    """
-    m, d, _ = a.shape
-    joined = np.empty((m, d, d + rows.shape[0]), dtype=complex)
-    joined[..., :d] = a
-    joined[..., d:] = rows.T
-    h = np.linalg.qr(joined, mode="raw")[0]   # h[s] holds R[s]^T on and below its diagonal
-    _checked_diagonal(np.diagonal(h, axis1=-2, axis2=-1))
-    return h[:, d:, :]
+    size = np.abs(diag)
+    if size.size and not size.min() >= TAU_RANK:
+        raise DependentColumnsError("columns are numerically dependent")
+    return q * (diag / size)[..., None, :]
 
 
 def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:

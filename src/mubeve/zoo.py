@@ -50,11 +50,11 @@ KINDS = {
         "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
-# Work limits of a document, beside the cell limits.  A (1, 256) basis of
-# the measured search, scored with the Kraus rows appended to its draw,
-# takes about 5 ms (2-core x86 VM, one BLAS thread), so the largest search
-# takes about 5 s; on the formed-basis route, where eve_dim <= 4**n, the
-# costliest cell is (3, 64) at about 0.4 ms a basis.
+# Work limits of a document, beside the cell limits.  The measured search
+# draws its bases on the support of the Kraus vectors, min(eve_dim, 4**n)
+# wide, so its costliest cell is (3, 64), at about 0.4-0.7 ms a basis
+# (2-core x86 VM, one BLAS thread): the largest search takes under a
+# second, and a (1, 256) audit with 1,024 bases about 4.5 ms.
 MAX_POVM_SAMPLES = 1024
 MAX_COUNT = 1024         # attacks per campaign cell
 MAX_GRID_CELLS = 64

@@ -221,12 +221,11 @@ class TestAccessibleInfoLowerBound:
     @pytest.mark.parametrize("n, eve_dim",
                              [(1, 8), (2, 4), (3, 2), (4, 32), (1, 256), (2, 32)])
     def test_kraus_columns_match_dense_ensemble(self, monkeypatch, n, eve_dim):
-        # the audit scores each basis against the Kraus vectors (reduced by
-        # QR where they outnumber eve_dim), in blocks, and where the rows
-        # are fewer than eve_dim (eve_dim > 4**n) from the QR of the draw
-        # with the rows appended; the checker measures the same bases, drawn
-        # one at a time from its own stream, on the dense states: both see
-        # the same outcome probabilities
+        # the audit scores each basis against the Kraus vectors of the
+        # support table (at most 4**n wide, and reduced by QR where they
+        # outnumber its width), in blocks; the checker measures the same
+        # bases, drawn one at a time from its own stream, on the dense
+        # states of that table: both see the same outcome probabilities
         scored, bases = [], []
         label_information = bounds._label_information
         orthonormal_columns = reference.orthonormal_columns
@@ -243,26 +242,26 @@ class TestAccessibleInfoLowerBound:
         monkeypatch.setattr(bounds, "_label_information", recording)
         monkeypatch.setattr(reference, "orthonormal_columns", recording_basis)
         ch = random_attack(n, eve_dim, 40 + n)
-        got = bounds._accessible_info(ch.kraus, 6, 3)
+        got = audit_attack(ch, 6, 3).i_lower
         kraus = np.concatenate(scored)
-        states = states_of(ch)
+        states = reference._states(bounds._support_table(ch.kraus))
         want = reference.measured_information(states, 6, 3)
         dense = np.stack([np.einsum("xa,ixy,ya->ia", basis.conj(), states, basis).real
                           for basis in bases])
-        assert kraus.shape == dense.shape == (6, ch.dim, eve_dim)
+        assert kraus.shape == dense.shape == (6, ch.dim, min(eve_dim, 4**n))
         assert np.max(np.abs(kraus - dense)) <= 1e-12
         assert abs(got - want) <= 1e-12
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 8), (3, 2)])
     def test_dependent_draw_raises_on_each_route(self, monkeypatch, n, eve_dim):
-        # (1, 8) scores with the rows appended to the draw, (3, 2) through
-        # the formed basis; both check the draw's rank
-        kraus = random_attack(n, eve_dim, 5).kraus
+        # (1, 8) is measured on its 4-wide support table, (3, 2) on its own
+        # 2 columns; both check the draw's rank
+        ch = random_attack(n, eve_dim, 5)
         monkeypatch.setattr(
             rng_module, "_gaussians_at", lambda state, pairs: np.ones(pairs.size, complex)
         )
         with pytest.raises(DependentColumnsError):
-            bounds._accessible_info(kraus, 2, 0)
+            audit_attack(ch, 2, 0)
 
     def test_negative_samples_rejected(self):
         ch = random_attack(1, 2, 3)
@@ -323,6 +322,24 @@ class TestPgmStack:
         if eve_dim > 4**n:
             assert rows == width
             assert max(solved) < eve_dim
+
+    @pytest.mark.parametrize("n, eve_dim", [(1, 8), (2, 128), (1, 256)])
+    def test_search_draws_on_the_support(self, monkeypatch, n, eve_dim):
+        # where eve_dim > 4**n every basis is drawn on the support table,
+        # 4**n wide, and the report keeps the channel's eve_dim
+        shapes = []
+        draw = rng_module.SplitMix64.gaussian_matrix
+
+        def recording(stream, rows, cols):
+            shapes.append((rows, cols))
+            return draw(stream, rows, cols)
+
+        ch = random_attack(n, eve_dim, 17)
+        monkeypatch.setattr(rng_module.SplitMix64, "gaussian_matrix", recording)
+        rep = audit_attack(ch, 8, 1)
+        assert rep.eve_dim == eve_dim
+        assert {cols for _, cols in shapes} == {4**n}
+        assert sum(rows for rows, _ in shapes) == 8 * 4**n
 
     def projectors(self, d):
         return np.stack([np.diag(np.eye(d)[k]).astype(complex) for k in range(d)])
@@ -670,7 +687,7 @@ class TestKrausHolevo:
         assert abs(rep.h_xor - reference._h(probs)) <= 1e-12
         assert abs(rep.chi_orig - dense_chi(ch.kraus)) <= 1e-12
         assert abs(rep.chi_sym - dense_chi(sym)) <= 1e-12
-        assert kraus_holevo_chi(ch.kraus) == rep.chi_orig
+        assert kraus_holevo_chi(bounds._support_table(ch.kraus)) == rep.chi_orig
         assert abs(rep.chi_sym - kraus_holevo_chi(symmetrize(ch).kraus)) <= 1e-12
         sigma, lambdas = oracle.sigma_matrix(oracle.purification_vectors(sym))
         assert np.max(np.abs(rep.fourier_eigenvalues - lambdas)) <= 1e-12

@@ -32,7 +32,9 @@ from mubeve.zoo import KINDS, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Frozen reports: of the former pure-Python Jacobi eigensolver (jacobi_*),
-# and of the declared-limit cells at 8d7d308 (limit_cells_campaign.csv).
+# of the declared-limit cells at 8d7d308 (limit_cells_campaign.csv), and of
+# cells with eve_dim > 4**n before the audit ran on the support
+# (support_cells_campaign.csv, at 23a86a3).
 FROZEN = Path(__file__).resolve().parent / "data"
 
 
@@ -197,6 +199,21 @@ class TestParseScenario:
         with pytest.raises(ValidationError) as err:
             parse_scenario(minimal_scenario(attack=attack))
         assert err.value.field == field
+
+    @pytest.mark.parametrize("attack, field", [
+        ({"unitary": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]], "ancilla": [[1, 0]]},
+         "attack.unitary"),
+        ({"unitary": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "ancilla": [[-(10**400), 0]]},
+         "attack.ancilla"),
+    ])
+    def test_integer_beyond_double_named_as_such(self, attack, field):
+        # the array rule's reason, not "not a number", reaches the message
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(minimal_scenario(attack=attack))
+        assert str(err.value) == (
+            f"{field}: complex entries must be [re, im] pairs of numbers; "
+            "found an integer beyond the double range"
+        )
 
     @pytest.mark.parametrize("text", [
         # top level, inside the attack object, inside a nested list
@@ -569,6 +586,18 @@ class TestFrozenReports:
         assert_rows_close(list(csv.DictReader((tmp_path / "limit.csv").read_text()
                                               .splitlines())),
                           "limit_cells_campaign.csv")
+
+    @pytest.mark.slow
+    def test_support_cells(self, tmp_path):
+        # one attack at each of five cells wider than 4**n, 1,024 bases: the
+        # search on the support table found what the whole apparatus did
+        cfg = CampaignConfig(grid=((1, 8), (1, 16), (1, 256), (2, 32), (2, 128)), count=1,
+                             master_seed=20261020, output=str(tmp_path / "support.csv"),
+                             povm_samples=1024)
+        run_campaign(cfg)
+        assert_rows_close(list(csv.DictReader((tmp_path / "support.csv").read_text()
+                                              .splitlines())),
+                          "support_cells_campaign.csv")
 
 
 class TestCli:

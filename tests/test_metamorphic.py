@@ -13,6 +13,14 @@ cell the audit reaches:
 * a permutation of the qubits, applied to input and output labels alike,
   preserves XOR and the bit-wise dot product.
 
+An isometry ``V`` into a wider apparatus, ``K' = K @ V.T`` with
+``eve_dim' > 4**n``, keeps the inner products of the Kraus vectors.  The
+audit runs on a support table at most ``4**n`` wide, which for a random
+attack (whose leading vectors span the others) is the same, up to
+rounding, whatever ``V`` is.  So with the random search on, ``i_lower``
+agrees between two embeddings and lies between the pretty good
+measurement and ``chi_orig``.
+
 Two attacks side by side on disjoint qubits and apparatus form one attack
 whose Kraus table is the tensor product of theirs.  On it ``h_xor``,
 ``chi_orig`` and ``chi_sym`` add and the no-error probability ``1 - delta``
@@ -27,7 +35,7 @@ from hypothesis import strategies as st
 
 from mubeve.bounds import audit_attack
 from mubeve.channel import AttackChannel
-from mubeve.rng import random_unitary
+from mubeve.rng import random_isometry, random_unitary
 from mubeve.zoo import random_attack
 
 FIELDS = ("delta", "h_xor", "chi_orig", "chi_sym", "i_lower", "boykin_rhs",
@@ -77,6 +85,32 @@ def test_qubit_permutation(ch, data):
     weights = 1 << np.arange(ch.n)[::-1]            # qubit 1 is the top bit
     bits = (np.arange(ch.dim)[:, None] & weights) > 0
     assert_same_audit(ch, relabelled(ch.kraus, bits[:, order] @ weights))
+
+
+# n = 1 and 2, the cells that an embedding can widen beyond 4**n
+NARROW = st.builds(
+    lambda cell, seed: random_attack(*cell, seed),
+    st.integers(1, 2).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))),
+    st.integers(0, 2**64 - 1),
+)
+
+
+def embedded(ch, width, seed):
+    return AttackChannel(ch.n, width, ch.kraus @ random_isometry(width, ch.eve_dim, seed).T)
+
+
+@CHECKED
+@given(ch=NARROW, data=st.data())
+def test_support_reduction(ch, data):
+    wide = st.tuples(st.integers(max(ch.eve_dim, 4**ch.n) + 1, 512 >> ch.n),
+                     st.integers(0, 2**64 - 1))
+    first, second = (embedded(ch, *data.draw(wide)) for _ in range(2))
+    assert_same_audit(ch, first.kraus)
+    pgm = audit_attack(ch, 0, 0).i_lower
+    a, b = (audit_attack(embedding, 16, 5) for embedding in (first, second))
+    assert a.eve_dim == first.eve_dim
+    assert pgm - TOL <= a.i_lower <= a.chi_orig + TOL
+    assert abs(a.i_lower - b.i_lower) <= TOL, (a.i_lower, b.i_lower)
 
 
 def product_table(a, b):

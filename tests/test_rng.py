@@ -20,7 +20,6 @@ from mubeve.rng import (
     MASK64,
     SplitMix64,
     _gaussians_at,
-    basis_amplitudes,
     gram_schmidt_unitary,
     mix,
     mix64,
@@ -291,24 +290,6 @@ class TestGramSchmidt:
         stack[1, :, 3] = 0.0
         with pytest.raises(DependentColumnsError):
             gram_schmidt_unitary(stack)
-
-
-class TestBasisAmplitudes:
-    @pytest.mark.parametrize("d, count", [(8, 4), (64, 16), (16, 16), (4, 9)])
-    def test_moduli_match_the_formed_basis(self, d, count):
-        stack = SplitMix64(d).gaussian_matrix(3 * d, d).reshape(3, d, d)
-        rows = SplitMix64(count).gaussian_matrix(count, d)
-        got = basis_amplitudes(stack, rows)
-        want = rows @ gram_schmidt_unitary(stack).conj()
-        assert got.shape == want.shape == (3, count, d)
-        assert np.max(np.abs(np.abs(got) - np.abs(want))) <= 1e-12
-
-    def test_one_dependent_matrix_in_stack(self):
-        # the appended rows are independent; the draw itself is not
-        stack = SplitMix64(6).gaussian_matrix(3 * 8, 8).reshape(3, 8, 8)
-        stack[1, :, 5] = 3.0 * stack[1, :, 2]
-        with pytest.raises(DependentColumnsError):
-            basis_amplitudes(stack, SplitMix64(7).gaussian_matrix(2, 8))
 
 
 class TestRandomUnitary:
