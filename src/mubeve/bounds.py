@@ -188,7 +188,11 @@ def _support_table(kraus: np.ndarray) -> np.ndarray:
     of their span (Stinespring): ``rows^T = QR`` gives ``rows = R^T Q^T``,
     the same inner products.  Householder QR leaves ``R`` a real diagonal,
     made nonnegative, so it is the Cholesky factor of independent vectors'
-    Gram matrix, and the table depends on nothing else."""
+    Gram matrix: where the leading Kraus vectors are independent, the
+    table depends on nothing else.  Past a dependent vector the rows of
+    ``R`` depend on rounding, and so do the scores of the seeded bases;
+    random attacks never meet this, and a canonical table (a projected
+    Gram square root or a pivoted factor) would remove it."""
     d, _, width = kraus.shape
     if width <= d * d:
         return kraus

@@ -423,16 +423,18 @@ def run_campaign(cfg: CampaignConfig, output_path: str | None = None) -> Campaig
     Writes per-attack rows to the output path as CSV plus a JSON mirror
     alongside it.  The sub-seed for cell (n, d, k) is
     ``mix(master_seed, n, d, k)``, so output does not depend on execution
-    order; reruns are byte-identical.  An output path that would collide
-    with its mirror (see ``_campaign_paths``) is rejected before any audit.
+    order; reruns are byte-identical.  A ``count`` that is not an integer
+    of at least 0 (OutOfRangeError) and an output path that would collide
+    with its mirror (see ``_campaign_paths``) are rejected before any audit.
     """
+    count = _as_integer(cfg.count, "count", 0)
     csv_path, json_path = _campaign_paths(
         output_path if output_path is not None else cfg.output
     )
     rows: list[tuple[str, BoundsReport]] = []
     seeds: list[int] = []
     for n, eve_dim in cfg.grid:
-        for k in range(cfg.count):
+        for k in range(count):
             sub = mix(cfg.master_seed, n, eve_dim, k)
             ch = random_attack(n, eve_dim, sub)
             report = audit_attack(ch, cfg.povm_samples, mix(sub, 1))

@@ -42,11 +42,10 @@ TAU_SUPPORT = 1e-12  # a PGM average's eigenvalues (factor s**2) above this span
 TAU_RANK = 1e-12     # |R_kk| below this makes QR columns numerically dependent
 TAU_SLACK = 1e-9     # audit theorem checks, and the range of report fields
 
-# Largest supported qubit count for basis transforms and channels.
-N_MAX = 4
 # Largest supported total dimension, eve_dim * 2**n of a cell and the rows
 # of a random isometry.
 MAX_TOTAL_DIM = 512
+N_MAX = MAX_TOTAL_DIM.bit_length() - 1  # largest n whose 2**n strings fit it
 
 
 def _shown(value) -> str:

@@ -34,6 +34,8 @@ from mubeve.errors import (
     TheoremViolation,
 )
 from mubeve.linalg import (
+    MAX_TOTAL_DIM,
+    N_MAX,
     DensityMatrix,
     hermitian_eigendecomposition,
     partial_trace,
@@ -501,23 +503,37 @@ class TestAuditAttack:
                     assert rep.spectrum_deviation <= 1e-9
                     idx += 1
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        # every n the parser accepts, total dimension 2**n * eve_dim <= 64
-        cell=st.integers(1, 4).flatmap(
-            lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))
-        ),
-        seed=st.integers(0, 2**63 - 1),
-    )
-    def test_bound_chain_property(self, cell, seed):
-        n, eve_dim = cell
-        rep = audit_attack(random_attack(n, eve_dim, seed), 4, seed)
+    @staticmethod
+    def assert_bound_chain(rep):
         assert rep.slack_main >= -1e-9
         assert rep.slack_measured >= -1e-9
         assert rep.i_lower <= rep.chi_orig + 1e-9
         # data processing: reading the shift register recovers the
         # original ensemble, so symmetrizing cannot lose information
         assert rep.chi_orig <= rep.chi_sym + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # n = 1 to 6 at total dimension 2**n * eve_dim <= 64; the slow
+        # sweep below reaches N_MAX and the total-dimension limit
+        cell=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))
+        ),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_bound_chain_property(self, cell, seed):
+        n, eve_dim = cell
+        self.assert_bound_chain(audit_attack(random_attack(n, eve_dim, seed), 4, seed))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
+    def test_bound_chain_at_every_qubit_count(self, n):
+        # each n at the narrowest apparatus and at the widest the
+        # total-dimension limit admits
+        for eve_dim in (1, MAX_TOTAL_DIM >> n):
+            rep = audit_attack(random_attack(n, eve_dim, 4500 + n), 16, n)
+            self.assert_bound_chain(rep)
+            assert rep.spectrum_deviation <= 1e-9
 
     @pytest.mark.parametrize("seed", [2.5, -1.0, "1"])
     def test_seed_must_be_a_stream_seed(self, seed):
@@ -694,7 +710,10 @@ class TestKrausHolevo:
         deviation = oracle.sigma_spectrum_check(sigma, lambdas, probs)
         assert abs(rep.spectrum_deviation - deviation) <= 1e-12
 
-    @pytest.mark.parametrize("n, eve_dim", [(1, 1), (1, 2), (2, 1), (2, 4), (3, 2), (1, 8)])
+    @pytest.mark.parametrize("n, eve_dim", [
+        (1, 1), (1, 2), (2, 1), (2, 4), (3, 2), (1, 8), (5, 2),
+        pytest.param(6, 1, marks=pytest.mark.slow),
+    ])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_oracle(self, n, eve_dim, seed):
         self.assert_matches_dense(random_attack(n, eve_dim, 7100 + seed))
@@ -705,7 +724,7 @@ class TestKrausHolevo:
     def test_matches_dense_oracle_at_largest_apparatus(self):
         self.assert_matches_dense(random_attack(1, 256, 7300))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
     def test_identity_is_exactly_zero(self, n):
         # the symmetrized table is square per input here: the tie that must
         # take the dense side, where the spectrum is exactly one 1

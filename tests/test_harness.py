@@ -34,7 +34,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Frozen reports: of the former pure-Python Jacobi eigensolver (jacobi_*),
 # of the declared-limit cells at 8d7d308 (limit_cells_campaign.csv), and of
 # cells with eve_dim > 4**n before the audit ran on the support
-# (support_cells_campaign.csv, at 23a86a3).
+# (support_cells_campaign.csv, at 23a86a3), and of the cells at n = 5 to 9
+# when the qubit cap was derived from the total-dimension limit
+# (qubit_cells_campaign.csv).
 FROZEN = Path(__file__).resolve().parent / "data"
 
 
@@ -533,6 +535,22 @@ class TestRunCampaign:
         assert err.value.field == "output"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("count, message", [
+        (2.5, "count 2.5 is not an integer"),
+        (-1, "count -1 must be at least 0"),
+    ])
+    def test_bad_count_rejected_before_auditing(self, tmp_path, monkeypatch, count, message):
+        # a float failed in range(); a negative count wrote an empty report
+        def no_audit(*args):
+            raise AssertionError("audited before the count was checked")
+
+        monkeypatch.setattr(harness, "audit_attack", no_audit)
+        cfg = CampaignConfig(grid=((1, 2),), count=count, master_seed=3,
+                             output=str(tmp_path / "rows.csv"), povm_samples=2)
+        with pytest.raises(OutOfRangeError, match=message):
+            run_campaign(cfg)
+        assert list(tmp_path.iterdir()) == []
+
     def test_summary_matches_rows(self, tmp_path):
         cfg = CampaignConfig(grid=((1, 2),), count=4, master_seed=9,
                              output=str(tmp_path / "c.csv"), povm_samples=4)
@@ -565,7 +583,7 @@ def assert_rows_close(rows, frozen_csv):
 
 class TestFrozenReports:
     """The LAPACK eigen path reproduces the Jacobi-era reports to 1e-12, and
-    the declared-limit cells their rows frozen at 8d7d308."""
+    the declared-limit and qubit cells their frozen rows."""
 
     def test_campaign_small(self, campaign_small_rows):
         assert_rows_close(campaign_small_rows, "jacobi_campaign_small.csv")
@@ -586,6 +604,16 @@ class TestFrozenReports:
         assert_rows_close(list(csv.DictReader((tmp_path / "limit.csv").read_text()
                                               .splitlines())),
                           "limit_cells_campaign.csv")
+
+    def test_qubit_cells(self, tmp_path):
+        # one attack at each n = 5 to 9 at total dimension 512, 16 bases
+        cfg = CampaignConfig(grid=((5, 16), (6, 8), (7, 4), (8, 2), (9, 1)), count=1,
+                             master_seed=20261021, output=str(tmp_path / "qubit.csv"),
+                             povm_samples=16)
+        run_campaign(cfg)
+        assert_rows_close(list(csv.DictReader((tmp_path / "qubit.csv").read_text()
+                                              .splitlines())),
+                          "qubit_cells_campaign.csv")
 
     @pytest.mark.slow
     def test_support_cells(self, tmp_path):

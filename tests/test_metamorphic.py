@@ -26,6 +26,10 @@ whose Kraus table is the tensor product of theirs.  On it ``h_xor``,
 ``chi_orig`` and ``chi_sym`` add and the no-error probability ``1 - delta``
 multiplies; ``i_lower`` is left out, since accessible information is not
 additive.
+
+Above total dimension 64 these relations are the reference: the checker's
+dense states do not fit there (its symmetrized stack at (9, 1) would take
+2 GiB).
 """
 
 import numpy as np
@@ -42,10 +46,10 @@ FIELDS = ("delta", "h_xor", "chi_orig", "chi_sym", "i_lower", "boykin_rhs",
           "corollary_rhs", "slack_main", "slack_measured", "spectrum_deviation")
 TOL = 1e-12
 
-# every n the parser accepts, total dimension 2**n * eve_dim <= 64
+# n = 1 to 6 at total dimension 2**n * eve_dim <= 64
 ATTACKS = st.builds(
     lambda cell, seed: random_attack(*cell, seed),
-    st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))),
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 64 >> n))),
     st.integers(0, 2**64 - 1),
 )
 CHECKED = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -121,7 +125,8 @@ def product_table(a, b):
 
 
 def assert_product_audit(left, right):
-    # AttackChannel and audit_attack take any n, so the product may pass N_MAX
+    # AttackChannel and audit_attack take any n; a product at total
+    # dimension <= MAX_TOTAL_DIM has n <= N_MAX, as a parsed cell does
     both = AttackChannel(left.n + right.n, left.eve_dim * right.eve_dim,
                          product_table(left.kraus, right.kraus))
     whole, a, b = (audit_attack(ch, 0, 0) for ch in (both, left, right))
@@ -147,7 +152,8 @@ def test_tensor_product(data):
 @pytest.mark.slow
 @pytest.mark.parametrize("left, right", [
     ((4, 1), (1, 2)), ((3, 2), (3, 2)), ((4, 1), (3, 2)), ((4, 2), (4, 1)), ((4, 1), (4, 1)),
+    ((5, 1), (4, 1)),
 ], ids=str)
-def test_tensor_product_beyond_n_max(left, right):
-    # products of n = 5 to 8 at total dimension <= 512
+def test_tensor_product_at_large_cells(left, right):
+    # products of n = 5 to 9 at total dimension <= 512, above the checker's reach
     assert_product_audit(random_attack(*left, 5), random_attack(*right, 6))

@@ -53,7 +53,7 @@ def audit(doc, path):
     return json.loads(out.getvalue())[0]
 
 
-@pytest.mark.parametrize("n, eve_dim", [(1, 4), (2, 4)])
+@pytest.mark.parametrize("n, eve_dim", [(1, 4), (2, 4), (5, 2)])
 def test_perturbed_explicit_unitary_stays_within_budget(n, eve_dim, tmp_path):
     # u (I + tA), A Hermitian on the apparatus-|0> columns: its polar factor
     # is u, so u is the isometry the budget measures distances from

@@ -144,15 +144,14 @@ class TestCheckCell:
         assert not ch.kraus[~np.eye(d, dtype=bool)].any()
 
     @pytest.mark.parametrize("kind", ["intercept_resend", "cnot_probe"])
-    def test_pointer_kinds_checked_at_their_apparatus_size(self, kind, monkeypatch):
+    def test_pointer_kinds_checked_at_their_apparatus_size(self, kind):
         # a pointer kind keeps a 2**n apparatus: at the first n with 4**n >
         # MAX_TOTAL_DIM (5, a 32 x 32 = 1024 table, at a limit of 512) the
-        # table is too large, which N_MAX alone hides
-        n = (MAX_TOTAL_DIM.bit_length() - 1) // 2 + 1
-        monkeypatch.setattr(zoo, "N_MAX", n)
-        AttackSpec("identity", n)
-        with pytest.raises(DimensionTooLargeError, match=str(4**n)):
-            AttackSpec(kind, n)
+        # table is too large, though N_MAX admits n, and so on up to N_MAX
+        for n in (N_MAX // 2 + 1, N_MAX):
+            AttackSpec("identity", n)
+            with pytest.raises(DimensionTooLargeError, match=str(4**n)):
+                AttackSpec(kind, n)
 
     def test_every_kind_has_an_arity_and_a_note(self):
         for kind in KINDS.values():
