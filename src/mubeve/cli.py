@@ -69,7 +69,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_campaign(args) -> int:
     cfg = _load(args, parse_campaign, "master_seed")
-    summary = run_campaign(cfg, output_path=args.out)
+    if args.out is not None:
+        cfg = replace(cfg, output=args.out)
+    summary = run_campaign(cfg)
     print(
         f"campaign: {summary.rows} attacks, "
         f"min slack_main {summary.min_slack_main:.3e}, "

@@ -54,10 +54,9 @@ ANALYSES = ("audit", "sigma_spectrum", "sweep")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario document.  ``attack`` is a named spec, or the channel
-    of an explicit unitary, built once while parsing."""
+    """One scenario document.  ``attack``, a named spec or the channel of an
+    explicit unitary built once while parsing, holds ``n_qubits`` as ``n``."""
 
-    n_qubits: int
     attack: AttackSpec | AttackChannel
     povm_samples: int
     seed: int
@@ -143,31 +142,24 @@ def _read_fields(doc, table, prefix="", got=None) -> dict:
     return got
 
 
-class _naming:
-    """Context that reports a library validation error raised inside as
-    ValidationError(field); a class, since parsing enters one per field and
-    a generator-based context manager costs more to enter and leave."""
+_NAMED = (DimensionMismatchError, DimensionTooLargeError, NotUnitaryError,
+          OutOfRangeError, UnsupportedCombinationError)
 
-    _NAMED = (DimensionMismatchError, DimensionTooLargeError, NotUnitaryError,
-              OutOfRangeError, UnsupportedCombinationError)
 
-    def __init__(self, field):
-        self.field = field
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, self._NAMED):
-            raise ValidationError(self.field, str(exc)) from exc
+def _named(field, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a library rule, with its validation errors
+    reported as ValidationError(field)."""
+    try:
+        return check(*args, **kwargs)
+    except _NAMED as exc:
+        raise ValidationError(field, str(exc)) from exc
 
 
 def _rule(check, *args):
     """Reader of the value ``check(value, *args)`` returns, by a library rule
     such as ``linalg._as_integer``, whose errors name the field."""
     def read(value, field, got=None):
-        with _naming(field):
-            return check(value, *args)
+        return _named(field, check, value, *args)
     return read
 
 
@@ -175,7 +167,7 @@ read_seed = _rule(_checked_seed)  # the stream's seed rule
 
 
 def _sweep_thetas(value, field, got) -> tuple[float, ...]:
-    thetas = _rule(_as_reals, "sweep_thetas")(value, field)
+    thetas = _named(field, _as_reals, value, "sweep_thetas")
     if len(thetas) > MAX_SWEEP_THETAS:
         raise ValidationError(field, f"has {len(thetas)} angles, at most {MAX_SWEEP_THETAS}")
     return thetas
@@ -215,7 +207,7 @@ def _kind(value, field, got) -> str:
 
 def _attack_n(value, field, got) -> int:
     """``attack.n``, which must equal ``n_qubits``, preset in ``got["n"]``."""
-    if _rule(_as_integer, "qubit count")(value, field) != got["n"]:
+    if _named(field, _as_integer, value, "qubit count") != got["n"]:
         raise ValidationError(field, f"disagrees with n_qubits={got['n']}")
     return value
 
@@ -223,8 +215,7 @@ def _attack_n(value, field, got) -> int:
 def _kind_field(read):
     """Reader of a ``zoo.KIND_FIELDS`` field, an error on a kind not taking it."""
     def reader(value, field, got):
-        with _naming(field):
-            check_takes(got["kind"], field.rpartition(".")[2])
+        _named(field, check_takes, got["kind"], field.rpartition(".")[2])
         return read(value, field)
     return reader
 
@@ -233,19 +224,18 @@ def _attack(value, field, got) -> AttackSpec | AttackChannel:
     """A named attack spec, or the channel of an explicit unitary, built once."""
     if not isinstance(value, dict):
         raise ValidationError(field, "must be an object")
-    n_qubits, prefix = got["n_qubits"], field + "."
+    n_qubits, prefix = got.pop("n_qubits"), field + "."  # kept only as attack.n
     if "unitary" in value:
         arrays = _read_fields(value, EXPLICIT_ATTACK_FIELDS, prefix)
         try:
             if arrays["unitary"].ndim == 2:  # from_unitary rejects every other shape
                 check_cell(n_qubits, arrays["unitary"].shape[0] >> n_qubits)
             return from_unitary(arrays["unitary"], arrays["ancilla"], n_qubits)
-        except _naming._NAMED as exc:  # from_unitary's message starts with its array
+        except _NAMED as exc:  # from_unitary's message starts with its array
             array = "ancilla" if str(exc).startswith("ancilla") else "unitary"
             raise ValidationError(prefix + array, str(exc)) from exc
     spec = _read_fields(value, NAMED_ATTACK_FIELDS, prefix, {"n": n_qubits})
-    with _naming(field):
-        return AttackSpec(**spec)
+    return _named(field, AttackSpec, **spec)
 
 
 def _grid(value, field, got) -> tuple[tuple[int, int], ...]:
@@ -256,8 +246,7 @@ def _grid(value, field, got) -> tuple[tuple[int, int], ...]:
     for pos, cell in enumerate(value):
         if not isinstance(cell, list) or len(cell) != 2:
             raise ValidationError(f"{field}[{pos}]", "must be an [n, eve_dim] integer pair")
-        with _naming(f"{field}[{pos}]"):
-            check_cell(*cell)
+        _named(f"{field}[{pos}]", check_cell, *cell)
     return tuple(map(tuple, value))
 
 
@@ -282,7 +271,7 @@ NAMED_ATTACK_FIELDS = {  # AttackSpec; attack.n defaults to n_qubits
 }
 EXPLICIT_ATTACK_FIELDS = {"unitary": (_complex_array, True),
                           "ancilla": (_complex_array, True)}
-SCENARIO_FIELDS = {  # ScenarioConfig
+SCENARIO_FIELDS = {  # ScenarioConfig; n_qubits goes to the attack reader
     "n_qubits": (_rule(_as_integer, "qubit count", 1, N_MAX), True),
     "attack": (_attack, True),
     "povm_samples": (_rule(_as_integer, "samples", 0, MAX_POVM_SAMPLES), True),
@@ -417,27 +406,32 @@ def _campaign_paths(output: str) -> tuple[Path, Path]:
     return csv, mirror
 
 
-def run_campaign(cfg: CampaignConfig, output_path: str | None = None) -> CampaignSummary:
+def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     """Audit seeded random attacks over the configured grid.
 
-    Writes per-attack rows to the output path as CSV plus a JSON mirror
+    Writes per-attack rows to ``cfg.output`` as CSV plus a JSON mirror
     alongside it.  The sub-seed for cell (n, d, k) is
     ``mix(master_seed, n, d, k)``, so output does not depend on execution
-    order; reruns are byte-identical.  A ``count`` that is not an integer
-    of at least 0 (OutOfRangeError) and an output path that would collide
-    with its mirror (see ``_campaign_paths``) are rejected before any audit.
+    order; reruns are byte-identical.  Before any attack is drawn it
+    rejects a cell that is not an (n, eve_dim) pair (OutOfRangeError) or
+    fails ``check_cell``, a ``count`` or ``povm_samples`` that is not an
+    integer of at least 0 (OutOfRangeError), and an output path that would
+    collide with its mirror (see ``_campaign_paths``).
     """
+    for pos, cell in enumerate(cfg.grid):
+        if not isinstance(cell, (tuple, list)) or len(cell) != 2:
+            raise OutOfRangeError(f"grid[{pos}] must be an (n, eve_dim) pair")
+        check_cell(*cell)
     count = _as_integer(cfg.count, "count", 0)
-    csv_path, json_path = _campaign_paths(
-        output_path if output_path is not None else cfg.output
-    )
+    csv_path, json_path = _campaign_paths(cfg.output)
+    samples = _as_integer(cfg.povm_samples, "samples", 0)
     rows: list[tuple[str, BoundsReport]] = []
     seeds: list[int] = []
     for n, eve_dim in cfg.grid:
         for k in range(count):
             sub = mix(cfg.master_seed, n, eve_dim, k)
             ch = random_attack(n, eve_dim, sub)
-            report = audit_attack(ch, cfg.povm_samples, mix(sub, 1))
+            report = audit_attack(ch, samples, mix(sub, 1))
             rows.append((f"n{n}_d{eve_dim}_k{k}", report))
             seeds.append(sub)
 

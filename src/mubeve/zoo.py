@@ -19,34 +19,33 @@ from .rng import _checked_seed, random_isometry
 
 class Kind(NamedTuple):
     arity: int              # number of params
-    takes: tuple[str, ...]  # the KIND_FIELDS it reads
     # (n, params) -> the table whose row i is the pointer kept for input i,
-    # or None for the kind whose interaction is drawn
+    # or None for a kind whose interaction is drawn, which reads KIND_FIELDS
     pointers: Callable[[int, tuple[float, ...]], np.ndarray] | None
     label: str              # attack_id, a format string over the AttackSpec fields
     note: str               # one line for ``mubeve zoo``
 
 
-# Optional fields of ``AttackSpec`` read only by the kinds that take them.
+# Optional fields of ``AttackSpec`` read only by the drawn kinds.
 KIND_FIELDS = ("eve_dim", "seed")
 
 KINDS = {
-    "identity": Kind(0, (), lambda n, p: np.ones((1 << n, 1)), "identity",
+    "identity": Kind(0, lambda n, p: np.ones((1 << n, 1)), "identity",
                      "no interaction; zero disturbance and zero information"),
     # per-qubit value flip |i> -> (-1)**|i| |i>, the last column of sign_grid
-    "phase_conversion": Kind(0, (), lambda n, p: sign_grid(n)[:, -1:], "phase_conversion",
+    "phase_conversion": Kind(0, lambda n, p: sign_grid(n)[:, -1:], "phase_conversion",
                              "per-qubit value flip; deterministic error, no gain"),
-    "intercept_resend": Kind(0, (), lambda n, p: np.eye(1 << n), "intercept_resend",
+    "intercept_resend": Kind(0, lambda n, p: np.eye(1 << n), "intercept_resend",
                              "measure in basis b and resend; pointer per string"),
-    "cnot_probe": Kind(0, (), lambda n, p: np.eye(1 << n), "cnot_probe",
+    "cnot_probe": Kind(0, lambda n, p: np.eye(1 << n), "cnot_probe",
                        "per-qubit copy into fresh ancilla qubits; "
                        "same Kraus table as intercept_resend"),
     "probe_overlap": Kind(
-        1, (), lambda n, p: np.array([[1.0, 0.0], [np.cos(p[0]), np.sin(p[0])]]),
+        1, lambda n, p: np.array([[1.0, 0.0], [np.cos(p[0]), np.sin(p[0])]]),
         "probe_overlap[theta={params[0]:.17g}]",
         "n=1 probe pair with overlap cos(theta); params: [theta]"),
     "random_unitary": Kind(
-        0, KIND_FIELDS, None, "random_unitary[n={n};d={eve_dim};seed={seed}]",
+        0, None, "random_unitary[n={n};d={eve_dim};seed={seed}]",
         "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
@@ -78,10 +77,10 @@ def check_cell(n: int, eve_dim: int) -> None:
 
 
 def check_takes(kind: str, key: str) -> None:
-    """UnsupportedCombinationError when a known ``kind`` does not take the
-    ``KIND_FIELDS`` field ``key``; an unknown kind is left to the kind check."""
-    if kind in KINDS and key not in KINDS[kind].takes:
-        takers = " or ".join(k for k, entry in KINDS.items() if key in entry.takes)
+    """UnsupportedCombinationError when a known ``kind`` is not drawn, so takes
+    no ``KIND_FIELDS`` field ``key``; an unknown kind is left to the kind check."""
+    if kind in KINDS and KINDS[kind].pointers is not None:
+        takers = " or ".join(k for k, entry in KINDS.items() if entry.pointers is None)
         raise UnsupportedCombinationError(f"only {takers} takes {key}, not {kind!r}")
 
 
@@ -90,8 +89,8 @@ class AttackSpec:
     """Named attack with its parameters.
 
     ``params`` carries the probe angle for ``probe_overlap``; ``eve_dim``
-    and ``seed`` belong to the kinds whose ``KINDS`` entry takes them, and
-    every other kind rejects values other than the defaults.  The cell is
+    and ``seed`` belong to the drawn kinds (no ``pointers``), and every
+    other kind rejects values other than the defaults.  The cell is
     checked at the width of the pointer table a kind keeps, which
     ``make_attack`` reuses, or at ``eve_dim`` for a drawn kind.  Construction
     rejects every spec that ``make_attack`` could not build or would ignore

@@ -7,6 +7,7 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -243,7 +244,7 @@ def test_criterion_8_campaign_determinism(tmp_path):
         povm_samples=shipped.povm_samples,
     )
     run_campaign(cfg)
-    run_campaign(cfg, output_path=str(tmp_path / "run2.csv"))
+    run_campaign(replace(cfg, output=str(tmp_path / "run2.csv")))
     first = (tmp_path / "run1.csv").read_bytes()
     second = (tmp_path / "run2.csv").read_bytes()
     _criterion(

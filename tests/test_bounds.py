@@ -1,6 +1,7 @@
 """Tests for information quantities, the bound chain and audits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -540,6 +541,16 @@ class TestAuditAttack:
         # not measured with seed 2, 2**64 - 1 or 1
         with pytest.raises(OutOfRangeError, match="seed"):
             audit_attack(random_attack(1, 2, 3), 4, seed)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"chi_orig": -1.0}, "negative entropic field in report"),
+        ({"delta": 1.5}, "delta 1.5 outside [0, 1]"),
+    ], ids=["negative-entropy", "delta-above-1"])
+    def test_report_fields_checked(self, change, message):
+        report = audit_attack(random_attack(1, 2, 3), 4, 5)
+        with pytest.raises(OutOfRangeError) as err:
+            replace(report, **change)
+        assert str(err.value) == message
 
     def test_swapped_holevo_values_violate_chain(self, swap_holevo):
         # chi_sym - chi_orig is about 0.7 here; only the new link sees the swap

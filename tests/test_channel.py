@@ -63,6 +63,9 @@ class TestFromUnitary:
             from_unitary(np.eye(5), [1.0, 0.0], 1)  # not a multiple of 2
         with pytest.raises(DimensionMismatchError):
             from_unitary(np.eye(4), [1.0, 0.0, 0.0], 1)  # ancilla length
+        with pytest.raises(DimensionMismatchError) as err:
+            from_unitary(np.ones((2, 4)), [1.0, 0.0], 1)
+        assert str(err.value) == "unitary must be square"
 
     def test_unnormalized_ancilla_rejected(self):
         with pytest.raises(NotUnitaryError):
@@ -283,6 +286,13 @@ class TestTypes:
         kraus = make_attack(AttackSpec("identity", 1)).kraus
         with pytest.raises(OutOfRangeError, match="not an integer"):
             AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
+
+    @pytest.mark.parametrize("n, eve_dim", [(0, 1), (1, 0), (-1, 1)])
+    def test_channel_sizes_must_be_positive(self, n, eve_dim):
+        kraus = make_attack(AttackSpec("identity", 1)).kraus
+        with pytest.raises(DimensionMismatchError) as err:
+            AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
+        assert str(err.value) == "n and eve_dim must be positive"
 
     @pytest.mark.parametrize("n, error", [(2.5, OutOfRangeError), (-1, DimensionMismatchError)])
     def test_from_unitary_qubit_count_checked(self, n, error):

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,7 @@ OVERFLOWING_IDS = [field for _, field, _ in OVERFLOWING]
 class TestParseScenario:
     def test_minimal_valid(self):
         cfg = parse_scenario(minimal_scenario())
-        assert cfg.n_qubits == 1
+        assert cfg.attack.n == 1
         assert isinstance(cfg.attack, AttackSpec)
         assert cfg.attack.kind == "phase_conversion"
         assert cfg.analyses == ("audit",)
@@ -113,6 +113,12 @@ class TestParseScenario:
         # Python refuses to convert integer literals of over 4300 digits
         with pytest.raises(ParseError, match="4300 digits"):
             parse_scenario(minimal_scenario().replace('"seed": 1', '"seed": ' + "9" * 5000))
+
+    def test_non_utf8_bytes_are_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(b"\xff{}")
+        assert str(err.value) == ("document is not UTF-8: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0: invalid start byte")
 
     def test_non_object_document(self):
         with pytest.raises(ParseError):
@@ -245,7 +251,8 @@ class TestParseScenario:
         ))
         assert cfg.seed == cfg.attack.seed == 2**64 - 1
 
-    @pytest.mark.parametrize("n_qubits", [0, N_MAX + 1])
+    # ids that name no limit, so a change of the limits renames no test
+    @pytest.mark.parametrize("n_qubits", [0, pytest.param(N_MAX + 1, id="above-cap")])
     def test_qubit_count_outside_range(self, n_qubits):
         with pytest.raises(ValidationError) as err:
             parse_scenario(minimal_scenario(n_qubits=n_qubits))
@@ -289,8 +296,9 @@ class TestParseCampaign:
         assert err.value.field == "grid[0]"
 
     @pytest.mark.parametrize("cell, message", [
-        ([0, 1], f"qubit count 0 outside [1, {N_MAX}]"),
-        ([N_MAX + 1, 1], f"qubit count {N_MAX + 1} outside [1, {N_MAX}]"),
+        pytest.param([0, 1], f"qubit count 0 outside [1, {N_MAX}]", id="zero"),
+        pytest.param([N_MAX + 1, 1], f"qubit count {N_MAX + 1} outside [1, {N_MAX}]",
+                     id="above-cap"),
         ([1, 0], "eve_dim 0 must be at least 1"),
     ])
     def test_cell_outside_limits(self, cell, message):
@@ -368,7 +376,15 @@ class TestFieldTables:
          "grid: missing required field"),
         (parse_campaign, {"grid": [[1, 1]], "count": 1, "master_seed": 0},
          "output: missing required field"),
-    ], ids=["attack", "attack.kind", "attack.kind-type", "n_qubits", "grid", "output"])
+        (parse_campaign, {"grid": {"n": 1}, "count": 1, "master_seed": 0, "output": "x.csv"},
+         "grid: must be a list of [n, eve_dim] pairs"),
+        # an explicit unitary of 2 x 4 entries: from_unitary's shape rule
+        (parse_scenario, {"n_qubits": 1, "attack": {
+            "unitary": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]]],
+            "ancilla": [[1, 0]]}, "povm_samples": 2, "seed": 1},
+         "attack.unitary: unitary must be square"),
+    ], ids=["attack", "attack.kind", "attack.kind-type", "n_qubits", "grid", "output",
+            "grid-type", "attack.unitary-shape"])
     def test_missing_or_mistyped_field(self, parse, doc, error):
         with pytest.raises(ValidationError) as err:
             parse(json.dumps(doc))
@@ -511,7 +527,7 @@ class TestRunCampaign:
                              output=str(tmp_path / "a.csv"), povm_samples=4)
         s1 = run_campaign(cfg)
         first = (tmp_path / "a.csv").read_bytes()
-        s2 = run_campaign(cfg, output_path=str(tmp_path / "b.csv"))
+        s2 = run_campaign(replace(cfg, output=str(tmp_path / "b.csv")))
         second = (tmp_path / "b.csv").read_bytes()
         assert first.split(b"\n", 1)[1] == second.split(b"\n", 1)[1]
         assert first == second
@@ -531,24 +547,35 @@ class TestRunCampaign:
         cfg = CampaignConfig(grid=((1, 1),), count=1, master_seed=3,
                              output=str(tmp_path / "rows.csv"), povm_samples=2)
         with pytest.raises(ValidationError) as err:
-            run_campaign(cfg, output_path=str(tmp_path / "rows.json"))
+            run_campaign(replace(cfg, output=str(tmp_path / "rows.json")))
         assert err.value.field == "output"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("count, message", [
-        (2.5, "count 2.5 is not an integer"),
-        (-1, "count -1 must be at least 0"),
-    ])
-    def test_bad_count_rejected_before_auditing(self, tmp_path, monkeypatch, count, message):
+    @pytest.mark.parametrize("change, message", [
         # a float failed in range(); a negative count wrote an empty report
-        def no_audit(*args):
-            raise AssertionError("audited before the count was checked")
+        ({"count": 2.5}, "count 2.5 is not an integer"),
+        ({"count": -1}, "count -1 must be at least 0"),
+        # the cells and the sample count are checked beside the count
+        ({"grid": ((1, 2), (2, 2), (0, 1))}, f"qubit count 0 outside [1, {N_MAX}]"),
+        ({"grid": ((1,),)}, "grid[0] must be an (n, eve_dim) pair"),
+        ({"grid": (5,)}, "grid[0] must be an (n, eve_dim) pair"),
+        ({"grid": ((1.5, 2),)}, "qubit count 1.5 is not an integer"),
+        ({"povm_samples": -1}, "samples -1 must be at least 0"),
+        ({"povm_samples": 2.5}, "samples 2.5 is not an integer"),
+    ], ids=["2.5-count 2.5 is not an integer", "-1-count -1 must be at least 0",
+            "cell-outside-limits", "cell-too-short", "cell-not-a-pair", "cell-float",
+            "samples-negative", "samples-float"])
+    def test_bad_count_rejected_before_auditing(self, tmp_path, monkeypatch, change, message):
+        def no_draw(*args):
+            raise AssertionError("drew an attack before the campaign was checked")
 
-        monkeypatch.setattr(harness, "audit_attack", no_audit)
-        cfg = CampaignConfig(grid=((1, 2),), count=count, master_seed=3,
+        monkeypatch.setattr(harness, "random_attack", no_draw)
+        monkeypatch.setattr(harness, "audit_attack", no_draw)
+        cfg = CampaignConfig(grid=((1, 2),), count=3, master_seed=3,
                              output=str(tmp_path / "rows.csv"), povm_samples=2)
-        with pytest.raises(OutOfRangeError, match=message):
-            run_campaign(cfg)
+        with pytest.raises(OutOfRangeError) as err:
+            run_campaign(replace(cfg, **change))
+        assert str(err.value) == message
         assert list(tmp_path.iterdir()) == []
 
     def test_summary_matches_rows(self, tmp_path):
@@ -566,7 +593,7 @@ class TestRunCampaign:
 def campaign_small_rows(tmp_path_factory):
     out = tmp_path_factory.mktemp("campaign") / "rows.csv"
     cfg = parse_campaign((SCENARIOS / "campaign_small.json").read_bytes())
-    run_campaign(cfg, output_path=str(out))
+    run_campaign(replace(cfg, output=str(out)))
     return list(csv.DictReader(out.read_text().splitlines()))
 
 
@@ -582,8 +609,7 @@ def assert_rows_close(rows, frozen_csv):
 
 
 class TestFrozenReports:
-    """The LAPACK eigen path reproduces the Jacobi-era reports to 1e-12, and
-    the declared-limit and qubit cells their frozen rows."""
+    """The program reproduces the frozen reports of ``tests/data`` to 1e-12."""
 
     def test_campaign_small(self, campaign_small_rows):
         assert_rows_close(campaign_small_rows, "jacobi_campaign_small.csv")

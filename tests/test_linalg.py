@@ -179,6 +179,11 @@ class TestEigendecomposition:
         with pytest.raises(NotHermitianError):
             hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            hermitian_eigendecomposition(np.ones((2, 3)))
+        assert str(err.value) == "expected a square matrix"
+
     def test_trace_identity(self):
         rng = np.random.default_rng(0)
         a = random_hermitian(rng, 8)

@@ -106,14 +106,17 @@ class TestCheckCell:
     def test_accepts_limit_cells(self, n, eve_dim):
         check_cell(n, eve_dim)
 
+    # ids that name no limit, so a change of the limits renames no test
     @pytest.mark.parametrize("n, eve_dim, error", [
         (0, 1, OutOfRangeError),
-        (N_MAX + 1, 1, OutOfRangeError),
+        pytest.param(N_MAX + 1, 1, OutOfRangeError, id="above-cap"),
         (-1, 1, OutOfRangeError),
         (1, 0, OutOfRangeError),
         # the first apparatus sizes over the total-dimension limit
-        (N_MAX, (MAX_TOTAL_DIM >> N_MAX) + 1, DimensionTooLargeError),
-        (1, MAX_TOTAL_DIM // 2 + 1, DimensionTooLargeError),
+        pytest.param(N_MAX, (MAX_TOTAL_DIM >> N_MAX) + 1, DimensionTooLargeError,
+                     id="cap-total-above-limit"),
+        pytest.param(1, MAX_TOTAL_DIM // 2 + 1, DimensionTooLargeError,
+                     id="one-qubit-total-above-limit"),
         # a float would pass the range checks and fail later as a TypeError
         (1, 2.5, OutOfRangeError),
         (1.0, 2, OutOfRangeError),
@@ -133,7 +136,7 @@ class TestCheckCell:
         # sits on the diagonal for input i, or eve_dim for the drawn kind
         entry = KINDS[kind]
         spec = AttackSpec(kind, n, params=(0.3,) * entry.arity,
-                          **({"eve_dim": 3} if "eve_dim" in entry.takes else {}))
+                          **({"eve_dim": 3} if entry.pointers is None else {}))
         ch = make_attack(spec)
         if entry.pointers is None:
             assert ch.eve_dim == spec.eve_dim
@@ -156,7 +159,9 @@ class TestCheckCell:
     def test_every_kind_has_an_arity_and_a_note(self):
         for kind in KINDS.values():
             assert kind.arity in (0, 1) and kind.note
-            assert set(kind.takes) <= set(KIND_FIELDS)
+            # a drawn kind, and only a drawn kind, takes the KIND_FIELDS
+            drawn = kind.pointers is None
+            assert ("fields: " + ", ".join(KIND_FIELDS) in kind.note) == drawn
 
 
 class TestMakeAttack:
