@@ -27,6 +27,7 @@ from .linalg import (
     _check_probabilities,
     _shown,
     as_index,
+    check_cell,
     walsh,
     xor_regroup,
 )
@@ -109,8 +110,10 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     ``u`` or ``ancilla`` that is not finite or has a part beyond 1 + TAU_UNIT
     in size, as no unitary or unit vector has, is a NotUnitaryError raised
     before any product: NaN fails no later comparison, and inf or a huge
-    entry would overflow in one.  Every message about ``ancilla`` starts
-    with that word, so a caller can tell which array an error concerns.
+    entry would overflow in one.  The cell (n, side / 2**n) of a square ``u``
+    goes through ``check_cell`` before the ancilla is checked.  Every message
+    about ``ancilla`` starts with that word, so a caller can tell which
+    array an error concerns.
     """
     u = _as_array(u, complex, "unitary")
     anc = _as_array(ancilla, complex, "ancilla").reshape(-1)
@@ -125,6 +128,7 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
         )
     d = 1 << n
     eve_dim = size // d
+    check_cell(n, eve_dim)
     if anc.shape != (eve_dim,):
         raise DimensionMismatchError(
             f"ancilla has dimension {anc.size}, expected {eve_dim}"

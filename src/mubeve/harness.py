@@ -27,7 +27,7 @@ from .errors import (
 )
 from .bounds import BoundsReport, audit_attack
 from .channel import AttackChannel, from_unitary
-from .linalg import N_MAX, _as_array, _as_integer, _as_reals
+from .linalg import N_MAX, _as_array, _as_integer, _as_reals, check_cell
 from .rng import _checked_seed, mix
 from .zoo import (
     KINDS,
@@ -36,7 +36,6 @@ from .zoo import (
     MAX_POVM_SAMPLES,
     MAX_SWEEP_THETAS,
     AttackSpec,
-    check_cell,
     check_takes,
     make_attack,
     random_attack,
@@ -228,8 +227,6 @@ def _attack(value, field, got) -> AttackSpec | AttackChannel:
     if "unitary" in value:
         arrays = _read_fields(value, EXPLICIT_ATTACK_FIELDS, prefix)
         try:
-            if arrays["unitary"].ndim == 2:  # from_unitary rejects every other shape
-                check_cell(n_qubits, arrays["unitary"].shape[0] >> n_qubits)
             return from_unitary(arrays["unitary"], arrays["ancilla"], n_qubits)
         except _NAMED as exc:  # from_unitary's message starts with its array
             array = "ancilla" if str(exc).startswith("ancilla") else "unitary"
@@ -239,12 +236,12 @@ def _attack(value, field, got) -> AttackSpec | AttackChannel:
 
 
 def _grid(value, field, got) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list):
+    if not isinstance(value, (list, tuple)):  # a tuple from a CampaignConfig
         raise ValidationError(field, "must be a list of [n, eve_dim] pairs")
     if len(value) > MAX_GRID_CELLS:
         raise ValidationError(field, f"has {len(value)} cells, at most {MAX_GRID_CELLS}")
     for pos, cell in enumerate(value):
-        if not isinstance(cell, list) or len(cell) != 2:
+        if not isinstance(cell, (list, tuple)) or len(cell) != 2:
             raise ValidationError(f"{field}[{pos}]", "must be an [n, eve_dim] integer pair")
         _named(f"{field}[{pos}]", check_cell, *cell)
     return tuple(map(tuple, value))
@@ -320,18 +317,20 @@ def check_analyses(cfg: ScenarioConfig, command: str) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
-    """Audit the configured attack."""
+    """Audit the configured attack, an AttackSpec or an AttackChannel."""
+    if not isinstance(cfg.attack, (AttackSpec, AttackChannel)):
+        raise ValidationError("attack", "must be an AttackSpec or an AttackChannel")
     ch = cfg.attack if isinstance(cfg.attack, AttackChannel) else make_attack(cfg.attack)
     return audit_attack(ch, cfg.povm_samples, cfg.seed)
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:
-    """Audit the one-parameter family of the configured kind across a grid
-    of angles; one ``(attack_label, report)`` row per angle."""
+    """Audit the one-parameter family of the configured kind at each angle of
+    ``sweep_thetas``, read as a document's; one ``(attack_label, report)`` row each."""
     if not isinstance(cfg.attack, AttackSpec) or KINDS[cfg.attack.kind].arity != 1:
         raise ValidationError("attack.kind", "sweep requires a probe_overlap attack")
     rows = []
-    for theta in cfg.sweep_thetas:
+    for theta in _sweep_thetas(cfg.sweep_thetas, "sweep_thetas", None):
         point = replace(cfg, attack=replace(cfg.attack, params=(theta,)))
         rows.append((attack_label(point), run_scenario(point)))
     return rows
@@ -412,26 +411,21 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     Writes per-attack rows to ``cfg.output`` as CSV plus a JSON mirror
     alongside it.  The sub-seed for cell (n, d, k) is
     ``mix(master_seed, n, d, k)``, so output does not depend on execution
-    order; reruns are byte-identical.  Before any attack is drawn it
-    rejects a cell that is not an (n, eve_dim) pair (OutOfRangeError) or
-    fails ``check_cell``, a ``count`` or ``povm_samples`` that is not an
-    integer of at least 0 (OutOfRangeError), and an output path that would
-    collide with its mirror (see ``_campaign_paths``).
+    order; reruns are byte-identical.  ``cfg`` is read through the
+    document's field table, ``CAMPAIGN_FIELDS``, before any attack is
+    drawn or any file is written, so a Python campaign obeys the rules and
+    work limits of a document and breaks them with a ValidationError
+    naming the field.
     """
-    for pos, cell in enumerate(cfg.grid):
-        if not isinstance(cell, (tuple, list)) or len(cell) != 2:
-            raise OutOfRangeError(f"grid[{pos}] must be an (n, eve_dim) pair")
-        check_cell(*cell)
-    count = _as_integer(cfg.count, "count", 0)
+    cfg = CampaignConfig(**_read_fields(vars(cfg), CAMPAIGN_FIELDS))
     csv_path, json_path = _campaign_paths(cfg.output)
-    samples = _as_integer(cfg.povm_samples, "samples", 0)
     rows: list[tuple[str, BoundsReport]] = []
     seeds: list[int] = []
     for n, eve_dim in cfg.grid:
-        for k in range(count):
+        for k in range(cfg.count):
             sub = mix(cfg.master_seed, n, eve_dim, k)
             ch = random_attack(n, eve_dim, sub)
-            report = audit_attack(ch, samples, mix(sub, 1))
+            report = audit_attack(ch, cfg.povm_samples, mix(sub, 1))
             rows.append((f"n{n}_d{eve_dim}_k{k}", report))
             seeds.append(sub)
 

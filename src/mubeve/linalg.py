@@ -48,6 +48,21 @@ MAX_TOTAL_DIM = 512
 N_MAX = MAX_TOTAL_DIM.bit_length() - 1  # largest n whose 2**n strings fit it
 
 
+def check_cell(n: int, eve_dim: int) -> None:
+    """Reject a (qubit count, apparatus dimension) cell outside the
+    supported limits: ``1 <= n <= N_MAX`` (OutOfRangeError), ``eve_dim >= 1``
+    (OutOfRangeError) and ``eve_dim * 2**n <= MAX_TOTAL_DIM``
+    (DimensionTooLargeError).  A non-integer is an OutOfRangeError.  The
+    cell rule of every attack builder and campaign grid."""
+    _as_integer(n, "qubit count", 1, N_MAX)
+    _as_integer(eve_dim, "eve_dim", 1)
+    total = eve_dim * (1 << n)
+    if total > MAX_TOTAL_DIM:
+        raise DimensionTooLargeError(
+            f"total dimension {_shown(total)} exceeds {MAX_TOTAL_DIM}"
+        )
+
+
 def _shown(value) -> str:
     """``repr(value)`` for an error message, or its digit limit where Python
     refuses to print an integer that long (``sys.get_int_max_str_digits``)."""

@@ -7,13 +7,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionTooLargeError,
-    OutOfRangeError,
-    UnsupportedCombinationError,
-)
+from .errors import OutOfRangeError, UnsupportedCombinationError
 from .channel import AttackChannel
-from .linalg import MAX_TOTAL_DIM, N_MAX, _as_integer, _as_reals, _shown, sign_grid
+from .linalg import N_MAX, _as_integer, _as_reals, check_cell, sign_grid
 from .rng import _checked_seed, random_isometry
 
 
@@ -49,31 +45,20 @@ KINDS = {
         "seeded Haar-style interaction; fields: eve_dim, seed"),
 }
 
-# Work limits of a document, beside the cell limits.  The measured search
+# Work limits of every document and campaign (run_campaign reads a
+# CampaignConfig through the document's table).  The measured search
 # draws its bases on the support of the Kraus vectors, min(eve_dim, 4**n)
-# wide, so its costliest cell is (3, 64), at about 0.4-0.7 ms a basis
-# (2-core x86 VM, one BLAS thread): the largest search takes under a
-# second, and a (1, 256) audit with 1,024 bases about 4.5 ms.  The cells at
+# wide, so its costliest cell is (3, 64): with 1,024 bases an audit takes
+# about 0.6 s there, 0.18 s at (4, 32), 35 ms at (2, 128) and 4-6 ms at
+# (1, 256) (medians of 3, 2-core x86 VM, one BLAS thread).  The cells at
 # n = 5 to 9 are at most 16 wide: with 1,024 bases an audit takes 0.12 s at
-# (5, 16) and 0.17 s at (9, 1), whose build adds 0.1 s.
+# (5, 16) and 0.17 s at (9, 1), whose build adds 0.1 s.  The work budget of
+# the largest campaign, 64 cells x 1,024 attacks x 1,024 bases, is about
+# 11 hours at (3, 64) and 5 minutes at (1, 256).
 MAX_POVM_SAMPLES = 1024
 MAX_COUNT = 1024         # attacks per campaign cell
 MAX_GRID_CELLS = 64
 MAX_SWEEP_THETAS = 1024
-
-
-def check_cell(n: int, eve_dim: int) -> None:
-    """Reject a (qubit count, apparatus dimension) cell outside the
-    supported limits: ``1 <= n <= N_MAX`` (OutOfRangeError), ``eve_dim >= 1``
-    (OutOfRangeError) and ``eve_dim * 2**n <= MAX_TOTAL_DIM``
-    (DimensionTooLargeError).  A non-integer is an OutOfRangeError."""
-    _as_integer(n, "qubit count", 1, N_MAX)
-    _as_integer(eve_dim, "eve_dim", 1)
-    total = eve_dim * (1 << n)
-    if total > MAX_TOTAL_DIM:
-        raise DimensionTooLargeError(
-            f"total dimension {_shown(total)} exceeds {MAX_TOTAL_DIM}"
-        )
 
 
 def check_takes(kind: str, key: str) -> None:

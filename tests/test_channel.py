@@ -15,12 +15,13 @@ from mubeve.channel import (
 )
 from mubeve.errors import (
     DimensionMismatchError,
+    DimensionTooLargeError,
     InvalidArrayError,
     NotADistributionError,
     NotUnitaryError,
     OutOfRangeError,
 )
-from mubeve.linalg import mub_transform
+from mubeve.linalg import MAX_TOTAL_DIM, mub_transform
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
 
@@ -66,6 +67,11 @@ class TestFromUnitary:
         with pytest.raises(DimensionMismatchError) as err:
             from_unitary(np.ones((2, 4)), [1.0, 0.0], 1)
         assert str(err.value) == "unitary must be square"
+        # the cell limit, checked before the ancilla and the unitarity residual
+        side = 2 * MAX_TOTAL_DIM
+        with pytest.raises(DimensionTooLargeError) as err:
+            from_unitary(np.eye(side), np.eye(side // 2)[0], 1)
+        assert str(err.value) == f"total dimension {side} exceeds {MAX_TOTAL_DIM}"
 
     def test_unnormalized_ancilla_rejected(self):
         with pytest.raises(NotUnitaryError):

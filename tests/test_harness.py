@@ -28,7 +28,7 @@ from mubeve.harness import (
     write_report,
 )
 from mubeve.linalg import MAX_TOTAL_DIM, N_MAX
-from mubeve.zoo import KINDS, AttackSpec
+from mubeve.zoo import KINDS, MAX_COUNT, MAX_GRID_CELLS, MAX_POVM_SAMPLES, AttackSpec
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # Frozen reports: of the former pure-Python Jacobi eigensolver (jacobi_*),
@@ -454,6 +454,25 @@ class TestShippedScenarios:
         with pytest.raises(ValidationError):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("run, change, field, message", [
+        # a bare AttributeError ('str' object has no attribute 'kind')
+        (run_scenario, {"attack": "identity"}, "attack",
+         "must be an AttackSpec or an AttackChannel"),
+        (run_scenario, {"attack": None}, "attack", "must be an AttackSpec or an AttackChannel"),
+        # a bare TypeError, and an error naming params[0]
+        (run_sweep, {"sweep_thetas": 5}, "sweep_thetas",
+         "sweep_thetas must be a list of numbers, not int"),
+        (run_sweep, {"sweep_thetas": ("a",)}, "sweep_thetas",
+         "sweep_thetas[0] 'a' is not a finite real number"),
+    ], ids=["scenario-attack-str", "scenario-attack-none", "sweep-thetas-int",
+            "sweep-thetas-text"])
+    def test_python_config_errors_name_the_field(self, run, change, field, message):
+        cfg = replace(parse_scenario((SCENARIOS / "probe_sweep.scenario").read_bytes()), **change)
+        with pytest.raises(ValidationError) as err:
+            run(cfg)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
+
 
 @pytest.fixture(scope="module")
 def sample_rows():
@@ -551,21 +570,32 @@ class TestRunCampaign:
         assert err.value.field == "output"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("change, message", [
+    @pytest.mark.parametrize("change, field, message", [
         # a float failed in range(); a negative count wrote an empty report
-        ({"count": 2.5}, "count 2.5 is not an integer"),
-        ({"count": -1}, "count -1 must be at least 0"),
-        # the cells and the sample count are checked beside the count
-        ({"grid": ((1, 2), (2, 2), (0, 1))}, f"qubit count 0 outside [1, {N_MAX}]"),
-        ({"grid": ((1,),)}, "grid[0] must be an (n, eve_dim) pair"),
-        ({"grid": (5,)}, "grid[0] must be an (n, eve_dim) pair"),
-        ({"grid": ((1.5, 2),)}, "qubit count 1.5 is not an integer"),
-        ({"povm_samples": -1}, "samples -1 must be at least 0"),
-        ({"povm_samples": 2.5}, "samples 2.5 is not an integer"),
+        ({"count": 2.5}, "count", "count 2.5 is not an integer"),
+        ({"count": -1}, "count", f"count -1 outside [0, {MAX_COUNT}]"),
+        # the whole config is read through CAMPAIGN_FIELDS, as a document is
+        ({"grid": ((1, 2), (2, 2), (0, 1))}, "grid[2]", f"qubit count 0 outside [1, {N_MAX}]"),
+        ({"grid": ((1,),)}, "grid[0]", "must be an [n, eve_dim] integer pair"),
+        ({"grid": (5,)}, "grid[0]", "must be an [n, eve_dim] integer pair"),
+        ({"grid": ((1.5, 2),)}, "grid[0]", "qubit count 1.5 is not an integer"),
+        ({"povm_samples": -1}, "povm_samples", f"samples -1 outside [0, {MAX_POVM_SAMPLES}]"),
+        ({"povm_samples": 2.5}, "povm_samples", "samples 2.5 is not an integer"),
+        # an empty grid wrote an empty report; a bare TypeError
+        ({"grid": (), "master_seed": -1}, "master_seed", f"seed -1 outside [0, {2**64 - 1}]"),
+        ({"grid": 5}, "grid", "must be a list of [n, eve_dim] pairs"),
+        ({"output": 5}, "output", "must be a nonempty path string"),
+        # the document's work limits
+        ({"count": MAX_COUNT + 1}, "count", f"count {MAX_COUNT + 1} outside [0, {MAX_COUNT}]"),
+        ({"grid": ((1, 1),) * (MAX_GRID_CELLS + 1)}, "grid",
+         f"has {MAX_GRID_CELLS + 1} cells, at most {MAX_GRID_CELLS}"),
     ], ids=["2.5-count 2.5 is not an integer", "-1-count -1 must be at least 0",
             "cell-outside-limits", "cell-too-short", "cell-not-a-pair", "cell-float",
-            "samples-negative", "samples-float"])
-    def test_bad_count_rejected_before_auditing(self, tmp_path, monkeypatch, change, message):
+            "samples-negative", "samples-float", "empty-grid-negative-seed",
+            "grid-not-a-list", "output-not-a-string", "count-above-limit",
+            "grid-above-limit"])
+    def test_bad_count_rejected_before_auditing(self, tmp_path, monkeypatch, change, field,
+                                                message):
         def no_draw(*args):
             raise AssertionError("drew an attack before the campaign was checked")
 
@@ -573,9 +603,10 @@ class TestRunCampaign:
         monkeypatch.setattr(harness, "audit_attack", no_draw)
         cfg = CampaignConfig(grid=((1, 2),), count=3, master_seed=3,
                              output=str(tmp_path / "rows.csv"), povm_samples=2)
-        with pytest.raises(OutOfRangeError) as err:
+        with pytest.raises(ValidationError) as err:
             run_campaign(replace(cfg, **change))
-        assert str(err.value) == message
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: {message}"
         assert list(tmp_path.iterdir()) == []
 
     def test_summary_matches_rows(self, tmp_path):
