@@ -58,19 +58,27 @@ class AttackChannel:
                 f"kraus table is {k.shape}, expected (2**n, 2**n, eve_dim) "
                 f"for qubit count {_shown(n)} and eve_dim {_shown(eve_dim)}"
             )
-        rows = k.reshape(d, -1)              # row i: kraus[i] flattened
-        gram = rows.conj() @ rows.T          # sum_j <K_ij|K_kj>, one BLAS product
-        res = float(abs(gram - np.eye(d)).max())
-        if not res <= TAU_UNIT:  # also catches a NaN residual
-            raise NotUnitaryError(
-                f"unitarity residual {res:.3e} exceeds {TAU_UNIT}"
-            )
+        _check_isometry(k.reshape(d, -1).T)  # column i: kraus[i] flattened
         k.setflags(write=False)
         object.__setattr__(self, "kraus", k)
 
     @property
     def dim(self) -> int:
         return 1 << self.n
+
+
+def _check_isometry(cols: np.ndarray) -> None:
+    """NotUnitaryError unless ``max |cols^H cols - I|`` is at most TAU_UNIT."""
+    res = float(abs(cols.conj().T @ cols - np.eye(cols.shape[1])).max())
+    if not res <= TAU_UNIT:  # also catches a NaN residual
+        raise NotUnitaryError(f"unitarity residual {res:.3e} exceeds {TAU_UNIT}")
+
+
+def _from_columns(cols: np.ndarray, n: int) -> AttackChannel:
+    """The channel of isometry columns ``cols``: ``kraus[i, j, a] = cols[a * 2**n + j, i]``."""
+    d = 1 << n
+    kraus = cols.reshape(-1, d, d).transpose(2, 1, 0)
+    return AttackChannel(n=n, eve_dim=kraus.shape[2], kraus=kraus)
 
 
 @dataclass(frozen=True)
@@ -105,15 +113,15 @@ class ErrorDistribution:
 def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
     """Extract the Kraus table of a unitary acting on apparatus x system.
 
-    The apparatus factor owns the most significant bits of the joint index.
-    ``kraus[i, j] = (I_E (x) <j|) u (|ancilla> (x) |i>)``.  An entry of
-    ``u`` or ``ancilla`` that is not finite or has a part beyond 1 + TAU_UNIT
-    in size, as no unitary or unit vector has, is a NotUnitaryError raised
-    before any product: NaN fails no later comparison, and inf or a huge
-    entry would overflow in one.  The cell (n, side / 2**n) of a square ``u``
-    goes through ``check_cell`` before the ancilla is checked.  Every message
-    about ``ancilla`` starts with that word, so a caller can tell which
-    array an error concerns.
+    The apparatus factor owns the most significant bits of the joint index:
+    ``kraus[i, j] = (I_E (x) <j|) u (|ancilla> (x) |i>)``, by ``_from_columns``.
+    An entry of ``u`` or ``ancilla`` not finite or with a part beyond
+    1 + TAU_UNIT, as no unitary or unit vector has, is a NotUnitaryError
+    before any product, where NaN passes every comparison and inf or a huge
+    entry overflows.  The cell (n, side / 2**n) goes through ``check_cell``
+    before the ancilla is checked, and ``u`` through ``_check_isometry``, as
+    a table does in ``AttackChannel``.  Every message about ``ancilla``
+    starts with that word, so a caller can tell which array it concerns.
     """
     u = _as_array(u, complex, "unitary")
     anc = _as_array(ancilla, complex, "ancilla").reshape(-1)
@@ -138,15 +146,10 @@ def from_unitary(u: np.ndarray, ancilla: np.ndarray, n: int) -> AttackChannel:
             raise NotUnitaryError(f"{what} entries must be finite, with parts in [-1, 1]")
     if abs(np.linalg.norm(anc) - 1.0) > TAU_UNIT:
         raise NotUnitaryError("ancilla vector is not normalized")
-    res = float(abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-    if not res <= TAU_UNIT:
-        raise NotUnitaryError(f"unitarity residual {res:.3e} exceeds {TAU_UNIT}")
-
+    _check_isometry(u)
     # Columns of `ins` are the joint inputs |ancilla> (x) |i>.
     ins = np.kron(anc[:, None], np.eye(d, dtype=complex))
-    outs = u @ ins                       # (eve_dim * d, d), column i
-    kraus = outs.reshape(eve_dim, d, d).transpose(2, 1, 0)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
+    return _from_columns(u @ ins, n)
 
 
 def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:

@@ -173,7 +173,7 @@ def _sweep_thetas(value, field, got) -> tuple[float, ...]:
 
 
 def _analyses(value, field, got) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, tuple)) or not value:  # a tuple from a ScenarioConfig
         raise ValidationError(field, "must be a nonempty list")
     for a in value:
         if a not in ANALYSES:
@@ -317,11 +317,14 @@ def check_analyses(cfg: ScenarioConfig, command: str) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> BoundsReport:
-    """Audit the configured attack, an AttackSpec or an AttackChannel."""
+    """Audit the configured attack, an AttackSpec or an AttackChannel, once
+    ``povm_samples``, ``seed`` and ``analyses`` pass their document readers."""
     if not isinstance(cfg.attack, (AttackSpec, AttackChannel)):
         raise ValidationError("attack", "must be an AttackSpec or an AttackChannel")
+    samples, seed, _ = (SCENARIO_FIELDS[key][0](getattr(cfg, key), key, None)
+                        for key in ("povm_samples", "seed", "analyses"))
     ch = cfg.attack if isinstance(cfg.attack, AttackChannel) else make_attack(cfg.attack)
-    return audit_attack(ch, cfg.povm_samples, cfg.seed)
+    return audit_attack(ch, samples, seed)
 
 
 def run_sweep(cfg: ScenarioConfig) -> list[tuple[str, BoundsReport]]:

@@ -177,6 +177,8 @@ class Spectrum:
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("expected a square matrix")
+    if not np.isfinite(a).all():  # before the residual, where inf - inf would warn
+        raise EigensolverError("matrix has non-finite entries")
     res = hermitian_residual(a)
     if res > TAU_HERM:
         raise NotHermitianError(f"Hermitian residual {res:.3e} exceeds {TAU_HERM}")
@@ -227,14 +229,14 @@ def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
 
 
 def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
-    """True when the smallest eigenvalue of Hermitian ``a``, or of every
-    matrix in a stack ``a[..., m, m]``, is >= -floor.
+    """True when the smallest eigenvalue of every matrix in a Hermitian
+    stack ``a[..., m, m]`` is >= -floor; the POVM rule of its one caller,
+    ``bounds._check_povm_stack`` (a state's spectrum is ``density_spectra``'s).
 
-    Fast path: one (batched) Cholesky of ``a + floor*I`` succeeds iff every
-    shifted matrix is positive definite.  On failure (boundary or
-    violation) fall back to the eigenvalues for the exact verdict.  A
-    non-finite factor also falls back, so non-finite input raises
-    EigensolverError there.
+    Fast path: one batched Cholesky of ``a + floor*I``, cheaper than an
+    eigensolve, succeeds iff every shifted matrix is positive definite.  On
+    failure (boundary or violation), or a non-finite factor, fall back to the
+    eigenvalues for the exact verdict; non-finite input raises EigensolverError.
     """
     try:
         factor = np.linalg.cholesky(a + floor * np.eye(a.shape[-1]))
@@ -247,19 +249,14 @@ def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace complex matrix."""
+    """Hermitian (TAU_HERM), positive semidefinite, unit-trace complex matrix:
+    its spectrum is checked by ``density_spectra``, the rule of every state."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _check_hermitian(_as_array(self.matrix, complex, "density matrix"))
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TAU_TR:
-            raise InvalidStateError(f"trace {tr} deviates from 1 beyond {TAU_TR}")
-        if not _min_eigenvalue_at_least(m, TAU_PSD):
-            raise InvalidStateError(
-                f"smallest eigenvalue below -{TAU_PSD}"
-            )
+        density_spectra(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -8,7 +8,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import OutOfRangeError, UnsupportedCombinationError
-from .channel import AttackChannel
+from .channel import AttackChannel, _from_columns
 from .linalg import N_MAX, _as_integer, _as_reals, check_cell, sign_grid
 from .rng import _checked_seed, random_isometry
 
@@ -131,9 +131,9 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
 
     The interaction is ``u = random_unitary(eve_dim * 2**n, seed)`` on
     (apparatus x system); with the apparatus at |0> only its first 2**n
-    columns act, so only they are drawn (``random_isometry``) and
-    ``kraus[i, j, a] = u[a * 2**n + j, i]``.  Bit-identical output for
-    identical (n, eve_dim, seed).
+    columns act, so only they are drawn (``random_isometry``) and go to
+    ``channel._from_columns``, the table step of ``from_unitary``.
+    Bit-identical output for identical (n, eve_dim, seed).
     """
     check_cell(n, eve_dim)
     return _drawn(n, eve_dim, seed)
@@ -141,7 +141,4 @@ def random_attack(n: int, eve_dim: int, seed: int) -> AttackChannel:
 
 def _drawn(n: int, eve_dim: int, seed: int) -> AttackChannel:
     """``random_attack`` of a checked cell."""
-    d = 1 << n
-    cols = random_isometry(eve_dim * d, d, seed)  # (apparatus, output) x input
-    kraus = cols.reshape(eve_dim, d, d).transpose(2, 1, 0)
-    return AttackChannel(n=n, eve_dim=eve_dim, kraus=kraus)
+    return _from_columns(random_isometry(eve_dim << n, 1 << n, seed), n)

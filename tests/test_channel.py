@@ -56,8 +56,10 @@ class TestFromUnitary:
         assert np.allclose(ch.kraus[1, 0], 0.0)
 
     def test_non_unitary_rejected(self):
-        with pytest.raises(NotUnitaryError):
+        # u^H u is 4 everywhere: the residual is 4 off the diagonal
+        with pytest.raises(NotUnitaryError) as err:
             from_unitary(np.ones((4, 4)), [1.0, 0.0], 1)
+        assert str(err.value) == "unitarity residual 4.000e+00 exceeds 1e-09"
 
     def test_bad_dimensions_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -284,8 +286,9 @@ class TestTypes:
         kraus = np.zeros((2, 2, 1), dtype=complex)
         kraus[0, 0, 0] = 1.0
         kraus[1, 1, 0] = 0.5  # row 1 norm broken
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(NotUnitaryError) as err:
             AttackChannel(n=1, eve_dim=1, kraus=kraus)
+        assert str(err.value) == "unitarity residual 7.500e-01 exceeds 1e-09"  # 1 - 0.5**2
 
     @pytest.mark.parametrize("n, eve_dim", [(2.5, 1), (1, 2.0), ("1", 1)])
     def test_channel_sizes_must_be_integers(self, n, eve_dim):

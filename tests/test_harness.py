@@ -464,8 +464,15 @@ class TestShippedScenarios:
          "sweep_thetas must be a list of numbers, not int"),
         (run_sweep, {"sweep_thetas": ("a",)}, "sweep_thetas",
          "sweep_thetas[0] 'a' is not a finite real number"),
+        # audited 5,000 bases, accepted, accepted and an unnamed OutOfRangeError
+        (run_scenario, {"povm_samples": 5000}, "povm_samples", "samples 5000 outside [0, 1024]"),
+        (run_scenario, {"analyses": ("bogus",)}, "analyses", "unknown analysis 'bogus'"),
+        (run_scenario, {"analyses": ()}, "analyses", "must be a nonempty list"),
+        (run_scenario, {"seed": -1}, "seed", "seed -1 outside [0, 18446744073709551615]"),
+        (run_sweep, {"povm_samples": 5000}, "povm_samples", "samples 5000 outside [0, 1024]"),
     ], ids=["scenario-attack-str", "scenario-attack-none", "sweep-thetas-int",
-            "sweep-thetas-text"])
+            "sweep-thetas-text", "scenario-samples-above-limit", "scenario-analyses-unknown",
+            "scenario-analyses-empty", "scenario-seed-negative", "sweep-samples-above-limit"])
     def test_python_config_errors_name_the_field(self, run, change, field, message):
         cfg = replace(parse_scenario((SCENARIOS / "probe_sweep.scenario").read_bytes()), **change)
         with pytest.raises(ValidationError) as err:

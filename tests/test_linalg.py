@@ -250,17 +250,34 @@ class TestDensityMatrix:
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_bad_trace(self):
-        with pytest.raises(InvalidStateError):
+        # the spectrum's sum, by the probability rule of every state
+        with pytest.raises(InvalidStateError) as err:
             DensityMatrix(np.eye(2))
+        assert str(err.value) == "spectrum: sum deviates from 1 by 1.000e+00, beyond 1e-09"
 
     def test_non_finite_rejected(self):
-        # Cholesky returns NaN here instead of failing
+        # refused before the Hermitian residual, which NaN would pass and
+        # where inf - inf would warn
         with pytest.raises(EigensolverError):
             DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for value in (np.inf, -np.inf, complex(0.0, np.inf)):
+            for build in (lambda: DensityMatrix(np.array([[value, 0.0], [0.0, 0.0]])),
+                          lambda: hermitian_eigendecomposition(np.diag([value, 1.0])),
+                          lambda: partial_trace(np.diag([value, 0.0, 0.0, 1.0]), 2, 2)):
+                with pytest.raises(EigensolverError) as err:
+                    build()
+                assert str(err.value) == "matrix has non-finite entries"
 
     def test_negative_eigenvalue(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidStateError) as err:
             DensityMatrix(np.diag([1.5, -0.5]))
+        assert str(err.value) == "spectrum: entry -5.000e-01 below -1e-10"
+
+    def test_imaginary_trace_within_hermitian_tolerance_accepted(self):
+        # the Hermitian check bounds the trace's imaginary part by dim * 5e-10;
+        # the eigenvalues of the Hermitian part form a valid spectrum
+        m = np.eye(4) / 4 + 4e-10j * np.eye(4)
+        assert np.array_equal(DensityMatrix(m).matrix, m)
 
     @pytest.mark.parametrize("build, what", [
         (lambda: DensityMatrix([["a"]]), "density matrix"),
