@@ -12,7 +12,6 @@ from .errors import (
     InvalidStateError,
     MubeveError,
     NotADistributionError,
-    NotHermitianError,
     NotUnitaryError,
     OutOfRangeError,
     ParseError,
@@ -21,29 +20,14 @@ from .errors import (
     UnsupportedCombinationError,
     ValidationError,
 )
-from .linalg import (
-    N_MAX,
-    TAU_HERM,
-    TAU_PSD,
-    TAU_TR,
-    TAU_UNIT,
-    DensityMatrix,
-    Spectrum,
-    hermitian_eigendecomposition,
-    mub_transform,
-    partial_trace,
-    tensor_product,
-)
+from .linalg import N_MAX, TAU_HERM, TAU_PSD, TAU_TR, TAU_UNIT
 from .channel import (
     AttackChannel,
     ErrorDistribution,
-    eve_state,
     from_unitary,
     xor_error_distribution,
 )
-# ``symmetrize`` itself is not re-exported, so that the package attribute
-# ``mubeve.symmetrize`` is the module, not the function.
-from .symmetrize import fourier_spectrum, project_ancilla, walsh_table
+from .symmetrize import fourier_spectrum, walsh_table
 from .bounds import (
     BoundsReport,
     audit_attack,

@@ -71,13 +71,12 @@ def kraus_holevo_chi(kraus) -> float:
     """Holevo quantity of the uniform ensemble of apparatus states
     ``rho_i = sum_j |K_ij><K_ij|`` of a Kraus table ``kraus[i, j]``.
 
-    Equals the Holevo quantity of the dense states ``eve_state(ch, i)``
-    for ``kraus = ch.kraus``, but no dense state is built: the state spectra
-    and the spectrum of the average (all ``d**2`` vectors at weight
-    ``1/d``) come from ``mixture_spectra``, which eigensolves the smaller
-    side of each Gram/ensemble pair and checks every spectrum.  The value
-    is the mean of ``S(avg) - S(rho_i)``, so an ensemble of identical
-    states, such as the symmetrized identity attack, reads exactly 0.
+    No dense state is built: the state spectra and the spectrum of the
+    average (all ``d**2`` vectors at weight ``1/d``) come from
+    ``mixture_spectra``, which eigensolves the smaller side of each
+    Gram/ensemble pair and checks every spectrum.  The value is the mean
+    of ``S(avg) - S(rho_i)``, so an ensemble of identical states, such as
+    the symmetrized identity attack, reads exactly 0.
     A table not of numbers, or of another shape, is refused by ``_as_table``.
     """
     k, d = _as_table(kraus, "kraus table")
@@ -91,11 +90,13 @@ def symmetrized_holevo_chi(walsh) -> float:
     Walsh table ``walsh = walsh_table(ch.kraus)`` of the original table
     regrouped by error pattern, ``W[c, x] = sum_a (-1)**(x.a) P[c, a]``.
 
-    Equals ``kraus_holevo_chi(symmetrize(ch).kraus)``, but the enlarged
-    table is never built.  The symmetrized states are XOR-covariant, so
-    all share the nonzero spectrum of one ``2**n x 2**n`` Gram matrix
-    ``G0[j, k] = 2**-n sum_m (-1)**(m.(j^k)) <P[k, m]|P[j, m]>``, which
-    equals ``4**-n Y Y^H`` with ``Y[j, l] = W[j, l^j]``; it is taken on
+    Equals ``kraus_holevo_chi`` of the symmetrized table ``K'[i, j] =
+    2**(-n/2) sum_m (-1)**(m.(i^j)) |m> (x) K[i^m, j^m]``, which the tests
+    build with the reference checker (``reference.symmetrized``), but the
+    enlarged table is never built here.  The symmetrized states are
+    XOR-covariant, so all share the nonzero spectrum of one ``2**n x 2**n``
+    Gram matrix ``G0[j, k] = 2**-n sum_m (-1)**(m.(j^k)) <P[k, m]|P[j, m]>``,
+    which equals ``4**-n Y Y^H`` with ``Y[j, l] = W[j, l^j]``; it is taken on
     this side even when ``eve_dim = 1`` ties it.  Their average is
     block-circulant over the shift register, so its spectrum is the union
     over l of the spectra of ``B_l = 4**-n sum_c |W[c, l^c]><W[c, l^c]|``:
@@ -289,6 +290,11 @@ def audit_attack(ch: AttackChannel, samples: int, seed: int) -> BoundsReport:
     from the conjugate-basis table (``xor_error_distribution``).  Every
     later stage runs on the support table (``_support_table``), at most
     ``4**n`` wide, and the report keeps the channel's ``eve_dim``.
+
+    ``samples`` may be any nonnegative integer: from Python it has no upper
+    bound, and the random search's time grows with it.  Documents,
+    ``run_scenario`` and ``run_campaign`` hold it to
+    ``zoo.MAX_POVM_SAMPLES`` (1,024), beside the other work limits.
     """
     ed = xor_error_distribution(ch)
     kraus = _support_table(ch.kraus)

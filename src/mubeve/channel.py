@@ -21,12 +21,10 @@ from .errors import (
 )
 from .linalg import (
     TAU_UNIT,
-    DensityMatrix,
     _as_array,
     _as_integer,
     _check_probabilities,
     _shown,
-    as_index,
     check_cell,
     walsh,
     xor_regroup,
@@ -156,13 +154,6 @@ def _conjugate_kraus(n: int, kraus: np.ndarray) -> np.ndarray:
     """``kraus'[l, s] = 2**-n * sum_ij (-1)**(s.j + i.l) kraus[i, j]``, a
     Walsh transform over i and one over j."""
     return walsh(walsh(kraus, 0), 1) / float(1 << n)
-
-
-def eve_state(ch: AttackChannel, i) -> DensityMatrix:
-    """Apparatus state held by the eavesdropper for input string i."""
-    i = as_index(i, ch.n)
-    k = ch.kraus[i]
-    return DensityMatrix(np.einsum("jd,je->de", k, k.conj()))
 
 
 def xor_error_distribution(ch: AttackChannel) -> ErrorDistribution:

@@ -5,10 +5,6 @@ class MubeveError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotHermitianError(MubeveError):
-    """Matrix failed the Hermitian symmetry check."""
-
-
 class NotUnitaryError(MubeveError):
     """Operator or channel failed the unitarity check."""
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import (
     InvalidArrayError,
     InvalidStateError,
     MubeveError,
-    NotHermitianError,
     OutOfRangeError,
 )
 
@@ -130,14 +128,6 @@ def _as_array(values, dtype, what: str) -> np.ndarray:
         raise InvalidArrayError(f"{what} is not a rectangular array of numbers", reason) from exc
 
 
-def as_index(i, n: int) -> int:
-    """``i`` as an index for n qubits, else OutOfRangeError: not an
-    integer, or outside [0, 2**n)."""
-    i = _as_integer(i, "index", 0)
-    # i < 2**n holds when i has at most n bits, so no shift need pass i's length
-    return _as_integer(i, "index", 0, (1 << min(n, i.bit_length())) - 1)
-
-
 def _as_table(t, what: str) -> tuple[np.ndarray, int]:
     """``t`` as a complex table of shape ``(2**n, 2**n, eve_dim)``, with
     n >= 1 and eve_dim >= 1, and its side ``2**n``.  An array numpy cannot
@@ -153,36 +143,11 @@ def _as_table(t, what: str) -> tuple[np.ndarray, int]:
     return t, d
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor owns the most significant bits."""
-    return np.kron(_as_array(a, complex, "left factor"), _as_array(b, complex, "right factor"))
-
-
 def hermitian_residual(a: np.ndarray) -> float:
     """Max-norm deviation of a square matrix, or of a stack of them, from
     its conjugate transpose."""
     a = np.asarray(a)
     return float(abs(a - a.conj().swapaxes(-1, -2)).max()) if a.size else 0.0
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition result: eigenvalues sorted descending, with the
-    matching orthonormal eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError("expected a square matrix")
-    if not np.isfinite(a).all():  # before the residual, where inf - inf would warn
-        raise EigensolverError("matrix has non-finite entries")
-    res = hermitian_residual(a)
-    if res > TAU_HERM:
-        raise NotHermitianError(f"Hermitian residual {res:.3e} exceeds {TAU_HERM}")
-    return a
 
 
 def _eigh(a: np.ndarray, want_vectors: bool):
@@ -216,18 +181,6 @@ def _svd(a: np.ndarray, weight: float):
         raise EigensolverError(f"singular value decomposition failed: {exc}") from exc
 
 
-def hermitian_eigendecomposition(a: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Raises NotHermitianError when the symmetry check fails and
-    EigensolverError on non-finite entries.
-    """
-    a = _check_hermitian(_as_array(a, complex, "matrix"))
-    w, v = _eigh(a, want_vectors=True)
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
 def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
     """True when the smallest eigenvalue of every matrix in a Hermitian
     stack ``a[..., m, m]`` is >= -floor; the POVM rule of its one caller,
@@ -245,60 +198,6 @@ def _min_eigenvalue_at_least(a: np.ndarray, floor: float) -> bool:
     except np.linalg.LinAlgError:
         pass
     return bool(_eigh(a, want_vectors=False)[0].min() >= -floor)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian (TAU_HERM), positive semidefinite, unit-trace complex matrix:
-    its spectrum is checked by ``density_spectra``, the rule of every state."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _check_hermitian(_as_array(self.matrix, complex, "density matrix"))
-        density_spectra(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, amplitudes: np.ndarray) -> "DensityMatrix":
-        """Rank-1 state |v><v| from a normalized amplitude vector."""
-        v = _as_array(amplitudes, complex, "amplitude vector").reshape(-1)
-        return cls(np.outer(v, v.conj()))
-
-
-def _matrix_of(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    return _as_array(rho, complex, "density matrix")
-
-
-def partial_trace(rho, dim_left: int, dim_right: int, keep: str = "left") -> DensityMatrix:
-    """Reduced state of one tensor factor of a bipartite density matrix.
-
-    ``keep`` selects the surviving factor, "left" or "right"; the left
-    factor owns the most significant bits.
-    """
-    m = _matrix_of(rho)
-    dim_left, dim_right = (_as_integer(x, "dimension", 1) for x in (dim_left, dim_right))
-    d = dim_left * dim_right
-    if m.shape != (d, d):
-        raise DimensionMismatchError(
-            f"matrix is {m.shape}, expected a square of side {_shown(d)}, "
-            f"the product of dimensions {_shown(dim_left)} and {_shown(dim_right)}"
-        )
-    t = m.reshape(dim_left, dim_right, dim_left, dim_right)
-    if keep == "left":
-        red = np.einsum("akbk->ab", t)
-    elif keep == "right":
-        red = np.einsum("kakb->ab", t)
-    else:
-        raise OutOfRangeError(f"keep must be 'left' or 'right', not {keep!r}")
-    return DensityMatrix(red)
 
 
 def _check_probabilities(p, error: type[MubeveError], what="probabilities") -> None:
@@ -421,15 +320,3 @@ def xor_regroup(a) -> np.ndarray:
     of length 2**n: row c gathers the entries whose indices differ by c."""
     d = a.shape[0]
     return a[np.arange(d)[None, :], xor_grid(d.bit_length() - 1)]
-
-
-def mub_transform(n: int) -> np.ndarray:
-    """Change of basis between the computational basis and its conjugate.
-
-    Real orthogonal, symmetric, involutive: entry (i, k) equals
-    ``2**(-n/2) * (-1)**(i.k)``, so the two bases are mutually unbiased.
-    """
-    n = _as_integer(n, "qubit count", 1)
-    if n > N_MAX:
-        raise DimensionTooLargeError(f"qubit count {_shown(n)} exceeds {N_MAX}")
-    return sign_grid(n) * 2.0 ** (-n / 2.0)

@@ -4,9 +4,10 @@ The benchmark's checker, ``perfbench/reference.py`` (loaded by
 ``conftest.py`` as ``reference``), is the tests' reference for every
 audited quantity.  This module keeps what it does not compute: the
 purification Gram state of a symmetrized table with its
-translation-invariance and eigensolver cross-checks, and the receiver's
-conjugate-basis state.  It builds its own sign table and checks its own
-states; of the package it imports only the error classes it raises.
+translation-invariance and eigensolver cross-checks, the read of that
+table's shift register, and the receiver's conjugate-basis state.  It
+builds its own sign table and checks its own states; of the package it
+imports only the error classes it raises.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from mubeve.errors import (
     DimensionMismatchError,
     InvalidStateError,
-    NotHermitianError,
     TranslationInvarianceError,
 )
 
@@ -37,13 +37,13 @@ def _signs(d):
 
 
 def _checked_state(m):
-    """``m`` if it is a density matrix, else InvalidStateError (a non-finite
-    entry, a trace off 1 or an eigenvalue below -TAU_NEGATIVE) or, for a
-    Hermitian residual beyond TAU_STATE, NotHermitianError."""
+    """``m`` if it is a density matrix, else InvalidStateError: a non-finite
+    entry, a Hermitian residual beyond TAU_STATE, a trace off 1 or an
+    eigenvalue below -TAU_NEGATIVE."""
     if not np.isfinite(m).all():
         raise InvalidStateError("state has non-finite entries")
     if np.abs(m - m.conj().T).max() > TAU_STATE:
-        raise NotHermitianError("state is not Hermitian")
+        raise InvalidStateError("state is not Hermitian")
     if abs(np.trace(m) - 1.0) > TAU_STATE:
         raise InvalidStateError(f"trace {np.trace(m)} deviates from 1")
     if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -TAU_NEGATIVE:
@@ -61,6 +61,19 @@ def purification_vectors(kraus):
         for j in range(d):
             out[i, :, i ^ j] = kraus[i, j]
     return out.reshape(d, -1)
+
+
+def register_read(kraus, i, m):
+    """Outcome probability and checked apparatus state when the shift
+    register of a symmetrized Kraus table, the most significant apparatus
+    bits, reads m for input i.  The shift law says ``2**-n`` and the
+    original attack's state for input ``i ^ m``."""
+    d, _, width = kraus.shape
+    de = width // d  # apparatus dimension of the original attack
+    block = kraus[i, :, m * de:(m + 1) * de]
+    raw = block.T @ block.conj()
+    prob = float(np.trace(raw).real)
+    return prob, _checked_state(raw / prob)
 
 
 def sigma_matrix(vectors):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import reference
-from oracle import bob_conjugate_state
+from oracle import _checked_state, _signs, bob_conjugate_state
 from mubeve.channel import (
     AttackChannel,
     ErrorDistribution,
     _conjugate_kraus,
-    eve_state,
     from_unitary,
     xor_error_distribution,
 )
@@ -21,7 +20,7 @@ from mubeve.errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
-from mubeve.linalg import MAX_TOTAL_DIM, mub_transform
+from mubeve.linalg import MAX_TOTAL_DIM
 from mubeve.zoo import AttackSpec, make_attack, random_attack
 
 
@@ -136,7 +135,7 @@ class TestConjugateBasis:
                 for i in range(d):
                     for j in range(d):
                         v[np.arange(de) * d + j, i] = ch.kraus[i, j]
-                h = mub_transform(n)
+                h = _signs(d) / np.sqrt(d)
                 w = np.kron(np.eye(de), h) @ v @ h
                 conj = to_conjugate_basis(ch)
                 for l in range(d):
@@ -154,61 +153,53 @@ class TestConjugateBasis:
 
 
 class TestEveState:
+    """The apparatus states ``rho_i = sum_j |K_ij><K_ij|`` of an attack, as
+    the checker builds them (``reference._states``)."""
+
     def test_identity(self):
-        ch = make_attack(AttackSpec("identity", 2))
+        states = reference._states(make_attack(AttackSpec("identity", 2)).kraus)
         for i in range(4):
-            assert np.allclose(eve_state(ch, i).matrix, [[1.0]])
+            assert np.allclose(states[i], [[1.0]])
 
     def test_cnot_pointers(self):
-        ch = make_attack(AttackSpec("cnot_probe", 1))
-        assert np.allclose(eve_state(ch, 0).matrix, np.diag([1.0, 0.0]))
-        assert np.allclose(eve_state(ch, 1).matrix, np.diag([0.0, 1.0]))
+        states = reference._states(make_attack(AttackSpec("cnot_probe", 1)).kraus)
+        assert np.allclose(states[0], np.diag([1.0, 0.0]))
+        assert np.allclose(states[1], np.diag([0.0, 1.0]))
 
     def test_probe_overlap_angle(self):
         theta = 0.7
         ch = make_attack(AttackSpec("probe_overlap", 1, params=(theta,)))
-        r0 = eve_state(ch, 0).matrix
-        r1 = eve_state(ch, 1).matrix
+        r0, r1 = reference._states(ch.kraus)
         overlap_sq = np.trace(r0 @ r1).real
         assert overlap_sq == pytest.approx(np.cos(theta) ** 2, abs=1e-12)
 
     def test_total_trace(self):
         for seed in (0, 5):
-            ch = random_attack(2, 3, seed)
-            total = sum(
-                np.trace(eve_state(ch, i).matrix).real for i in range(4)
-            )
+            states = reference._states(random_attack(2, 3, seed).kraus)
+            total = sum(np.trace(states[i]).real for i in range(4))
             assert abs(total - 4.0) <= 1e-9
 
     @pytest.mark.parametrize("n, eve_dim", [(1, 2), (3, 2), (2, 3), (1, 256)])
     def test_stack_equals_validated_states(self, n, eve_dim):
-        # the checker's stack of apparatus states, bit for bit
+        # row orthonormality of the table makes each state a density matrix
         ch = random_attack(n, eve_dim, 17)
         stack = reference._states(ch.kraus)
         assert stack.shape == (ch.dim, eve_dim, eve_dim)
-        for i in range(ch.dim):
-            assert np.array_equal(stack[i], eve_state(ch, i).matrix)
-
-    @pytest.mark.parametrize("i", [1.7, "1"])
-    def test_index_must_be_an_integer(self, i):
-        # neither is read as the input string 1
-        ch = make_attack(AttackSpec("cnot_probe", 1))
-        with pytest.raises(OutOfRangeError, match="not an integer"):
-            eve_state(ch, i)
-        assert np.array_equal(eve_state(ch, np.int64(1)).matrix, eve_state(ch, 1).matrix)
+        for state in stack:
+            _checked_state(state)  # else InvalidStateError
 
 
 class TestBobConjugateState:
     def test_identity_no_disturbance(self):
         ch = make_attack(AttackSpec("identity", 1))
-        h = mub_transform(1)
+        h = _signs(2) / np.sqrt(2)
         for i in range(2):
             expected = np.outer(h[:, i], h[:, i])
             assert np.max(np.abs(bob_conjugate_state(ch.kraus, i) - expected)) < 1e-12
 
     def test_phase_conversion_flips(self):
         ch = make_attack(AttackSpec("phase_conversion", 1))
-        h = mub_transform(1)
+        h = _signs(2) / np.sqrt(2)
         flipped = np.outer(h[:, 1], h[:, 1])
         assert np.max(np.abs(bob_conjugate_state(ch.kraus, 0) - flipped)) < 1e-12
 
@@ -222,7 +213,7 @@ class TestBobConjugateState:
     def test_conjugate_diagonal_matches_outcome_probabilities(self):
         ch = random_attack(1, 2, 17)
         kbar = to_conjugate_basis(ch).kraus
-        h = mub_transform(1)
+        h = _signs(2) / np.sqrt(2)
         for i in range(2):
             rho = bob_conjugate_state(ch.kraus, i)
             back = h @ rho @ h  # back to conjugate components

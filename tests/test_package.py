@@ -7,24 +7,21 @@ from pathlib import Path
 import pytest
 
 import mubeve
-from mubeve.symmetrize import symmetrize
 
 # The audit route, the front end, and the API the acceptance suite names.
 # The reference routes live in perfbench/reference.py and tests/oracle.py.
 PUBLIC = """
 AttackChannel AttackSpec BoundsReport CampaignConfig CampaignSummary
-DensityMatrix DependentColumnsError DimensionMismatchError
-DimensionTooLargeError EigensolverError ErrorDistribution InvalidArrayError
-InvalidPovmError InvalidStateError MubeveError N_MAX NotADistributionError
-NotHermitianError NotUnitaryError OutOfRangeError ParseError ScenarioConfig
-Spectrum SplitMix64 TAU_HERM TAU_PSD TAU_TR TAU_UNIT TheoremViolation
-TranslationInvarianceError UnsupportedCombinationError ValidationError
-audit_attack boykin_bound corollary_bound eve_state fourier_spectrum
-from_unitary hermitian_eigendecomposition kraus_holevo_chi make_attack mix
-mix64 mub_transform parse_campaign parse_scenario partial_trace
-project_ancilla random_attack random_isometry random_unitary run_campaign
-run_scenario run_sweep symmetrized_holevo_chi tensor_product walsh_table
-write_report xor_entropy_bound xor_error_distribution
+DependentColumnsError DimensionMismatchError DimensionTooLargeError
+EigensolverError ErrorDistribution InvalidArrayError InvalidPovmError
+InvalidStateError MubeveError N_MAX NotADistributionError NotUnitaryError
+OutOfRangeError ParseError ScenarioConfig SplitMix64 TAU_HERM TAU_PSD TAU_TR
+TAU_UNIT TheoremViolation TranslationInvarianceError
+UnsupportedCombinationError ValidationError audit_attack boykin_bound
+corollary_bound fourier_spectrum from_unitary kraus_holevo_chi make_attack
+mix mix64 parse_campaign parse_scenario random_attack random_isometry
+random_unitary run_campaign run_scenario run_sweep symmetrized_holevo_chi
+walsh_table write_report xor_entropy_bound xor_error_distribution
 """.split()
 
 
@@ -34,14 +31,6 @@ def test_public_names_are_frozen():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == sorted(PUBLIC)
-
-
-def test_symmetrize_attribute_is_the_module():
-    # the package does not re-export the function under its module's name
-    import mubeve.symmetrize as module
-
-    assert isinstance(module, types.ModuleType)
-    assert module.symmetrize is symmetrize
 
 
 @pytest.mark.parametrize("path, allowed", [
